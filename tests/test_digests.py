@@ -1,0 +1,128 @@
+"""Differential check: every bundled config x policy x {plain, --equal-budget}
+reproduces the recorded SHA-256 of metrics.csv, events.log and timeline.csv.
+
+Horizons are shortened with --set overrides so the whole matrix stays near
+2.2 M simulated slots; every run still contains its attack onset.  The same
+runs back a second check: every logged task-state change is a legal
+transition of the scheduler's state machine.
+
+A change that means to alter run output re-records the digests with
+
+    PYTHONPATH=src python tests/test_digests.py --record
+
+and says why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+from eamsim.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+ARTIFACTS = ("metrics.csv", "events.log", "timeline.csv")
+POLICIES = ("eam", "fh", "central")
+MODES = ("plain", "equal_budget")
+
+# Shortening overrides per bundled config (compare_* configs run in full).
+SHORTEN = {
+    "compare_constant_300s.yaml": (),
+    "compare_constant_30s.yaml": (),
+    "compare_sine_300s.yaml": (),
+    "compare_sine_30s.yaml": (),
+    "hvac_attack.yaml": ("attacks.0.start_s=300", "sim.horizon_s=600"),
+    "twotask_short_attack.yaml": ("sim.horizon_s=300",),
+}
+
+# Observable task-state transitions.  SUSPENDED is entered only from RUNNING
+# when an execution aborts on energy failure, and leaves on the next
+# scheduling pass once the task is re-classified.
+LEGAL_TRANSITIONS = frozenset(
+    {
+        ("blocked", "ready"),
+        ("ready", "blocked"),
+        ("ready", "running"),
+        ("running", "blocked"),
+        ("running", "suspended"),
+        ("suspended", "ready"),
+        ("suspended", "blocked"),
+    }
+)
+
+CASES = [(c, p, m) for c in sorted(SHORTEN) for p in POLICIES for m in MODES]
+
+
+def test_shorten_table_covers_every_bundled_config():
+    assert sorted(p.name for p in (ROOT / "configs").glob("*.yaml")) == sorted(SHORTEN)
+
+
+@lru_cache(maxsize=None)
+def _artifacts(config: str, policy: str, mode: str) -> dict:
+    """Run one case through the CLI; artifact name -> bytes (None if absent)."""
+    argv = ["run", "--config", str(ROOT / "configs" / config), "--set", f"policy={policy}"]
+    for override in SHORTEN[config]:
+        argv += ["--set", override]
+    if mode == "equal_budget":
+        argv.append("--equal-budget")
+    with tempfile.TemporaryDirectory() as out:
+        assert main(argv + ["--out", out]) == 0
+        return {
+            name: (Path(out) / name).read_bytes() if (Path(out) / name).exists() else None
+            for name in ARTIFACTS
+        }
+
+
+def _digests(config: str, policy: str, mode: str) -> dict:
+    return {
+        name: None if data is None else hashlib.sha256(data).hexdigest()
+        for name, data in _artifacts(config, policy, mode).items()
+    }
+
+
+def _key(config: str, policy: str, mode: str) -> str:
+    return f"{config}:{policy}:{mode}"
+
+
+@pytest.mark.parametrize("config,policy,mode", CASES)
+def test_artifacts_match_recorded_digests(config, policy, mode, capsys):
+    expected = json.loads(DIGESTS.read_text())[_key(config, policy, mode)]
+    got = _digests(config, policy, mode)
+    capsys.readouterr()  # the run prints its metric summary
+    assert got == expected
+
+
+@pytest.mark.parametrize("config,policy,mode", CASES)
+def test_every_state_event_is_a_legal_transition(config, policy, mode, capsys):
+    events = _artifacts(config, policy, mode)["events.log"].decode().splitlines()
+    capsys.readouterr()
+    illegal = []
+    seen = 0
+    for line in events:
+        fields = line.split(",")
+        if fields[1] == "state":
+            seen += 1
+            if (fields[3], fields[4]) not in LEGAL_TRANSITIONS:
+                illegal.append(line)
+    assert seen > 0
+    assert illegal == []
+
+
+def _record() -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        table = {_key(*case): _digests(*case) for case in CASES}
+    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS} ({len(table)} cases)")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    _record()
