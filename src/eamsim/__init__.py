@@ -27,7 +27,6 @@ from .policy import (
     TaskState,
     allocate_harvest,
     init_scheduler,
-    params_for_bank,
     policy_step,
     select_profile,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "init_sim",
     "inject_attack",
     "load_trace",
-    "params_for_bank",
     "policy_step",
     "run",
     "select_profile",

@@ -22,17 +22,13 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .energy import Component
 
 
 class AppModelError(ValueError):
     """Structural problem in an application specification."""
-
-
-class TaskDisabledError(RuntimeError):
-    """Raised when asking for the period of a task whose rate is zero."""
 
 
 class Profile(enum.Enum):
@@ -101,20 +97,6 @@ class AppSpec:
 
     def successors(self, task_id: str) -> tuple[str, ...]:
         return tuple(t.id for t in self.tasks if task_id in t.predecessors)
-
-
-def rate_for(spec: AppSpec, task_id: str, profile: Profile) -> float:
-    """Execution rate in runs per hour for a task under a profile."""
-    task = spec.task(task_id)
-    return float(task.rates.get(profile, 0.0))
-
-
-def period_for(spec: AppSpec, task_id: str, profile: Profile) -> float:
-    """Release period in seconds: 3600 / rate."""
-    rate = rate_for(spec, task_id, profile)
-    if rate == 0:
-        raise TaskDisabledError(f"task {task_id} is disabled under {profile}")
-    return 3600.0 / rate
 
 
 def validate(spec: AppSpec, num_buffers: int = 2) -> list[str]:
@@ -191,9 +173,6 @@ class DataQueue:
 
     def __bool__(self) -> bool:
         return bool(self._items)
-
-    def snapshot(self) -> tuple[Token, ...]:
-        return tuple(self._items)
 
 
 # Task-class costs measured on an MSP430-class sensing platform.

@@ -21,7 +21,7 @@ import dataclasses
 from .apps import AppSpec, Profile
 from .detector import AttackInfo
 from .energy import Capacitor, CapacitorBank, Component, total_energy, voltage_of
-from .policy import PolicyDecision, PolicyParams, SchedulerState, policy_step
+from .policy import PolicyParams, split_power
 
 POLICY_NAMES = ("eam", "fh", "central")
 
@@ -36,42 +36,19 @@ def fh_capacity_fractions(bank: CapacitorBank) -> tuple[float, ...]:
     return tuple(c.capacitance / total for c in bank.capacitors)
 
 
-def fh_allocate(bank: CapacitorBank, harvested_power: float) -> tuple[float, ...]:
-    """Time-invariant allocation: share_i = C_i / sum(C_j) * P.
+def fixed_split(fractions: tuple[float, ...]):
+    """Allocation hook splitting the harvest by the same fractions every slot,
+    whatever the scheduler state: fh_capacity_fractions of the run's bank,
+    which for the central policy's one-buffer bank is (1.0,).  The shares of
+    the last power seen are kept, as the trace holds each level many slots."""
+    last = [None, ()]  # power, its shares
 
-    The last share takes the residual so the split sums to the harvested
-    power to within one float rounding step.
-    """
-    if harvested_power < 0:
-        raise ValueError("harvested power must be >= 0")
-    fractions = fh_capacity_fractions(bank)
-    shares = [0.0] * len(fractions)
-    acc = 0.0
-    for i in range(len(fractions) - 1):
-        shares[i] = harvested_power * fractions[i]
-        acc += shares[i]
-    shares[-1] = max(harvested_power - acc, 0.0)
-    return tuple(shares)
+    def allocate(state, spec, bank, power, params):
+        if power != last[0]:
+            last[:] = power, split_power(power, fractions)
+        return fractions, last[1]
 
-
-def fh_allocate_hook(
-    state: SchedulerState,
-    spec: AppSpec,
-    bank: CapacitorBank,
-    power: float,
-    params: PolicyParams,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    return fh_capacity_fractions(bank), fh_allocate(bank, power)
-
-
-def central_allocate_hook(
-    state: SchedulerState,
-    spec: AppSpec,
-    bank: CapacitorBank,
-    power: float,
-    params: PolicyParams,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    return (1.0,), (power,)
+    return allocate
 
 
 def central_bank(bank: CapacitorBank) -> CapacitorBank:
@@ -101,30 +78,3 @@ def central_app(spec: AppSpec) -> AppSpec:
     """Clone an application with every task drawing from buffer 0."""
     tasks = tuple(dataclasses.replace(t, buffer=0) for t in spec.tasks)
     return AppSpec(name=spec.name, tasks=tasks, sink_task=spec.sink_task)
-
-
-def rts_schedule(
-    state: SchedulerState,
-    spec: AppSpec,
-    bank: CapacitorBank,
-    queues: dict,
-    params: PolicyParams,
-    now: float,
-    power: float,
-    allocate_fn,
-) -> PolicyDecision:
-    """Baseline scheduling step: NML pinned, detector never consulted."""
-    from .detector import NO_ATTACK
-
-    return policy_step(
-        state,
-        spec,
-        bank,
-        NO_ATTACK,
-        queues,
-        params,
-        now,
-        power,
-        profile_fn=pin_nml,
-        allocate_fn=allocate_fn,
-    )

@@ -30,7 +30,7 @@ from pathlib import Path
 from .apps import AppModelError
 from .config import ConfigError, apply_overrides, build_sim_config, load_config
 from .energy import EnergyModelError
-from .engine import EngineError, MetricsReport, run
+from .engine import PROFILE_ORDER, EngineError, MetricsReport, run
 from .policy import PolicyError
 from .traces import AttackScenario, TraceError, inject_attack, load_trace
 
@@ -43,8 +43,6 @@ _ERRORS = (
     PolicyError,
     OSError,
 )
-
-_PROFILE_NAMES = ("NML", "LP", "CTL", "SA", "LA")
 
 
 def _default_out() -> str:
@@ -74,7 +72,7 @@ def _timeline_lines(log, app):
     for r in range(len(t)):
         parts = [repr(float(t[r]))]
         parts += [repr(float(v[r, b])) for b in range(n_bufs)]
-        parts.append(_PROFILE_NAMES[prof[r]])
+        parts.append(PROFILE_ORDER[prof[r]].value)
         k = running[r]
         parts.append(task_ids[k] if k >= 0 else "")
         yield ",".join(parts)

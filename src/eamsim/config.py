@@ -27,7 +27,7 @@ import yaml
 
 from .apps import AppModelError, AppSpec, Profile, TaskSpec, builtin_app
 from .detector import DetectorConfig
-from .energy import Capacitor, CapacitorBank, Component
+from .energy import Capacitor, CapacitorBank, Component, total_capacity
 from .engine import SimConfig
 from .policy import PolicyParams
 from .traces import AttackScenario, EnergyTrace, load_trace, synthesize_trace
@@ -338,7 +338,7 @@ def _build_bank(node) -> CapacitorBank:
 def _build_params(node, bank: CapacitorBank) -> PolicyParams:
     node = _require_mapping(node or {}, "params")
     _check_keys(node, _PARAM_KEYS, "params")
-    capacity = sum(0.5 * c.capacitance * c.v_max * c.v_max for c in bank.capacitors)
+    capacity = total_capacity(bank)
     omega0 = float(node.get("omega0_frac", 0.2)) * capacity
     omega1 = float(node.get("omega1_frac", 0.6)) * capacity
     return PolicyParams(

@@ -111,23 +111,57 @@ def charge_voltage(cap: Capacitor, power: float, dt: float) -> float:
     return min(max(v, 0.0), cap.v_max)
 
 
-def buffer_step(cap: Capacitor, allotted_power: float, dt: float) -> float:
-    """Advance the buffer one simulation slot and return the new energy.
+def slot_constants(cap: Capacitor) -> tuple[float, ...]:
+    """Per-buffer constants of the slot update, in the order slot_update reads
+    them: (0.5 * C, 1 - sigma, sigma, eta, capacity, C, v_max)."""
+    half_c = 0.5 * cap.capacitance
+    return (
+        half_c,
+        1.0 - cap.drain_fraction,
+        cap.drain_fraction,
+        cap.efficiency,
+        half_c * cap.v_max * cap.v_max,
+        cap.capacitance,
+        cap.v_max,
+    )
 
-    Applies the per-slot update E' = (1 - sigma) * E + eta * P * t, caps the
-    result at capacity, and keeps the capacitor's voltage consistent with the
-    stored energy.
+
+def slot_update(caps, constants, shares, dt: float, ledger: list) -> float:
+    """Advance every buffer of a bank by one slot.
+
+    Buffer b, holding E = 0.5 * C * V^2 and allotted shares[b] watts, goes to
+    E' = (1 - sigma) * E + eta * P * dt, clipped at its capacity, and its
+    voltage is written back from E'.  constants[b] is slot_constants() of the
+    buffer.  ledger holds the running [charged, drained, spilled] sums, to
+    which each buffer's harvested input, drain and clipped excess are added in
+    buffer order.  Returns the bank's new energy, the sum of the E' values.
     """
+    charged, drained, spilled = ledger
+    total = 0.0
+    for cap, (half_c, keep, sigma, eta, ceiling, c, v_max), share in zip(caps, constants, shares):
+        v = cap.voltage
+        energy = half_c * v * v
+        gain = eta * share * dt
+        new = keep * energy + gain
+        charged += gain
+        drained += sigma * energy
+        if new > ceiling:
+            spilled += new - ceiling
+            new = ceiling
+        v = math.sqrt(2.0 * new / c)
+        cap.voltage = v if v < v_max else v_max
+        total += new
+    ledger[0], ledger[1], ledger[2] = charged, drained, spilled
+    return total
+
+
+def buffer_step(cap: Capacitor, allotted_power: float, dt: float) -> float:
+    """Advance one buffer by one slot (see slot_update) and return E'."""
     if allotted_power < 0:
         raise EnergyModelError("allotted power must be non-negative")
     if not dt > 0:
         raise EnergyModelError("dt must be positive")
-    energy = (1.0 - cap.drain_fraction) * energy_of(cap) + cap.efficiency * allotted_power * dt
-    ceiling = capacity_of(cap)
-    if energy > ceiling:
-        energy = ceiling
-    cap.voltage = min(voltage_of(energy, cap), cap.v_max)
-    return energy
+    return slot_update((cap,), (slot_constants(cap),), (allotted_power,), dt, [0.0, 0.0, 0.0])
 
 
 def withdraw(cap: Capacitor, amount: float) -> bool:
@@ -163,12 +197,6 @@ class CapacitorBank:
 
     def __len__(self) -> int:
         return len(self.capacitors)
-
-    def buffer_for(self, component: Component) -> int:
-        for idx, comps in self.component_map.items():
-            if component in comps:
-                return idx
-        raise EnergyModelError(f"no buffer powers {component}")
 
 
 def total_energy(bank: CapacitorBank) -> float:

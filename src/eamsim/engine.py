@@ -21,17 +21,17 @@ event plus a per-slot timeline for later analysis.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .apps import AppSpec, DataQueue, Profile, Token, validate
 from .baselines import (
-    central_allocate_hook,
+    POLICY_NAMES,
     central_app,
     central_bank,
-    fh_allocate_hook,
+    fh_capacity_fractions,
+    fixed_split,
     pin_nml,
 )
 from .detector import NO_ATTACK, AttackInfo, DetectorConfig, detect
@@ -39,6 +39,8 @@ from .energy import (
     CapacitorBank,
     capacity_of,
     energy_of,
+    slot_constants,
+    slot_update,
     total_energy,
     voltage_of,
     withdraw,
@@ -85,7 +87,7 @@ class SimConfig:
 
 def validate_config(config: SimConfig) -> list[str]:
     problems: list[str] = []
-    if config.policy not in ("eam", "fh", "central"):
+    if config.policy not in POLICY_NAMES:
         problems.append(f"unknown policy {config.policy!r}")
     if not config.dt > 0:
         problems.append("dt must be positive")
@@ -118,7 +120,9 @@ class EventLog:
 
     Events are (t, kind, *fields) tuples with non-decreasing t.  The totals
     dict carries the engine's raw accumulators (energy ledger, availability
-    counts, release bookkeeping) from which metrics are derived.
+    counts, release bookkeeping) from which metrics are derived.  The timeline
+    arrays, one row per timeline_stride slots, are allocated by init_sim and
+    filled as the run advances; they stay None when the timeline is off.
     """
 
     events: list[tuple] = field(default_factory=list)
@@ -203,13 +207,6 @@ class MetricsReport:
         return rows
 
 
-_HOOKS = {
-    "eam": (select_profile, allocate_harvest, False),
-    "fh": (pin_nml, fh_allocate_hook, True),
-    "central": (pin_nml, central_allocate_hook, True),
-}
-
-
 @dataclass(slots=True)
 class SimState:
     """Full mutable state of a run; step() advances it one slot."""
@@ -236,16 +233,7 @@ class SimState:
     idle_info: AttackInfo = NO_ATTACK
     prev_ongoing: bool = False
     prev_weights: tuple = ()
-    # per-buffer constants flattened out of the Capacitor objects; the hot
-    # loop touches only cap.voltage beyond these
-    cap_half_c: list = field(default_factory=list)  # 0.5 * C
-    cap_keep: list = field(default_factory=list)  # 1 - drain_fraction
-    cap_sigma: list = field(default_factory=list)  # drain_fraction
-    cap_eta: list = field(default_factory=list)  # efficiency
-    cap_ceiling: list = field(default_factory=list)  # stored-energy cap, J
-    cap_c: list = field(default_factory=list)  # capacitance
-    cap_von: list = field(default_factory=list)  # turn-on voltage
-    cap_vmax: list = field(default_factory=list)  # rated voltage
+    buffer_constants: tuple = ()  # energy.slot_constants() per buffer
     comp_names: tuple = ()  # ((buffer, (component-name, ...)), ...)
     n_components: int = 0
     # latency watches and availability counting
@@ -254,7 +242,6 @@ class SimState:
     n_attack_ends: int = 0
     watches: list = field(default_factory=list)  # [end, {component: latency|None}]
     avail_counts: list = field(default_factory=list)  # per buffer
-    on_energy: list = field(default_factory=list)  # per buffer, E at v_on
     # release bookkeeping
     releases_total: dict = field(default_factory=dict)
     releases_served: dict = field(default_factory=dict)
@@ -264,11 +251,9 @@ class SimState:
     payload_seq: int = 0
     # energy ledger
     e_start: float = 0.0
-    charged: float = 0.0
-    sigma_drain: float = 0.0
+    ledger: list = field(default_factory=lambda: [0.0, 0.0, 0.0])  # charged, sigma drain, spilled
     withdrawn: float = 0.0
     decision_drained: float = 0.0
-    spilled: float = 0.0
     reset_delta: float = 0.0
     overhead_invocations: int = 0
     aborts: int = 0
@@ -277,12 +262,6 @@ class SimState:
     reset_at: float | None = None
     reset_done: bool = True
     initial_energies: list = field(default_factory=list)
-    # timeline buffers
-    tl_t: np.ndarray | None = None
-    tl_v: np.ndarray | None = None
-    tl_profile: np.ndarray | None = None
-    tl_running: np.ndarray | None = None
-    tl_rows: int = 0
     task_index: dict = field(default_factory=dict)
 
 
@@ -305,14 +284,13 @@ def init_sim(config: SimConfig) -> SimState:
     if config.policy == "central":
         bank = central_bank(bank)
         app = central_app(app)
-    profile_fn, allocate_fn, blind = _HOOKS[config.policy]
+    if config.policy == "eam":
+        profile_fn, allocate_fn = select_profile, allocate_harvest
+    else:
+        profile_fn, allocate_fn = pin_nml, fixed_split(fh_capacity_fractions(bank))
     n_slots = int(round(config.horizon / config.dt))
     queues = {edge: DataQueue(config.queue_capacity) for edge in app.edges}
-    initial_profile = (
-        select_profile(NO_ATTACK, total_energy(bank), config.params)
-        if config.policy == "eam"
-        else Profile.NML
-    )
+    initial_profile = profile_fn(NO_ATTACK, total_energy(bank), config.params)
     sched = init_scheduler(app, initial_profile, now=0.0)
     det = config.detector
     det_windows = sorted(
@@ -335,12 +313,12 @@ def init_sim(config: SimConfig) -> SimState:
         dt=config.dt,
         profile_fn=profile_fn,
         allocate_fn=allocate_fn,
-        detector_blind=blind,
+        detector_blind=config.policy != "eam",
         det_windows=det_windows,
         idle_info=AttackInfo(False, det.reported_accuracy, 0.0, 0.0),
         attack_ends=[sc.end for sc in attacks_by_end],
+        buffer_constants=tuple(slot_constants(c) for c in bank.capacitors),
         avail_counts=[0] * m,
-        on_energy=[0.5 * c.capacitance * c.v_on * c.v_on for c in bank.capacitors],
         releases_total={t.id: 0 for t in app.tasks},
         releases_served={t.id: 0 for t in app.tasks},
         window_served={t.id: True for t in app.tasks},
@@ -354,23 +332,14 @@ def init_sim(config: SimConfig) -> SimState:
     sim.comp_names = tuple(
         (b, tuple(c.value for c in comps)) for b, comps in bank.component_map.items()
     )
-    for c in bank.capacitors:
-        sim.cap_half_c.append(0.5 * c.capacitance)
-        sim.cap_keep.append(1.0 - c.drain_fraction)
-        sim.cap_sigma.append(c.drain_fraction)
-        sim.cap_eta.append(c.efficiency)
-        sim.cap_ceiling.append(0.5 * c.capacitance * c.v_max * c.v_max)
-        sim.cap_c.append(c.capacitance)
-        sim.cap_von.append(c.v_on)
-        sim.cap_vmax.append(c.v_max)
     if config.equal_budget and config.attacks:
         sim.reset_at = min(sc.start for sc in config.attacks)
         sim.reset_done = False
     if rows:
-        sim.tl_t = np.empty(rows)
-        sim.tl_v = np.empty((rows, m))
-        sim.tl_profile = np.empty(rows, dtype=np.int8)
-        sim.tl_running = np.empty(rows, dtype=np.int16)
+        sim.log.timeline_t = np.empty(rows)
+        sim.log.timeline_v = np.empty((rows, m))
+        sim.log.timeline_profile = np.empty(rows, dtype=np.int8)
+        sim.log.timeline_running = np.empty(rows, dtype=np.int16)
     sim.log.add(0.0, "init", config.policy, app.name, initial_profile.value)
     return sim
 
@@ -505,36 +474,8 @@ def step(sim: SimState) -> None:
             task.energy_cost,
         )
 
-    # (4) buffers integrate their shares (arithmetic mirrors buffer_step
-    # expression-for-expression so the two stay bit-identical)
-    shares = rec.shares
-    half_c = sim.cap_half_c
-    keep = sim.cap_keep
-    sigma = sim.cap_sigma
-    eta = sim.cap_eta
-    ceilings = sim.cap_ceiling
-    cap_c = sim.cap_c
-    vmaxes = sim.cap_vmax
-    charged = sim.charged
-    sigma_drain = sim.sigma_drain
-    spilled = sim.spilled
-    for b, cap in enumerate(caps):
-        v = cap.voltage
-        e_before = half_c[b] * v * v
-        gain = eta[b] * shares[b] * dt
-        raw = keep[b] * e_before + gain
-        charged += gain
-        sigma_drain += sigma[b] * e_before
-        ceiling = ceilings[b]
-        if raw > ceiling:
-            spilled += raw - ceiling
-            raw = ceiling
-        nv = math.sqrt(2.0 * raw / cap_c[b])
-        vmax = vmaxes[b]
-        cap.voltage = nv if nv < vmax else vmax
-    sim.charged = charged
-    sim.sigma_drain = sigma_drain
-    sim.spilled = spilled
+    # (4) buffers integrate their shares
+    slot_update(caps, sim.buffer_constants, rec.shares, dt, sim.ledger)
 
     # (5) the running task draws its slice of energy
     tid = sched.executing
@@ -557,10 +498,9 @@ def step(sim: SimState) -> None:
                 _abort_task(sim, tid, t, "withdrawal")
 
     # availability accounting and post-attack recovery watches
-    von = sim.cap_von
     avail = sim.avail_counts
     for b, cap in enumerate(caps):
-        if cap.voltage >= von[b]:
+        if cap.voltage >= cap.v_on:
             avail[b] += 1
     if sim.aptr < sim.n_attack_ends:
         while sim.aptr < sim.n_attack_ends and t >= sim.attack_ends[sim.aptr]:
@@ -571,7 +511,8 @@ def step(sim: SimState) -> None:
         for watch in sim.watches:
             end, seen = watch
             for b, names in sim.comp_names:
-                if caps[b].voltage >= von[b]:
+                cap = caps[b]
+                if cap.voltage >= cap.v_on:
                     for name in names:
                         if name not in seen:
                             seen[name] = t - end
@@ -585,13 +526,12 @@ def step(sim: SimState) -> None:
     # timeline sampling
     stride = sim.config.timeline_stride
     if stride > 0 and i % stride == 0:
-        r = sim.tl_rows
-        sim.tl_t[r] = t
+        r = i // stride
+        log.timeline_t[r] = t
         for b, cap in enumerate(caps):
-            sim.tl_v[r, b] = cap.voltage
-        sim.tl_profile[r] = _PROFILE_INDEX[sched.profile]
-        sim.tl_running[r] = sim.task_index[tid] if tid is not None else -1
-        sim.tl_rows = r + 1
+            log.timeline_v[r, b] = cap.voltage
+        log.timeline_profile[r] = _PROFILE_INDEX[sched.profile]
+        log.timeline_running[r] = sim.task_index[tid] if tid is not None else -1
 
     sim.i = i + 1
 
@@ -611,11 +551,11 @@ def _finalize(sim: SimState) -> tuple[MetricsReport, EventLog]:
         {
             "e_start": sim.e_start,
             "e_end": total_energy(sim.bank),
-            "charged": sim.charged,
-            "sigma_drain": sim.sigma_drain,
+            "charged": sim.ledger[0],
+            "sigma_drain": sim.ledger[1],
             "withdrawn": sim.withdrawn,
             "decision_drained": sim.decision_drained,
-            "spilled": sim.spilled,
+            "spilled": sim.ledger[2],
             "reset_delta": sim.reset_delta,
             "completions": list(sim.completions),
             "releases_total": dict(sim.releases_total),
@@ -632,12 +572,6 @@ def _finalize(sim: SimState) -> tuple[MetricsReport, EventLog]:
             "wasted": sim.wasted,
         }
     )
-    if sim.tl_t is not None:
-        rows = sim.tl_rows
-        log.timeline_t = sim.tl_t[:rows]
-        log.timeline_v = sim.tl_v[:rows]
-        log.timeline_profile = sim.tl_profile[:rows]
-        log.timeline_running = sim.tl_running[:rows]
     return compute_metrics(log, config), log
 
 

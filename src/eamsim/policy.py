@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .apps import AppSpec, DataQueue, Profile
+from .apps import AppSpec, Profile
 from .detector import AttackInfo
 from .energy import CapacitorBank
 
@@ -68,35 +68,11 @@ class PolicyParams:
             raise PolicyError("decision overhead must be >= 0")
 
 
-def params_for_bank(bank: CapacitorBank, omega0_frac: float = 0.2, omega1_frac: float = 0.6, **kw) -> PolicyParams:
-    """PolicyParams with energy thresholds as fractions of bank capacity."""
-    from .energy import total_capacity
-
-    cap = total_capacity(bank)
-    return PolicyParams(omega0=omega0_frac * cap, omega1=omega1_frac * cap, **kw)
-
-
 class TaskState(enum.Enum):
     READY = "ready"
     RUNNING = "running"
     BLOCKED = "blocked"
     SUSPENDED = "suspended"
-
-
-# Observable task-state transitions.  SUSPENDED is entered only from RUNNING
-# when an execution aborts on energy failure, and leaves on the next
-# scheduling pass once the task is re-classified.
-LEGAL_TRANSITIONS = frozenset(
-    {
-        (TaskState.BLOCKED, TaskState.READY),
-        (TaskState.READY, TaskState.BLOCKED),
-        (TaskState.READY, TaskState.RUNNING),
-        (TaskState.RUNNING, TaskState.BLOCKED),
-        (TaskState.RUNNING, TaskState.SUSPENDED),
-        (TaskState.SUSPENDED, TaskState.READY),
-        (TaskState.SUSPENDED, TaskState.BLOCKED),
-    }
-)
 
 
 @dataclass(slots=True)
@@ -113,14 +89,12 @@ class SchedulerState:
     executing: str | None = None
     exec_remaining: float = 0.0  # s of work left on the executing task
     exec_drawn: float = 0.0  # J already withdrawn by the executing task
-    # Derived lookup tables, lazily rebuilt whenever the app definition, the
-    # active set or the buffer count changes (identity-checked per call).
-    _cache_spec: object = field(default=None, repr=False, compare=False)
-    _cache_rates: object = field(default=None, repr=False, compare=False)
-    _cache_bufs: int = field(default=-1, repr=False, compare=False)
+    # Lookup tables: _task_info is built from the app by init_scheduler; the
+    # active (task, buffer) pairs and the bitmask of buffers they reference
+    # are rebuilt with the active set by apply_profile.
     _task_info: tuple = field(default=(), repr=False, compare=False)
     _active_bufs: tuple = field(default=(), repr=False, compare=False)
-    _referenced: tuple = field(default=(), repr=False, compare=False)
+    _referenced: int = field(default=0, repr=False, compare=False)
     _alloc_memo: tuple | None = field(default=None, repr=False, compare=False)
     _next_fire: float = field(default=-math.inf, repr=False, compare=False)
     _scan_ready: int = field(default=-1, repr=False, compare=False)
@@ -166,62 +140,21 @@ def build_active_set(spec: AppSpec, profile: Profile) -> tuple[list[str], dict[s
 
 
 def init_scheduler(spec: AppSpec, profile: Profile, now: float = 0.0) -> SchedulerState:
-    active, rates = build_active_set(spec, profile)
-    periods = {tid: 3600.0 / r for tid, r in rates.items()}
-    return SchedulerState(
+    state = SchedulerState(
         profile=profile,
-        active=active,
-        rates=rates,
-        periods=periods,
+        active=[],
+        rates={},
+        periods={},
         states={t.id: TaskState.BLOCKED for t in spec.tasks},
         pending={t.id: False for t in spec.tasks},
-        next_release={tid: now for tid in active},
+        next_release={},
+        _task_info=tuple(
+            (t.id, t.buffer, t.energy_cost, tuple((p, t.id) for p in t.predecessors))
+            for t in spec.tasks
+        ),
     )
-
-
-def _usable(bank: CapacitorBank, buf: int) -> float:
-    """Energy available above the brown-out floor of a buffer."""
-    cap = bank.capacitors[buf]
-    v = cap.voltage
-    v_off = cap.v_off
-    return 0.5 * cap.capacitance * (v * v - v_off * v_off)
-
-
-def _released(state: SchedulerState, spec: AppSpec, queues: dict, task_id: str) -> bool:
-    if not state.pending[task_id]:
-        return False
-    preds = spec.task(task_id).predecessors
-    if not preds:
-        return True
-    return any(queues[(p, task_id)] for p in preds)
-
-
-def _refresh_cache(state: SchedulerState, spec: AppSpec, num_buffers: int) -> None:
-    if (
-        state._cache_spec is spec
-        and state._cache_rates is state.rates
-        and state._cache_bufs == num_buffers
-    ):
-        return
-    state._task_info = tuple(
-        (t.id, t.buffer, t.energy_cost, tuple((p, t.id) for p in t.predecessors))
-        for t in spec.tasks
-    )
-    rates = state.rates
-    active_bufs = []
-    referenced = [0] * num_buffers
-    for task in spec.tasks:
-        if task.id in rates:
-            active_bufs.append((task.id, task.buffer))
-            referenced[task.buffer] = 1
-    if 1 not in referenced:
-        referenced = [1] * num_buffers
-    state._active_bufs = tuple(active_bufs)
-    state._referenced = tuple(referenced)
-    state._alloc_memo = None
-    state._cache_spec = spec
-    state._cache_rates = rates
-    state._cache_bufs = num_buffers
+    apply_profile(state, spec, profile, now)  # every task starts newly enabled
+    return state
 
 
 def set_task_states(
@@ -234,7 +167,6 @@ def set_task_states(
 ) -> list[tuple[str, TaskState, TaskState]]:
     """Re-classify every non-running task; returns the observed transitions."""
     caps = bank.capacitors
-    _refresh_cache(state, spec, len(caps))
     transitions: list[tuple[str, TaskState, TaskState]] = []
     n_ready = 0
     states = state.states
@@ -302,6 +234,29 @@ def pick_execution_task(
     return None
 
 
+def split_power(power: float, fractions: tuple[float, ...]) -> tuple[float, ...]:
+    """Split harvested power into per-buffer shares, power * fraction each.
+
+    The last buffer with a positive fraction takes the residual instead, so
+    the shares sum to the power to within one float rounding step and none
+    is negative.
+    """
+    last = -1
+    for i, f in enumerate(fractions):
+        if f > 0.0:
+            last = i
+    shares = [0.0] * len(fractions)
+    acc = 0.0
+    for i, f in enumerate(fractions):
+        if f > 0.0 and i != last:
+            s = power * f
+            shares[i] = s
+            acc += s
+    residual = power - acc
+    shares[last] = residual if residual > 0.0 else 0.0
+    return tuple(shares)
+
+
 def allocate_harvest(
     state: SchedulerState,
     spec: AppSpec,
@@ -315,11 +270,8 @@ def allocate_harvest(
     Running task weigh lambda_hi, other buffers referenced by the active set
     weigh lambda_lo, and buffers the active set never touches get nothing
     (unless no buffer is referenced at all, in which case every buffer
-    weighs lambda_lo).  Shares sum to the harvested power to within one
-    float rounding step: the last positive share takes the residual.
+    weighs lambda_lo).  Shares come from split_power.
     """
-    m = len(bank.capacitors)
-    _refresh_cache(state, spec, m)
     states = state.states
     st_ready = TaskState.READY
     st_running = TaskState.RUNNING
@@ -328,45 +280,32 @@ def allocate_harvest(
         st = states[tid]
         if st is st_ready or st is st_running:
             hot_mask |= 1 << buf
+    m = len(bank.capacitors)
     memo = state._alloc_memo
     if (
         memo is not None
         and memo[0] == hot_mask
         and memo[1] == power
         and memo[2] is params
+        and memo[3] == m
     ):
-        return memo[3], memo[4]
-    referenced = state._referenced
+        return memo[4], memo[5]
+    referenced = state._referenced or -1  # no buffer referenced: all of them
     hi = params.lambda_hi
     lo = params.lambda_lo
     weights = [0.0] * m
-    scale = 0.0
     for i in range(m):
-        if referenced[i]:
-            w = hi if hot_mask >> i & 1 else lo
-            weights[i] = w
-            scale += w
+        if referenced >> i & 1:
+            weights[i] = hi if hot_mask >> i & 1 else lo
+    scale = sum(weights)
     if scale == 0.0:
         # All referenced buffers weigh zero (lambda_lo == 0 and nothing hot):
         # fall back to an even split so the power is not silently dropped.
-        weights = [1.0 if referenced[i] else 0.0 for i in range(m)]
-        scale = float(sum(weights))
+        weights = [1.0 if referenced >> i & 1 else 0.0 for i in range(m)]
+        scale = sum(weights)
     fractions = tuple(w / scale for w in weights)
-    last = -1
-    shares = [0.0] * m
-    acc = 0.0
-    for i in range(m):
-        if weights[i] > 0.0:
-            last = i
-    for i in range(m):
-        if weights[i] > 0.0 and i != last:
-            s = power * fractions[i]
-            shares[i] = s
-            acc += s
-    residual = power - acc
-    shares[last] = residual if residual > 0.0 else 0.0
-    shares = tuple(shares)
-    state._alloc_memo = (hot_mask, power, params, fractions, shares)
+    shares = split_power(power, fractions)
+    state._alloc_memo = (hot_mask, power, params, m, fractions, shares)
     return fractions, shares
 
 
@@ -399,7 +338,7 @@ def apply_profile(state: SchedulerState, spec: AppSpec, profile: Profile, now: f
 
     Newly enabled tasks release immediately; tasks staying active keep their
     schedule but never wait longer than one period of the new profile.
-    Excluded tasks lose any pending release.
+    Excluded tasks lose any pending release.  Rebuilds the allocation tables.
     """
     old_active = set(state.active)
     active, rates = build_active_set(spec, profile)
@@ -415,6 +354,12 @@ def apply_profile(state: SchedulerState, spec: AppSpec, profile: Profile, now: f
     state.active = active
     state.rates = rates
     state.periods = periods
+    state._active_bufs = tuple((t.id, t.buffer) for t in spec.tasks if t.id in rates)
+    referenced = 0
+    for _, buf in state._active_bufs:
+        referenced |= 1 << buf
+    state._referenced = referenced
+    state._alloc_memo = None
     state._next_fire = -math.inf
 
 

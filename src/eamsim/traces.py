@@ -16,7 +16,7 @@ the window start and restores the pre-attack level at the window end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,10 +62,6 @@ class EnergyTrace:
     def span(self) -> tuple[float, float]:
         """(first, last) sample time in seconds."""
         return float(self.times[0]), float(self.times[-1])
-
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self.times.tolist(), self.voltages.tolist()))
 
     def voltage_at(self, t: float) -> float:
         """Zero-order-hold voltage at time t (must lie within the span)."""
@@ -210,9 +206,3 @@ def inject_attack(trace: EnergyTrace, scenario: AttackScenario) -> EnergyTrace:
     mask = (times >= start) & (times < end)
     volts[mask] = 0.0
     return EnergyTrace(times, volts, trace.load_resistance, trace.name)
-
-
-def power_from_voltage(trace: EnergyTrace, t: float) -> float:
-    """Harvested power P = V(t)^2 / R_load in watts at time t."""
-    v = trace.voltage_at(t)
-    return v * v / trace.load_resistance

@@ -12,7 +12,7 @@ import time
 from functools import lru_cache
 
 from eamsim import cli
-from eamsim.apps import Profile, period_for
+from eamsim.apps import Profile
 from eamsim.config import apply_overrides, build_sim_config, load_config
 from eamsim.detector import NO_ATTACK, AttackInfo
 from eamsim.energy import Capacitor, buffer_step, charge_voltage, energy_at
@@ -173,7 +173,8 @@ def test_c05_scheduler_safety_over_an_attacked_hour():
             change = next(changes)
         if ev[4] == "ready" and window.start <= ev[0] < window.end:
             remaining = window.end - ev[0]
-            if period_for(config.app, ev[2], profile) >= remaining:
+            period = 3600.0 / config.app.task(ev[2]).rates[profile]
+            if period >= remaining:
                 violations.append(ev)
     assert violations == []
     # For this workload the periods exceed any credible outage, so the

@@ -7,15 +7,13 @@ from eamsim.apps import (
     AppSpec,
     DataQueue,
     Profile,
-    TaskDisabledError,
     TaskSpec,
     Token,
     builtin_app,
-    period_for,
-    rate_for,
     validate,
 )
 from eamsim.energy import Component
+from eamsim.policy import build_active_set, init_scheduler
 
 ALL_PROFILES = (Profile.NML, Profile.LP, Profile.CTL, Profile.SA, Profile.LA)
 
@@ -31,9 +29,9 @@ RATE_TABLES = {
 def test_builtin_rate_tables(name):
     app = builtin_app(name)
     expected = RATE_TABLES[name]
-    for task in app.tasks:
-        for profile, rate in zip(ALL_PROFILES, expected):
-            assert rate_for(app, task.id, profile) == rate
+    for profile, rate in zip(ALL_PROFILES, expected):
+        _, rates = build_active_set(app, profile)
+        assert rates == {task.id: rate for task in app.tasks}
     # Sanity orderings: attack profiles throttle, the long profile hardest.
     nml, lp, ctl, sa, la = expected
     assert nml >= lp >= ctl and sa >= la and nml > sa
@@ -73,10 +71,11 @@ def test_builtin_costs_and_buffers():
 
 
 def test_period_for():
+    # Release periods are 3600 / rate, as the scheduler installs them.
     hvac = builtin_app("hvac")
-    assert period_for(hvac, "AC", Profile.NML) == 120.0
-    assert period_for(hvac, "AC", Profile.SA) == 450.0
-    assert period_for(hvac, "AC", Profile.LA) == 900.0
+    assert init_scheduler(hvac, Profile.NML).periods["AC"] == 120.0
+    assert init_scheduler(hvac, Profile.SA).periods["AC"] == 450.0
+    assert init_scheduler(hvac, Profile.LA).periods["AC"] == 900.0
 
 
 def test_period_for_disabled_task():
@@ -85,9 +84,12 @@ def test_period_for_disabled_task():
         rates={Profile.NML: 10.0, Profile.LA: 0.0},
     )
     app = AppSpec(name="x", tasks=(task,), sink_task="T")
-    assert rate_for(app, "T", Profile.SA) == 0.0  # missing profile reads as 0
-    with pytest.raises(TaskDisabledError):
-        period_for(app, "T", Profile.LA)
+    # A missing profile reads as rate 0; a zero-rate task has no period and
+    # never joins the active set.
+    assert build_active_set(app, Profile.SA) == ([], {})
+    state = init_scheduler(app, Profile.LA)
+    assert state.active == [] and state.periods == {}
+    assert init_scheduler(app, Profile.NML).periods == {"T": 360.0}
 
 
 # --------------------------------------------------------------- validation
@@ -170,9 +172,9 @@ def test_queue_fifo_and_overflow():
         assert q.push(tok(k)) is None
     dropped = q.push(tok(3))  # overflow drops the oldest payload
     assert dropped is not None and dropped.payload_id == 0
-    assert [t.payload_id for t in q.snapshot()] == [1, 2, 3]
-    assert q.pop().payload_id == 1
-    assert len(q) == 2
+    assert len(q) == 3
+    assert [q.pop().payload_id for _ in range(3)] == [1, 2, 3]
+    assert not q
 
 
 def test_queue_empty_pop_and_capacity():

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from eamsim.apps import Profile, builtin_app
 from eamsim.baselines import (
     POLICY_NAMES,
-    central_allocate_hook,
     central_app,
     central_bank,
-    fh_allocate,
-    fh_allocate_hook,
     fh_capacity_fractions,
+    fixed_split,
     pin_nml,
 )
 from eamsim.config import build_sim_config, load_config
@@ -26,7 +24,7 @@ from eamsim.energy import (
     voltage_of,
 )
 from eamsim.engine import run
-from eamsim.policy import PolicyParams, init_scheduler
+from eamsim.policy import PolicyParams, TaskState, init_scheduler, split_power
 
 
 def make_bank():
@@ -65,8 +63,7 @@ def test_fh_capacity_fractions():
 
 
 def test_fh_allocate_shares():
-    bank = make_bank()
-    sh = fh_allocate(bank, 1e-3)
+    sh = split_power(1e-3, fh_capacity_fractions(make_bank()))
     assert sh[0] == 1e-3 * (33.0 / 253.0)
     assert sum(sh) == pytest.approx(1e-3, rel=1e-12)
     assert all(s >= 0.0 for s in sh)
@@ -74,34 +71,30 @@ def test_fh_allocate_shares():
 
 def test_fh_allocate_is_time_invariant():
     bank = make_bank()
-    first = fh_allocate(bank, 2e-4)
+    fractions = fh_capacity_fractions(bank)
+    first = split_power(2e-4, fractions)
     bank.capacitors[0].voltage = 1.0  # stored charge must not matter
-    assert fh_allocate(bank, 2e-4) == first
-
-
-def test_fh_allocate_rejects_negative_power():
-    with pytest.raises(ValueError):
-        fh_allocate(make_bank(), -1e-6)
+    assert fh_capacity_fractions(bank) == fractions
+    assert split_power(2e-4, fractions) == first
 
 
 def test_fh_hook_ignores_scheduler_state():
     bank = make_bank()
     app = builtin_app("hvac")
     state = init_scheduler(app, Profile.NML)
-    fr, sh = fh_allocate_hook(state, app, bank, 1e-3, PolicyParams())
+    allocate = fixed_split(fh_capacity_fractions(bank))
+    fr, sh = allocate(state, app, bank, 1e-3, PolicyParams())
     assert fr == fh_capacity_fractions(bank)
-    assert sh == fh_allocate(bank, 1e-3)
+    assert sh == split_power(1e-3, fr)
     # Making tasks hot must not move the split.
-    from eamsim.policy import TaskState
-
     for tid in state.states:
         state.states[tid] = TaskState.READY
-    assert fh_allocate_hook(state, app, bank, 1e-3, PolicyParams()) == (fr, sh)
+    assert allocate(state, app, bank, 1e-3, PolicyParams()) == (fr, sh)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_fh_allocate_conserves_power(power):
-    sh = fh_allocate(make_bank(), power)
+    sh = split_power(power, fh_capacity_fractions(make_bank()))
     assert all(s >= 0.0 for s in sh)
     assert sum(sh) == pytest.approx(power, rel=1e-12, abs=1e-18)
 
@@ -113,10 +106,10 @@ def test_central_allocate_hook_routes_everything_to_the_pool():
     app = builtin_app("hvac")
     state = init_scheduler(app, Profile.NML)
     bank = central_bank(make_bank())
-    assert central_allocate_hook(state, app, bank, 1e-3, PolicyParams()) == (
-        (1.0,), (1e-3,))
-    assert central_allocate_hook(state, app, bank, 0.0, PolicyParams()) == (
-        (1.0,), (0.0,))
+    assert fh_capacity_fractions(bank) == (1.0,)
+    allocate = fixed_split(fh_capacity_fractions(bank))
+    assert allocate(state, app, bank, 1e-3, PolicyParams()) == ((1.0,), (1e-3,))
+    assert allocate(state, app, bank, 0.0, PolicyParams()) == ((1.0,), (0.0,))
 
 
 def test_central_bank_merges_capacitance_and_energy():
@@ -138,7 +131,6 @@ def test_central_bank_merges_capacitance_and_energy():
     assert merged.voltage == pytest.approx(voltage_of(e_total, merged), rel=1e-12)
     # Every component now lives on the single buffer.
     assert pooled.component_map == {0: tuple(Component)}
-    assert pooled.buffer_for(Component.ACTUATION) == 0
 
 
 def test_central_bank_clips_at_ceiling():

@@ -1,9 +1,11 @@
 """Configuration loading, --set overrides, and the command-line front-end."""
 
 import math
+import re
 from pathlib import Path
 
 import pytest
+import yaml
 
 from eamsim import cli
 from eamsim.apps import Profile
@@ -42,6 +44,15 @@ def test_every_shipped_config_builds_clean():
     for path in CONFIG_FILES:
         config = build_sim_config(load_config(path))
         assert validate_config(config) == [], path.name
+
+
+def test_every_readme_yaml_block_builds_clean():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```yaml\n(.*?)^```", text, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        config = build_sim_config(yaml.safe_load(block))
+        assert validate_config(config) == []
 
 
 def test_load_config_records_the_config_directory(tmp_path):

@@ -225,9 +225,10 @@ def test_bank_component_lookup_and_totals():
     bank = default_bank(initial_soc=1.0)
     assert len(bank) == 2
     assert [c.capacitance for c in bank.capacitors] == [33e-6, 220e-6]
-    assert bank.buffer_for(Component.MCU) == 0
-    assert bank.buffer_for(Component.SENSING) == 0
-    assert bank.buffer_for(Component.ACTUATION) == 1
+    assert bank.component_map == {
+        0: (Component.MCU, Component.SENSING),
+        1: (Component.ACTUATION,),
+    }
     assert total_energy(bank) == sum(energy_of(c) for c in bank.capacitors)
     assert total_capacity(bank) == pytest.approx(0.5 * (33e-6 + 220e-6) * 9.0)
 
@@ -245,6 +246,5 @@ def test_bank_validation():
         CapacitorBank(capacitors=[])
     with pytest.raises(EnergyModelError):
         CapacitorBank(capacitors=[make_cap()], component_map={1: (Component.MCU,)})
-    bank = CapacitorBank(capacitors=[make_cap()], component_map={})
-    with pytest.raises(EnergyModelError):
-        bank.buffer_for(Component.MCU)
+    bank = CapacitorBank(capacitors=[make_cap()])
+    assert bank.component_map == {}  # no buffer powers any component

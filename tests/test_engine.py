@@ -8,7 +8,14 @@ import pytest
 from eamsim.apps import AppSpec, Profile, TaskSpec, builtin_app
 from eamsim.config import build_sim_config, load_config
 from eamsim.detector import DetectorConfig
-from eamsim.energy import Capacitor, CapacitorBank, Component, buffer_step, energy_at
+from eamsim.energy import (
+    Capacitor,
+    CapacitorBank,
+    Component,
+    buffer_step,
+    energy_at,
+    total_capacity,
+)
 from eamsim.engine import (
     EngineError,
     compute_metrics,
@@ -18,8 +25,8 @@ from eamsim.engine import (
     validate_config,
 )
 from eamsim.engine import SimConfig
-from eamsim.policy import PolicyParams, params_for_bank
-from eamsim.traces import AttackScenario, power_from_voltage, synthesize_trace
+from eamsim.policy import PolicyParams
+from eamsim.traces import AttackScenario, synthesize_trace
 
 ALL_RATES = {p: 30.0 for p in Profile}
 
@@ -30,6 +37,12 @@ def residual(log):
         t["e_start"] + t["charged"] - t["sigma_drain"] - t["withdrawn"]
         - t["decision_drained"] - t["spilled"] + t["reset_delta"] - t["e_end"]
     )
+
+
+def bank_params(bank):
+    """Policy thresholds at 20% / 60% of the bank's capacity."""
+    capacity = total_capacity(bank)
+    return PolicyParams(omega0=0.2 * capacity, omega1=0.6 * capacity)
 
 
 def hvac_bank(v0=3.0, v1=3.0, sigma=1e-6):
@@ -110,7 +123,7 @@ def test_steady_hour_completes_at_the_normal_rate():
         trace=synthesize_trace("constant", 3.0, 3700.0, 1.0),
         app=builtin_app("hvac"),
         bank=hvac_bank(),
-        params=params_for_bank(hvac_bank()),
+        params=bank_params(hvac_bank()),
         dt=0.05,
         horizon=3600.0,
         timeline_stride=0,
@@ -223,7 +236,7 @@ def budget_config(**over):
         trace=synthesize_trace("constant", 2.95, 150.0, 1.0),
         app=builtin_app("hvac"),
         bank=bank,
-        params=params_for_bank(bank),
+        params=bank_params(bank),
         attacks=[AttackScenario(start=50.0, duration=30.0)],
         dt=0.5,
         horizon=100.0,
@@ -274,7 +287,7 @@ def test_attack_window_drives_profile_changes():
         trace=synthesize_trace("constant", 2.6, 300.0, 1.0),
         app=builtin_app("hvac"),
         bank=bank,
-        params=params_for_bank(bank),
+        params=bank_params(bank),
         detector=DetectorConfig(detection_delay=3.0),
         attacks=[AttackScenario(start=100.0, duration=40.0)],
         dt=0.5,
@@ -337,7 +350,8 @@ def test_engine_buffer_integration_matches_buffer_step():
     _, log = run(cfg)
 
     twin = Capacitor(capacitance=100e-6, drain_fraction=0.01, voltage=2.0)
-    power = power_from_voltage(cfg.trace, 0.0)
+    v = cfg.trace.voltage_at(0.0)
+    power = v * v / cfg.trace.load_resistance
     expected = []
     for _ in range(2000):
         buffer_step(twin, power, 0.05)

@@ -1,12 +1,11 @@
 """Mitigation policy: profile selection, task readiness, harvest allocation."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from eamsim.apps import AppSpec, DataQueue, Profile, TaskSpec, Token, builtin_app
+from eamsim.config import _build_params
 from eamsim.detector import NO_ATTACK, AttackInfo
 from eamsim.energy import Capacitor, CapacitorBank, Component, energy_of
 from eamsim.policy import (
@@ -18,7 +17,6 @@ from eamsim.policy import (
     build_active_set,
     fire_releases,
     init_scheduler,
-    params_for_bank,
     pick_execution_task,
     policy_step,
     select_profile,
@@ -66,9 +64,10 @@ def test_policy_params_validation():
 
 
 def test_params_for_bank_threshold_fractions():
+    # Config thresholds are fractions of the bank's capacity (default 0.2/0.6).
     bank = make_bank()
     capacity = 2 * 0.5 * 100e-6 * 9.0
-    p = params_for_bank(bank, omega0_frac=0.2, omega1_frac=0.6)
+    p = _build_params(None, bank)
     assert p.omega0 == pytest.approx(0.2 * capacity, rel=1e-12)
     assert p.omega1 == pytest.approx(0.6 * capacity, rel=1e-12)
 
@@ -419,7 +418,7 @@ def test_apply_profile_rephases_releases():
 def test_policy_step_composition_and_decision_drain():
     app = builtin_app("hvac")
     bank = make_bank(v0=2.6, v1=2.6)
-    params = params_for_bank(bank, omega0_frac=0.0, omega1_frac=0.0)
+    params = PolicyParams(omega0=0.0, omega1=0.0)
     state = init_scheduler(app, Profile.NML)
     queues = {edge: DataQueue(4) for edge in app.edges}
 
@@ -441,7 +440,7 @@ def test_policy_step_composition_and_decision_drain():
 def test_policy_step_switches_profile_under_attack():
     app = builtin_app("hvac")
     bank = make_bank()
-    params = params_for_bank(bank)
+    params = _build_params(None, bank)
     state = init_scheduler(app, Profile.NML)
     queues = {edge: DataQueue(4) for edge in app.edges}
     rec = policy_step(state, app, bank, attack(remaining=30.0), queues, params,

@@ -1,7 +1,5 @@
 """Voltage traces: synthesis, file I/O, attack injection."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,7 +12,6 @@ from eamsim.traces import (
     TraceError,
     inject_attack,
     load_trace,
-    power_from_voltage,
     synthesize_trace,
     validate_scenarios,
 )
@@ -97,12 +94,16 @@ def test_voltage_at_zero_order_hold():
         tr.voltage_at(-0.1)
     with pytest.raises(TraceError):
         tr.voltage_at(20.1)
-    assert tr.samples == [(0.0, 1.0), (10.0, 2.0), (20.0, 3.0)]
+    assert tr.times.tolist() == [0.0, 10.0, 20.0]
+    assert tr.voltages.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_power_from_voltage():
+    # Harvested power is V(t)^2 / R_load over the zero-order-hold voltage.
     tr = synthesize_trace("constant", 3.0, length=5.0, interval=1.0, load_resistance=30e3)
-    assert power_from_voltage(tr, 2.5) == 9.0 / 30e3
+    v = tr.voltage_at(2.5)
+    assert v == 3.0
+    assert v * v / tr.load_resistance == 9.0 / 30e3
 
 
 # ------------------------------------------------------------ attack window
@@ -144,7 +145,8 @@ def test_load_trace_tolerant_format(tmp_path):
         "2.5,0.5\n"
     )
     tr = load_trace(p, load_resistance=10e3, name="bench")
-    assert tr.samples == [(0.0, 1.0), (1.0, 2.0), (2.5, 0.5)]
+    assert tr.times.tolist() == [0.0, 1.0, 2.5]
+    assert tr.voltages.tolist() == [1.0, 2.0, 0.5]
     assert tr.name == "bench"
     assert tr.load_resistance == 10e3
 
@@ -198,6 +200,6 @@ def test_inject_attack_power_is_zero_inside(t):
     out = inject_attack(tr, AttackScenario(start=33.0, duration=41.0))
     inside = 33.0 <= t < 74.0
     if inside:
-        assert power_from_voltage(out, t) == 0.0
+        assert out.voltage_at(t) == 0.0
     else:
-        assert power_from_voltage(out, t) == power_from_voltage(tr, t)
+        assert out.voltage_at(t) == tr.voltage_at(t)
