@@ -262,7 +262,7 @@ class SimState:
     reset_at: float | None = None
     reset_done: bool = True
     initial_energies: list = field(default_factory=list)
-    task_index: dict = field(default_factory=dict)
+    task_index: dict = field(default_factory=dict)  # task id -> timeline "running" code
 
 
 def _slot_powers(config: SimConfig, n_slots: int) -> list:
