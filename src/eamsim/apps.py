@@ -190,13 +190,7 @@ _CTRL_BUF = 1
 
 
 def _rates(nml: float, lp: float, ctl: float, sa: float, la: float) -> dict[Profile, float]:
-    return {
-        Profile.NML: nml,
-        Profile.LP: lp,
-        Profile.CTL: ctl,
-        Profile.SA: sa,
-        Profile.LA: la,
-    }
+    return dict(zip(Profile, (nml, lp, ctl, sa, la)))
 
 
 def _sensing(tid: str, rates: dict[Profile, float]) -> TaskSpec:

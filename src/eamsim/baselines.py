@@ -20,7 +20,7 @@ import dataclasses
 
 from .apps import AppSpec, Profile
 from .detector import AttackInfo
-from .energy import Capacitor, CapacitorBank, Component, total_energy, voltage_of
+from .energy import Capacitor, CapacitorBank, Component, set_energy, total_energy
 from .policy import PolicyParams, split_power
 
 POLICY_NAMES = ("eam", "fh", "central")
@@ -69,7 +69,7 @@ def central_bank(bank: CapacitorBank) -> CapacitorBank:
         v_off=first.v_off,
         v_max=first.v_max,
     )
-    merged.voltage = min(voltage_of(total_energy(bank), merged), merged.v_max)
+    set_energy(merged, total_energy(bank))
     components = tuple(Component)
     return CapacitorBank(capacitors=[merged], component_map={0: components})
 

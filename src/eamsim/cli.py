@@ -169,7 +169,7 @@ def cmd_compare(args) -> int:
 def cmd_inject(args) -> int:
     if not args.duration > 0:
         raise ConfigError("attack duration must be positive")
-    trace = load_trace(args.trace, load_resistance=30e3)
+    trace = load_trace(args.trace)
     window = AttackScenario(
         start=args.start, duration=args.duration, kind="short", id="injected"
     )

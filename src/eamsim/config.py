@@ -12,6 +12,11 @@ quantity carries its unit in the key name so files stay self-describing:
     detector:   detection_delay_s, remaining_time_error, reported_accuracy
     sim:        dt_ms, horizon_s, rng_seed, queue_capacity, ...
 
+The tables below (_TRACE, _ATTACK, _TASK, _PARAMS, _CAPACITOR, _DETECTOR,
+_SIM) are the full key list: each maps a key to the field it sets and the
+key's unit conversion.  A key left out takes the field's dataclass default;
+only the builders below give their own (omega0_frac 0.2, omega1_frac 0.6,
+initial_soc 0.5, period_s 60, sample_interval_s 1, attack id, app hvac).
 Unknown keys are rejected everywhere: a typo like `omega0_fraction` should
 fail loudly instead of silently running defaults.  `--set a.b.c=value`
 overrides reach into the document before it is built; values are parsed as
@@ -20,14 +25,13 @@ YAML scalars, list items are addressed by integer index.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import yaml
 
 from .apps import AppModelError, AppSpec, Profile, TaskSpec, builtin_app
 from .detector import DetectorConfig
-from .energy import Capacitor, CapacitorBank, Component, total_capacity
+from .energy import Capacitor, CapacitorBank, Component, set_soc, total_capacity
 from .engine import SimConfig
 from .policy import PolicyParams
 from .traces import AttackScenario, EnergyTrace, load_trace, synthesize_trace
@@ -45,69 +49,80 @@ class ConfigError(ValueError):
     """Malformed or contradictory run configuration."""
 
 
-_PROFILE_KEYS = ("nml", "lp", "ctl", "sa", "la")
+def _scaled(factor: float):
+    return lambda value: float(value) * factor
 
+
+# One table per section: YAML key -> (field of the object the section builds,
+# conversion from the YAML value).  A table is also the section's list of
+# accepted keys; a key mapped to None is read by the section's builder itself.
 _TOP_KEYS = {"trace", "attacks", "app", "policy", "params", "bank", "detector", "sim"}
-_TRACE_KEYS = {
-    "kind",
-    "amplitude_v",
-    "period_s",
-    "length_s",
-    "sample_interval_s",
-    "path",
-    "load_resistance_ohm",
-    "name",
+_TRACE = {
+    "kind": None,
+    "path": None,
+    "name": ("name", str),
+    "load_resistance_ohm": ("load_resistance", float),
+    "amplitude_v": ("amplitude", float),
+    "length_s": ("length", float),
+    "period_s": ("period", float),
+    "sample_interval_s": ("interval", float),
 }
-_ATTACK_KEYS = {"start_s", "duration_s", "kind", "id"}
+_ATTACK = {
+    "start_s": ("start", float),
+    "duration_s": ("duration", float),
+    "kind": ("kind", str),
+    "id": ("id", str),
+}
 _APP_KEYS = {"name", "tasks", "sink"}
-_TASK_KEYS = {
-    "id",
-    "energy_cost_uj",
-    "duration_ms",
-    "buffer",
-    "component",
-    "predecessors",
-    "rates_per_hour",
+_TASK = {
+    "id": ("id", str),
+    "energy_cost_uj": ("energy_cost", _scaled(1e-6)),
+    "duration_ms": ("duration", _scaled(1e-3)),
+    "buffer": ("buffer", int),
+    "predecessors": ("predecessors", lambda preds: tuple(str(p) for p in preds)),
+    "component": None,
+    "rates_per_hour": None,
 }
-_PARAM_KEYS = {
-    "alpha_s",
-    "omega0_frac",
-    "omega1_frac",
-    "lambda_hi",
-    "lambda_lo",
-    "decision_cost_nj",
-    "decision_time_us",
-    "accuracy_gate",
-    "accuracy_threshold",
-    "edf_order",
+_PROFILES = {p.value.lower(): p for p in Profile}  # rates_per_hour keys
+_PARAMS = {
+    "alpha_s": ("alpha", float),
+    "omega0_frac": None,
+    "omega1_frac": None,
+    "lambda_hi": ("lambda_hi", float),
+    "lambda_lo": ("lambda_lo", float),
+    "decision_cost_nj": ("decision_cost", _scaled(1e-9)),
+    "decision_time_us": ("decision_time", _scaled(1e-6)),
+    "accuracy_gate": ("accuracy_gate", bool),
+    "accuracy_threshold": ("accuracy_threshold", float),
+    "edf_order": ("edf_order", bool),
 }
-_CAP_KEYS = {
-    "capacitance_uf",
-    "parallel_resistance_ohm",
-    "efficiency",
-    "drain_fraction_per_slot",
-    "v_on",
-    "v_off",
-    "v_max",
-    "initial_soc",
-    "initial_v",
+_CAPACITOR = {
+    "capacitance_uf": ("capacitance", _scaled(1e-6)),
+    "parallel_resistance_ohm": ("parallel_resistance", float),
+    "efficiency": ("efficiency", float),
+    "drain_fraction_per_slot": ("drain_fraction", float),
+    "v_on": ("v_on", float),
+    "v_off": ("v_off", float),
+    "v_max": ("v_max", float),
+    "initial_soc": None,
+    "initial_v": None,
 }
 _BANK_KEYS = {"capacitors", "components"}
-_DETECTOR_KEYS = {
-    "detection_delay_s",
-    "remaining_time_error",
-    "reported_accuracy",
-    "rng_seed",
+_DETECTOR = {
+    "detection_delay_s": ("detection_delay", float),
+    "remaining_time_error": ("remaining_time_error", float),
+    "reported_accuracy": ("reported_accuracy", float),
+    "rng_seed": ("rng_seed", int),
 }
-_SIM_KEYS = {
-    "dt_ms",
-    "horizon_s",
-    "rng_seed",
-    "queue_capacity",
-    "timeline_stride",
-    "equal_budget",
-    "budget_soc",
-    "label",
+_SIM = {
+    "dt_ms": ("dt", _scaled(1e-3)),
+    "horizon_s": ("horizon", float),
+    "rng_seed": ("rng_seed", int),
+    "queue_capacity": ("queue_capacity", int),
+    "timeline_stride": ("timeline_stride", int),
+    "equal_budget": ("equal_budget", bool),
+    "budget_soc": ("budget_soc", lambda soc: None if soc is None else float(soc)),
+    "label": ("label", str),
 }
 
 
@@ -117,10 +132,25 @@ def _require_mapping(node, where: str) -> dict:
     return node
 
 
-def _check_keys(node: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(node) - allowed)
+def _check_keys(node: dict, allowed, where: str) -> None:
+    unknown = sorted(set(node).difference(allowed))
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
+
+
+def _fields(node: dict, table: dict, where: str) -> dict:
+    """Check a section's keys against its table; return the converted fields."""
+    _check_keys(node, table, where)
+    return {
+        table[key][0]: table[key][1](value) for key, value in node.items() if table[key]
+    }
+
+
+def _component(name, where: str) -> Component:
+    try:
+        return Component(str(name).lower())
+    except ValueError:
+        raise ConfigError(f"{where}: unknown component {name!r}") from None
 
 
 def load_config(path: str | Path) -> dict:
@@ -185,84 +215,49 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
 
 def _build_trace(node, config_dir: str) -> EnergyTrace:
     node = _require_mapping(node, "trace")
-    _check_keys(node, _TRACE_KEYS, "trace")
+    fields = _fields(node, _TRACE, "trace")
     kind = node.get("kind")
     if kind == "file":
         if "path" not in node:
             raise ConfigError("trace: kind=file needs a path")
-        path = Path(node["path"])
-        if not path.is_absolute():
-            path = Path(config_dir) / path
-        return load_trace(
-            path,
-            load_resistance=float(node.get("load_resistance_ohm", 30e3)),
-            name=node.get("name", path.stem),
-        )
+        path = Path(config_dir) / node["path"]  # an absolute path stays as given
+        fields = {k: v for k, v in fields.items() if k in ("name", "load_resistance")}
+        return load_trace(path, **{"name": path.stem, **fields})
     if kind not in ("constant", "sinusoid", "step"):
         raise ConfigError(f"trace: unknown kind {kind!r}")
     for req in ("amplitude_v", "length_s"):
         if req not in node:
             raise ConfigError(f"trace: kind={kind} needs {req}")
-    return synthesize_trace(
-        kind,
-        amplitude=float(node["amplitude_v"]),
-        period=float(node.get("period_s", 60.0)),
-        length=float(node["length_s"]),
-        interval=float(node.get("sample_interval_s", 1.0)),
-        load_resistance=float(node.get("load_resistance_ohm", 30e3)),
-        name=node.get("name", kind),
-    )
+    return synthesize_trace(kind, **{"period": 60.0, "interval": 1.0, **fields})
 
 
-def _build_attacks(node) -> tuple[AttackScenario, ...]:
+def _build_attacks(node) -> list[AttackScenario]:
     if node is None:
-        return ()
+        return []
     if not isinstance(node, list):
         raise ConfigError("attacks: expected a list")
     out = []
     for k, item in enumerate(node):
         item = _require_mapping(item, f"attacks[{k}]")
-        _check_keys(item, _ATTACK_KEYS, f"attacks[{k}]")
+        fields = _fields(item, _ATTACK, f"attacks[{k}]")
         for req in ("start_s", "duration_s"):
             if req not in item:
                 raise ConfigError(f"attacks[{k}]: missing {req}")
-        out.append(
-            AttackScenario(
-                start=float(item["start_s"]),
-                duration=float(item["duration_s"]),
-                kind=item.get("kind", "short"),
-                id=str(item.get("id", f"attack{k}")),
-            )
-        )
-    return tuple(out)
+        out.append(AttackScenario(**{"id": f"attack{k}", **fields}))
+    return out
 
 
 def _build_task(node, k: int) -> TaskSpec:
-    node = _require_mapping(node, f"app.tasks[{k}]")
-    _check_keys(node, _TASK_KEYS, f"app.tasks[{k}]")
+    where = f"app.tasks[{k}]"
+    node = _require_mapping(node, where)
+    fields = _fields(node, _TASK, where)
     for req in ("id", "energy_cost_uj", "duration_ms", "buffer", "component", "rates_per_hour"):
         if req not in node:
-            raise ConfigError(f"app.tasks[{k}]: missing {req}")
-    comp_key = str(node["component"]).lower()
-    try:
-        component = Component(comp_key)
-    except ValueError:
-        raise ConfigError(f"app.tasks[{k}]: unknown component {node['component']!r}") from None
-    rates_node = _require_mapping(node["rates_per_hour"], f"app.tasks[{k}].rates_per_hour")
-    _check_keys(rates_node, set(_PROFILE_KEYS), f"app.tasks[{k}].rates_per_hour")
-    rates = {
-        profile: float(rates_node.get(key, 0.0))
-        for key, profile in zip(_PROFILE_KEYS, Profile)
-    }
-    return TaskSpec(
-        id=str(node["id"]),
-        energy_cost=float(node["energy_cost_uj"]) * 1e-6,
-        duration=float(node["duration_ms"]) * 1e-3,
-        buffer=int(node["buffer"]),
-        rates=rates,
-        predecessors=tuple(str(p) for p in node.get("predecessors", ())),
-        component=component,
-    )
+            raise ConfigError(f"{where}: missing {req}")
+    rates_node = _require_mapping(node["rates_per_hour"], f"{where}.rates_per_hour")
+    _check_keys(rates_node, _PROFILES, f"{where}.rates_per_hour")
+    rates = {profile: float(rates_node.get(key, 0.0)) for key, profile in _PROFILES.items()}
+    return TaskSpec(rates=rates, component=_component(node["component"], where), **fields)
 
 
 def _build_app(node) -> AppSpec:
@@ -288,20 +283,12 @@ def _build_app(node) -> AppSpec:
 
 def _build_capacitor(node, k: int) -> Capacitor:
     node = _require_mapping(node, f"bank.capacitors[{k}]")
-    _check_keys(node, _CAP_KEYS, f"bank.capacitors[{k}]")
+    fields = _fields(node, _CAPACITOR, f"bank.capacitors[{k}]")
     if "capacitance_uf" not in node:
         raise ConfigError(f"bank.capacitors[{k}]: missing capacitance_uf")
     if "initial_soc" in node and "initial_v" in node:
         raise ConfigError(f"bank.capacitors[{k}]: give initial_soc or initial_v, not both")
-    cap = Capacitor(
-        capacitance=float(node["capacitance_uf"]) * 1e-6,
-        parallel_resistance=float(node.get("parallel_resistance_ohm", 30e3)),
-        efficiency=float(node.get("efficiency", 0.9)),
-        drain_fraction=float(node.get("drain_fraction_per_slot", 0.001)),
-        v_on=float(node.get("v_on", 2.4)),
-        v_off=float(node.get("v_off", 1.8)),
-        v_max=float(node.get("v_max", 3.0)),
-    )
+    cap = Capacitor(**fields)
     if "initial_v" in node:
         cap.voltage = float(node["initial_v"])
         if not 0 <= cap.voltage <= cap.v_max:
@@ -310,7 +297,7 @@ def _build_capacitor(node, k: int) -> Capacitor:
         soc = float(node.get("initial_soc", 0.5))
         if not 0 <= soc <= 1:
             raise ConfigError(f"bank.capacitors[{k}]: initial_soc outside [0, 1]")
-        cap.voltage = cap.v_max * math.sqrt(soc)
+        set_soc(cap, soc)
     return cap
 
 
@@ -324,10 +311,7 @@ def _build_bank(node) -> CapacitorBank:
     comp_node = _require_mapping(node.get("components", {}), "bank.components")
     by_buffer: dict[int, list[Component]] = {}
     for comp_name, buf in comp_node.items():
-        try:
-            component = Component(str(comp_name).lower())
-        except ValueError:
-            raise ConfigError(f"bank.components: unknown component {comp_name!r}") from None
+        component = _component(comp_name, "bank.components")
         if not isinstance(buf, int) or not 0 <= buf < len(caps):
             raise ConfigError(f"bank.components.{comp_name}: bad buffer index {buf!r}")
         by_buffer.setdefault(buf, []).append(component)
@@ -337,33 +321,18 @@ def _build_bank(node) -> CapacitorBank:
 
 def _build_params(node, bank: CapacitorBank) -> PolicyParams:
     node = _require_mapping(node or {}, "params")
-    _check_keys(node, _PARAM_KEYS, "params")
+    fields = _fields(node, _PARAMS, "params")
     capacity = total_capacity(bank)
-    omega0 = float(node.get("omega0_frac", 0.2)) * capacity
-    omega1 = float(node.get("omega1_frac", 0.6)) * capacity
     return PolicyParams(
-        alpha=float(node.get("alpha_s", 60.0)),
-        omega0=omega0,
-        omega1=omega1,
-        lambda_hi=float(node.get("lambda_hi", 0.8)),
-        lambda_lo=float(node.get("lambda_lo", 0.2)),
-        decision_cost=float(node.get("decision_cost_nj", 1.781)) * 1e-9,
-        decision_time=float(node.get("decision_time_us", 1.237)) * 1e-6,
-        accuracy_gate=bool(node.get("accuracy_gate", False)),
-        accuracy_threshold=float(node.get("accuracy_threshold", 0.5)),
-        edf_order=bool(node.get("edf_order", False)),
+        omega0=float(node.get("omega0_frac", 0.2)) * capacity,
+        omega1=float(node.get("omega1_frac", 0.6)) * capacity,
+        **fields,
     )
 
 
 def _build_detector(node) -> DetectorConfig:
     node = _require_mapping(node or {}, "detector")
-    _check_keys(node, _DETECTOR_KEYS, "detector")
-    return DetectorConfig(
-        detection_delay=float(node.get("detection_delay_s", 0.0)),
-        remaining_time_error=float(node.get("remaining_time_error", 0.0)),
-        reported_accuracy=float(node.get("reported_accuracy", 1.0)),
-        rng_seed=int(node.get("rng_seed", 42)),
-    )
+    return DetectorConfig(**_fields(node, _DETECTOR, "detector"))
 
 
 def build_sim_config(doc: dict) -> SimConfig:
@@ -374,15 +343,15 @@ def build_sim_config(doc: dict) -> SimConfig:
     for req in ("trace", "bank", "sim"):
         if req not in doc:
             raise ConfigError(f"config: missing section {req!r}")
-    policy = doc.get("policy", "eam")
-    if not isinstance(policy, str):
-        raise ConfigError("policy: expected a plain string")
     sim_node = _require_mapping(doc["sim"], "sim")
-    _check_keys(sim_node, _SIM_KEYS, "sim")
+    fields = _fields(sim_node, _SIM, "sim")
+    if "policy" in doc:
+        if not isinstance(doc["policy"], str):
+            raise ConfigError("policy: expected a plain string")
+        fields["policy"] = doc["policy"]
     if "horizon_s" not in sim_node:
         raise ConfigError("sim: missing horizon_s")
     bank = _build_bank(doc["bank"])
-    budget_soc = sim_node.get("budget_soc")
     return SimConfig(
         trace=_build_trace(doc["trace"], config_dir),
         app=_build_app(doc.get("app", "hvac")),
@@ -390,13 +359,5 @@ def build_sim_config(doc: dict) -> SimConfig:
         params=_build_params(doc.get("params"), bank),
         detector=_build_detector(doc.get("detector")),
         attacks=_build_attacks(doc.get("attacks")),
-        policy=policy,
-        dt=float(sim_node.get("dt_ms", 1.0)) * 1e-3,
-        horizon=float(sim_node["horizon_s"]),
-        rng_seed=int(sim_node.get("rng_seed", 42)),
-        queue_capacity=int(sim_node.get("queue_capacity", 4)),
-        timeline_stride=int(sim_node.get("timeline_stride", 1)),
-        equal_budget=bool(sim_node.get("equal_budget", False)),
-        budget_soc=None if budget_soc is None else float(budget_soc),
-        label=str(sim_node.get("label", "")),
+        **fields,
     )

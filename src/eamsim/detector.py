@@ -40,7 +40,7 @@ class DetectorConfig:
     detection_delay: float = 0.0  # s before an ongoing attack is reported
     remaining_time_error: float = 0.0  # max relative error on remaining time
     reported_accuracy: float = 1.0  # accuracy the detector claims
-    rng_seed: int = 0
+    rng_seed: int = 42
 
     def __post_init__(self) -> None:
         if self.detection_delay < 0:
@@ -49,6 +49,18 @@ class DetectorConfig:
             raise ValueError("remaining-time error must be >= 0")
         if not 0 <= self.reported_accuracy <= 1:
             raise ValueError("reported accuracy must be in [0, 1]")
+
+
+def idle_report(cfg: DetectorConfig) -> AttackInfo:
+    """The report while no attack is reported: only the accuracy is set."""
+    return AttackInfo(ongoing=False, accuracy=cfg.reported_accuracy, elapsed=0.0, remaining=0.0)
+
+
+def report_windows(scenarios, cfg: DetectorConfig) -> list[tuple[float, float, AttackScenario]]:
+    """(first, end, attack) per attack, sorted by time: detect reports the
+    attack while first <= t < end, with first = start + detection delay.
+    The attacks must be disjoint (traces.validate_scenarios)."""
+    return sorted((sc.start + cfg.detection_delay, sc.end, sc) for sc in scenarios)
 
 
 def detect(t: float, scenarios: list[AttackScenario], cfg: DetectorConfig) -> AttackInfo:
@@ -73,4 +85,4 @@ def detect(t: float, scenarios: list[AttackScenario], cfg: DetectorConfig) -> At
                 elapsed=t - sc.start,
                 remaining=remaining,
             )
-    return AttackInfo(ongoing=False, accuracy=cfg.reported_accuracy, elapsed=0.0, remaining=0.0)
+    return idle_report(cfg)

@@ -164,6 +164,33 @@ def buffer_step(cap: Capacitor, allotted_power: float, dt: float) -> float:
     return slot_update((cap,), (slot_constants(cap),), (allotted_power,), dt, [0.0, 0.0, 0.0])
 
 
+def drain(cap: Capacitor, amount: float) -> float:
+    """Take amount joules out of the buffer, or all it holds if that is less;
+    returns the energy actually taken (the floor is zero, not v_off)."""
+    energy = 0.5 * cap.capacitance * cap.voltage * cap.voltage
+    taken = amount if amount < energy else energy
+    if taken > 0.0:
+        cap.voltage = math.sqrt(2.0 * (energy - taken) / cap.capacitance)
+    return taken
+
+
+def usable_energy(cap: Capacitor) -> float:
+    """Energy the buffer can give before it falls to v_off (negative below)."""
+    v = cap.voltage
+    v_off = cap.v_off
+    return 0.5 * cap.capacitance * (v * v - v_off * v_off)
+
+
+def set_energy(cap: Capacitor, energy: float) -> None:
+    """Charge the buffer to the given stored energy, clipped at v_max."""
+    cap.voltage = min(voltage_of(energy, cap), cap.v_max)
+
+
+def set_soc(cap: Capacitor, soc: float) -> None:
+    """Charge the buffer to a state of charge, a fraction of its capacity."""
+    cap.voltage = cap.v_max * math.sqrt(soc)
+
+
 def withdraw(cap: Capacitor, amount: float) -> bool:
     """Take energy out of the buffer if it can stay at or above v_off.
 
@@ -201,7 +228,10 @@ class CapacitorBank:
 
 def total_energy(bank: CapacitorBank) -> float:
     """Aggregate stored energy across all buffers (sum convention)."""
-    return sum(energy_of(c) for c in bank.capacitors)
+    total = 0.0
+    for cap in bank.capacitors:
+        total += 0.5 * cap.capacitance * cap.voltage * cap.voltage
+    return total
 
 
 def total_capacity(bank: CapacitorBank) -> float:
@@ -218,7 +248,7 @@ def default_bank(initial_soc: float = 1.0) -> CapacitorBank:
         raise EnergyModelError("initial_soc must be in [0, 1]")
     caps = [Capacitor(capacitance=33e-6), Capacitor(capacitance=220e-6)]
     for cap in caps:
-        cap.voltage = cap.v_max * math.sqrt(initial_soc)
+        set_soc(cap, initial_soc)
     return CapacitorBank(
         capacitors=caps,
         component_map={

@@ -7,7 +7,7 @@ Each slot of length dt advances the world in a fixed order:
 2. the detector is consulted (the mitigation policy sees its report,
    baselines never do);
 3. the policy runs: profile selection, release firing, task classification,
-   dispatch, harvest allocation, and the per-invocation decision cost;
+   dispatch and harvest allocation; then buffer 0 pays the decision cost;
 4. every buffer integrates its allotted share of the harvested power;
 5. the running task, if any, withdraws its pro-rata energy for the slot and
    either progresses, completes (publishing its output token), or aborts
@@ -21,6 +21,7 @@ event plus a per-slot timeline for later analysis.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,15 +35,16 @@ from .baselines import (
     fixed_split,
     pin_nml,
 )
-from .detector import NO_ATTACK, AttackInfo, DetectorConfig, detect
+from .detector import NO_ATTACK, AttackInfo, DetectorConfig, detect, idle_report, report_windows
 from .energy import (
     CapacitorBank,
     capacity_of,
+    drain,
     energy_of,
+    set_energy,
     slot_constants,
     slot_update,
     total_energy,
-    voltage_of,
     withdraw,
 )
 from .policy import (
@@ -56,7 +58,7 @@ from .policy import (
 )
 from .traces import AttackScenario, EnergyTrace, validate_scenarios
 
-PROFILE_ORDER = (Profile.NML, Profile.LP, Profile.CTL, Profile.SA, Profile.LA)
+PROFILE_ORDER = tuple(Profile)
 _PROFILE_INDEX = {p: i for i, p in enumerate(PROFILE_ORDER)}
 
 
@@ -139,14 +141,15 @@ class EventLog:
         return [e for e in self.events if e[1] == kind]
 
     def export_lines(self):
-        """Render events as delimited text lines (deterministic)."""
+        """Render events as delimited text lines: sets sorted, sequences in order."""
         for ev in self.events:
             parts = [repr(ev[0]), ev[1]]
             for f in ev[2:]:
                 if isinstance(f, float):
                     parts.append(repr(f))
                 elif isinstance(f, (tuple, list, frozenset, set)):
-                    parts.append("+".join(str(x) for x in sorted(f)))
+                    items = sorted(f) if isinstance(f, (set, frozenset)) else f
+                    parts.append("+".join(str(x) for x in items))
                 else:
                     parts.append(str(f))
             yield ",".join(parts)
@@ -227,7 +230,7 @@ class SimState:
     allocate_fn: object = allocate_harvest
     detector_blind: bool = False
     # detector fast path
-    det_windows: list = field(default_factory=list)
+    det_windows: list = field(default_factory=list)  # detector.report_windows()
     n_windows: int = 0
     wptr: int = 0
     idle_info: AttackInfo = NO_ATTACK
@@ -237,9 +240,6 @@ class SimState:
     comp_names: tuple = ()  # ((buffer, (component-name, ...)), ...)
     n_components: int = 0
     # latency watches and availability counting
-    attack_ends: list = field(default_factory=list)
-    aptr: int = 0
-    n_attack_ends: int = 0
     watches: list = field(default_factory=list)  # [end, {component: latency|None}]
     avail_counts: list = field(default_factory=list)  # per buffer
     # release bookkeeping
@@ -259,9 +259,8 @@ class SimState:
     aborts: int = 0
     wasted: float = 0.0
     # equal-budget reset
-    reset_at: float | None = None
-    reset_done: bool = True
-    initial_energies: list = field(default_factory=list)
+    reset_at: float = math.inf  # s, first attack onset when the reset is on
+    budget_targets: list = field(default_factory=list)  # J per buffer
     task_index: dict = field(default_factory=dict)  # task id -> timeline "running" code
 
 
@@ -292,11 +291,7 @@ def init_sim(config: SimConfig) -> SimState:
     queues = {edge: DataQueue(config.queue_capacity) for edge in app.edges}
     initial_profile = profile_fn(NO_ATTACK, total_energy(bank), config.params)
     sched = init_scheduler(app, initial_profile, now=0.0)
-    det = config.detector
-    det_windows = sorted(
-        (sc.start + det.detection_delay, sc.end) for sc in config.attacks
-    )
-    attacks_by_end = sorted(config.attacks, key=lambda s: s.end)
+    det_windows = report_windows(config.attacks, config.detector)
     stride = config.timeline_stride
     rows = (n_slots + stride - 1) // stride if stride > 0 else 0
     m = len(bank)
@@ -315,26 +310,26 @@ def init_sim(config: SimConfig) -> SimState:
         allocate_fn=allocate_fn,
         detector_blind=config.policy != "eam",
         det_windows=det_windows,
-        idle_info=AttackInfo(False, det.reported_accuracy, 0.0, 0.0),
-        attack_ends=[sc.end for sc in attacks_by_end],
+        idle_info=idle_report(config.detector),
         buffer_constants=tuple(slot_constants(c) for c in bank.capacitors),
         avail_counts=[0] * m,
         releases_total={t.id: 0 for t in app.tasks},
         releases_served={t.id: 0 for t in app.tasks},
         window_served={t.id: True for t in app.tasks},
         e_start=total_energy(bank),
-        initial_energies=[energy_of(c) for c in bank.capacitors],
+        budget_targets=[
+            energy_of(c) if config.budget_soc is None else config.budget_soc * capacity_of(c)
+            for c in bank.capacitors
+        ],
         task_index={t.id: k for k, t in enumerate(app.tasks)},
     )
     sim.n_windows = len(det_windows)
-    sim.n_attack_ends = len(sim.attack_ends)
     sim.n_components = sum(len(c) for c in bank.component_map.values())
     sim.comp_names = tuple(
         (b, tuple(c.value for c in comps)) for b, comps in bank.component_map.items()
     )
     if config.equal_budget and config.attacks:
         sim.reset_at = min(sc.start for sc in config.attacks)
-        sim.reset_done = False
     if rows:
         sim.log.timeline_t = np.empty(rows)
         sim.log.timeline_v = np.empty((rows, m))
@@ -403,18 +398,12 @@ def step(sim: SimState) -> None:
     sched = sim.sched
 
     # Equal-budget reset fires at the first slot of the first attack.
-    if not sim.reset_done and t >= sim.reset_at:
-        for k, cap in enumerate(caps):
+    if t >= sim.reset_at:
+        for cap, target in zip(caps, sim.budget_targets):
             before = energy_of(cap)
-            target = (
-                sim.initial_energies[k]
-                if sim.config.budget_soc is None
-                else sim.config.budget_soc * capacity_of(cap)
-            )
-            cap.voltage = min(voltage_of(target, cap), cap.v_max)
-            after = energy_of(cap)
-            sim.reset_delta += after - before
-        sim.reset_done = True
+            set_energy(cap, target)
+            sim.reset_delta += energy_of(cap) - before
+        sim.reset_at = math.inf
         log.add(t, "budget_reset", [energy_of(c) for c in caps])
 
     # (1) harvested power, already zeroed inside attack windows
@@ -425,10 +414,11 @@ def step(sim: SimState) -> None:
     windows = sim.det_windows
     n_win = sim.n_windows
     while wptr < n_win and t >= windows[wptr][1]:
+        sim.watches.append([windows[wptr][1], {}])  # the attack is over: watch recovery
         wptr += 1
         sim.wptr = wptr
     if wptr < n_win and t >= windows[wptr][0]:
-        true_info = detect(t, sim.config.attacks, sim.config.detector)
+        true_info = detect(t, (windows[wptr][2],), sim.config.detector)
     else:
         true_info = sim.idle_info
     if true_info.ongoing != sim.prev_ongoing:
@@ -450,7 +440,7 @@ def step(sim: SimState) -> None:
         sim.allocate_fn,
     )
     sim.overhead_invocations += 1
-    sim.decision_drained += rec.overhead_drained
+    sim.decision_drained += drain(caps[0], sim.params.decision_cost)
     if rec.profile_changed:
         log.add(t, "profile", rec.profile.value)
     if rec.weights != sim.prev_weights:
@@ -502,10 +492,6 @@ def step(sim: SimState) -> None:
     for b, cap in enumerate(caps):
         if cap.voltage >= cap.v_on:
             avail[b] += 1
-    if sim.aptr < sim.n_attack_ends:
-        while sim.aptr < sim.n_attack_ends and t >= sim.attack_ends[sim.aptr]:
-            sim.watches.append([sim.attack_ends[sim.aptr], {}])
-            sim.aptr += 1
     if sim.watches:
         done = []
         for watch in sim.watches:

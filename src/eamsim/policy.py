@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .apps import AppSpec, Profile
 from .detector import AttackInfo
-from .energy import CapacitorBank
+from .energy import CapacitorBank, total_energy, usable_energy
 
 
 class PolicyError(ValueError):
@@ -110,7 +110,6 @@ class PolicyDecision(NamedTuple):
     started: str | None  # task dispatched this slot, if any
     weights: tuple[float, ...]  # normalised harvest fractions per buffer
     shares: tuple[float, ...]  # W allotted per buffer
-    overhead_drained: float  # J actually taken from buffer 0 for the decision
 
 
 def select_profile(info: AttackInfo, total: float, params: PolicyParams) -> Profile:
@@ -190,10 +189,7 @@ def set_task_states(
                         released = True
                         break
             if released:
-                cap = caps[buf]
-                v = cap.voltage
-                v_off = cap.v_off
-                usable = 0.5 * cap.capacitance * (v * v - v_off * v_off)
+                usable = usable_energy(caps[buf])
                 if ongoing:
                     ready = remaining > periods[tid] and usable > cost
                 else:
@@ -378,14 +374,11 @@ def policy_step(
     """One complete policy invocation for the current slot.
 
     Composes profile selection, release firing, task classification, dispatch
-    and harvest allocation, and charges the decision cost to buffer 0.  The
+    and harvest allocation; the caller charges the decision cost.  The
     profile_fn/allocate_fn hooks let baseline policies reuse the scheduling
     core with their own profile pinning and allocation rules.
     """
-    total = 0.0
-    for cap in bank.capacitors:
-        total += 0.5 * cap.capacitance * cap.voltage * cap.voltage
-    profile = profile_fn(info, total, params)
+    profile = profile_fn(info, total_energy(bank), params)
     changed = profile is not state.profile
     if changed:
         apply_profile(state, spec, profile, now)
@@ -395,12 +388,6 @@ def policy_step(
     if started is not None:
         transitions.append((started, TaskState.READY, TaskState.RUNNING))
     weights, shares = allocate_fn(state, spec, bank, power, params)
-    cap0 = bank.capacitors[0]
-    e0 = 0.5 * cap0.capacitance * cap0.voltage * cap0.voltage
-    cost = params.decision_cost
-    drained = cost if cost < e0 else e0
-    if drained > 0.0:
-        cap0.voltage = math.sqrt(2.0 * (e0 - drained) / cap0.capacitance)
     return PolicyDecision(
         profile=profile,
         profile_changed=changed,
@@ -409,5 +396,4 @@ def policy_step(
         started=started,
         weights=weights,
         shares=shares,
-        overhead_drained=drained,
     )

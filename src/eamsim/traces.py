@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 ATTACK_KINDS = ("short", "long")
+LOAD_RESISTANCE = 30e3  # ohm, default resistor a trace was measured across
 
 
 class TraceError(ValueError):
@@ -102,7 +103,9 @@ def validate_scenarios(scenarios: list[AttackScenario]) -> None:
             raise TraceError(f"attack windows {a.id!r} and {b.id!r} overlap")
 
 
-def load_trace(path, load_resistance: float, name: str | None = None) -> EnergyTrace:
+def load_trace(
+    path, load_resistance: float = LOAD_RESISTANCE, name: str | None = None
+) -> EnergyTrace:
     """Read a two-column (time_s, voltage_v) delimited text file.
 
     Lines starting with '#' are comments.  A single non-numeric header line is
@@ -144,7 +147,7 @@ def synthesize_trace(
     length: float,
     interval: float,
     period: float | None = None,
-    load_resistance: float = 30e3,
+    load_resistance: float = LOAD_RESISTANCE,
     name: str | None = None,
 ) -> EnergyTrace:
     """Generate a synthetic voltage trace.

@@ -1,6 +1,12 @@
 """Shared pytest/hypothesis setup."""
 
+from pathlib import Path
+
 from hypothesis import HealthCheck, settings
+
+# The bundled run configurations, found from this file so that the suite runs
+# from any working directory.
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 settings.register_profile(
     "sim",

@@ -18,18 +18,19 @@ from eamsim.detector import NO_ATTACK, AttackInfo
 from eamsim.energy import Capacitor, buffer_step, charge_voltage, energy_at
 from eamsim.engine import run
 from eamsim.policy import PolicyParams, select_profile
+from conftest import CONFIGS
 
 COMPARE_CONFIGS = (
-    "configs/compare_constant_30s.yaml",
-    "configs/compare_constant_300s.yaml",
-    "configs/compare_sine_30s.yaml",
-    "configs/compare_sine_300s.yaml",
+    CONFIGS / "compare_constant_30s.yaml",
+    CONFIGS / "compare_constant_300s.yaml",
+    CONFIGS / "compare_sine_30s.yaml",
+    CONFIGS / "compare_sine_300s.yaml",
 )
 POLICIES = ("eam", "fh", "central")
 
 
 @lru_cache(maxsize=None)
-def scenario_run(path: str, policy: str, equal_budget: bool = False):
+def scenario_run(path, policy: str, equal_budget: bool = False):
     doc = load_config(path)
     doc["policy"] = policy
     if equal_budget:
@@ -39,7 +40,7 @@ def scenario_run(path: str, policy: str, equal_budget: bool = False):
 
 @lru_cache(maxsize=None)
 def hvac_run():
-    return run(build_sim_config(load_config("configs/hvac_attack.yaml")))
+    return run(build_sim_config(load_config(CONFIGS / "hvac_attack.yaml")))
 
 
 def test_c01_charging_reaches_the_source_limited_plateau():
@@ -138,7 +139,7 @@ def test_c05_scheduler_safety_over_an_attacked_hour():
     wall = time.perf_counter() - t0
     assert wall < 10.0, f"simulation took {wall:.1f} s"
 
-    config = build_sim_config(load_config("configs/hvac_attack.yaml"))
+    config = build_sim_config(load_config(CONFIGS / "hvac_attack.yaml"))
     window = config.attacks[0]
 
     # At most one task Running in any slot, tracked over state transitions.
@@ -193,7 +194,7 @@ def test_c06_short_attack_storyboard_on_the_two_task_pipeline():
     profile engages, harvest concentrates on the light task's buffer, the
     heavy dependent task is held back until the attack passes, then normal
     periodic execution resumes."""
-    report, log = run(build_sim_config(load_config("configs/twotask_short_attack.yaml")))
+    report, log = run(build_sim_config(load_config(CONFIGS / "twotask_short_attack.yaml")))
     begin, end = 180.0, 220.0
 
     assert log.of_kind("attack_seen") == [
@@ -275,7 +276,7 @@ def test_c08_schedulability_and_availability_dominance():
                 f"{baseline}: sched +{sched_gain:.3f} (worst task), "
                 f"actuation availability {mine:.3f} vs {theirs:.3f}"
             )
-        print(f"{path.rsplit('/', 1)[-1]}: " + "; ".join(gains))
+        print(f"{path.name}: " + "; ".join(gains))
 
 
 def test_c09_per_slot_decision_overhead_is_negligible():
@@ -284,7 +285,7 @@ def test_c09_per_slot_decision_overhead_is_negligible():
     product of invocations and the per-decision cost."""
     report, _ = hvac_run()
     doc = apply_overrides(
-        load_config("configs/hvac_attack.yaml"), ["params.decision_cost_nj=0"]
+        load_config(CONFIGS / "hvac_attack.yaml"), ["params.decision_cost_nj=0"]
     )
     free, _ = run(build_sim_config(doc))
     assert free.app_exec_rate > 0.0
@@ -302,7 +303,7 @@ def test_c10_repeated_runs_are_byte_identical(tmp_path):
         rc = cli.main(
             [
                 "run",
-                "--config", "configs/twotask_short_attack.yaml",
+                "--config", str(CONFIGS / "twotask_short_attack.yaml"),
                 "--out", str(out),
             ]
         )

@@ -25,6 +25,7 @@ from eamsim.energy import (
 )
 from eamsim.engine import run
 from eamsim.policy import PolicyParams, TaskState, init_scheduler, split_power
+from conftest import CONFIGS
 
 
 def make_bank():
@@ -164,7 +165,7 @@ def test_central_app_rehomes_tasks_to_buffer_zero():
 
 @pytest.mark.parametrize("policy", ["fh", "central"])
 def test_baselines_never_react_to_attacks(policy):
-    cfg = load_config("configs/compare_constant_300s.yaml")
+    cfg = load_config(CONFIGS / "compare_constant_300s.yaml")
     cfg["policy"] = policy
     report, log = run(build_sim_config(cfg))
     assert report.policy == policy

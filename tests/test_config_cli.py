@@ -1,5 +1,6 @@
 """Configuration loading, --set overrides, and the command-line front-end."""
 
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -19,8 +20,9 @@ from eamsim.config import (
 from eamsim.energy import Component
 from eamsim.engine import validate_config
 from eamsim.traces import load_trace
+from conftest import CONFIGS
 
-CONFIG_FILES = sorted(Path("configs").glob("*.yaml"))
+CONFIG_FILES = sorted(CONFIGS.glob("*.yaml"))
 
 
 def minimal_doc(**over):
@@ -137,7 +139,7 @@ def test_apply_overrides_rejects_bad_paths():
 
 
 def test_build_sim_config_converts_units():
-    cfg = build_sim_config(load_config("configs/twotask_short_attack.yaml"))
+    cfg = build_sim_config(load_config(CONFIGS / "twotask_short_attack.yaml"))
     assert cfg.dt == pytest.approx(2e-3, rel=1e-12)
     assert cfg.horizon == 400.0
     assert cfg.policy == "eam"
@@ -182,6 +184,24 @@ def test_capacitor_defaults():
     assert cap.drain_fraction == 0.001
     assert (cap.v_on, cap.v_off, cap.v_max) == (2.4, 1.8, 3.0)
     assert cap.voltage == pytest.approx(3.0 * math.sqrt(0.5), rel=1e-12)  # soc 0.5
+
+
+def test_loader_defaults_are_the_dataclass_defaults():
+    """A key left out of the document takes the dataclass default: the
+    minimal config differs from the defaults only in what it sets."""
+    config = build_sim_config(minimal_doc())
+    given = {"capacitance", "voltage", "omega0", "omega1", "dt", "horizon"}
+    for obj in (config.bank.capacitors[0], config.params, config.detector, config):
+        for f in dataclasses.fields(obj):
+            if f.name in given:
+                continue
+            if f.default is not dataclasses.MISSING:
+                default = f.default
+            elif f.default_factory is not dataclasses.MISSING:
+                default = f.default_factory()
+            else:
+                continue  # required field, set by the loader
+            assert getattr(obj, f.name) == default, (type(obj).__name__, f.name)
 
 
 def test_initial_voltage_and_soc_are_exclusive():
@@ -297,7 +317,7 @@ def read_metrics(path: Path) -> dict:
 def test_run_writes_the_three_artifacts(tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(
-        ["run", "--config", "configs/twotask_short_attack.yaml", "--out", str(out)]
+        ["run", "--config", str(CONFIGS / "twotask_short_attack.yaml"), "--out", str(out)]
     )
     assert rc == 0
     metrics = read_metrics(out / "metrics.csv")
@@ -316,7 +336,7 @@ def test_run_set_override_changes_the_policy(tmp_path):
     rc = cli.main(
         [
             "run",
-            "--config", "configs/compare_sine_30s.yaml",
+            "--config", str(CONFIGS / "compare_sine_30s.yaml"),
             "--out", str(out),
             "--set", "policy=fh",
         ]
@@ -329,7 +349,7 @@ def test_run_is_byte_identical_across_invocations(tmp_path):
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
         assert cli.main(
-            ["run", "--config", "configs/compare_sine_30s.yaml", "--out", str(out)]
+            ["run", "--config", str(CONFIGS / "compare_sine_30s.yaml"), "--out", str(out)]
         ) == 0
     for name in ("metrics.csv", "events.log"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
@@ -338,7 +358,7 @@ def test_run_is_byte_identical_across_invocations(tmp_path):
 def test_out_dir_falls_back_to_environment(tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv("EAMSIM_OUT", str(target))
-    rc = cli.main(["run", "--config", "configs/compare_sine_30s.yaml"])
+    rc = cli.main(["run", "--config", str(CONFIGS / "compare_sine_30s.yaml")])
     assert rc == 0
     assert (target / "metrics.csv").is_file()
 
@@ -353,7 +373,7 @@ def test_seed_and_equal_budget_flags_become_overrides():
     args = cli._parser().parse_args(
         [
             "run",
-            "--config", "configs/compare_sine_30s.yaml",
+            "--config", str(CONFIGS / "compare_sine_30s.yaml"),
             "--seed", "5",
             "--equal-budget",
         ]
@@ -381,7 +401,7 @@ def test_compare_sweeps_policies_and_durations(tmp_path):
     rc = cli.main(
         [
             "compare",
-            "--config", "configs/compare_constant_30s.yaml",
+            "--config", str(CONFIGS / "compare_constant_30s.yaml"),
             "--policies", "eam,fh",
             "--attack-durations", "30,45",
             "--out", str(out),
@@ -402,7 +422,7 @@ def test_compare_sweeps_policies_and_durations(tmp_path):
 
 def test_compare_cell_equals_a_plain_run(tmp_path):
     """One sweep cell must reproduce `run` on the same drawn attack."""
-    cfg = "configs/compare_sine_30s.yaml"
+    cfg = str(CONFIGS / "compare_sine_30s.yaml")
     out_cmp = tmp_path / "cmp"
     assert cli.main(
         [
@@ -436,7 +456,7 @@ def test_compare_rejects_empty_sweeps(capsys):
     rc = cli.main(
         [
             "compare",
-            "--config", "configs/compare_sine_30s.yaml",
+            "--config", str(CONFIGS / "compare_sine_30s.yaml"),
             "--policies", " ",
             "--attack-durations", "30",
         ]

@@ -27,8 +27,8 @@ from pathlib import Path
 import pytest
 
 from eamsim.cli import main
+from conftest import CONFIGS
 
-ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 ARTIFACTS = ("metrics.csv", "events.log", "timeline.csv")
 POLICIES = ("eam", "fh", "central")
@@ -63,13 +63,13 @@ CASES = [(c, p, m) for c in sorted(SHORTEN) for p in POLICIES for m in MODES]
 
 
 def test_shorten_table_covers_every_bundled_config():
-    assert sorted(p.name for p in (ROOT / "configs").glob("*.yaml")) == sorted(SHORTEN)
+    assert sorted(p.name for p in CONFIGS.glob("*.yaml")) == sorted(SHORTEN)
 
 
 @lru_cache(maxsize=None)
 def _artifacts(config: str, policy: str, mode: str) -> dict:
     """Run one case through the CLI; artifact name -> bytes (None if absent)."""
-    argv = ["run", "--config", str(ROOT / "configs" / config), "--set", f"policy={policy}"]
+    argv = ["run", "--config", str(CONFIGS / config), "--set", f"policy={policy}"]
     for override in SHORTEN[config]:
         argv += ["--set", override]
     if mode == "equal_budget":

@@ -27,6 +27,7 @@ from eamsim.engine import (
 from eamsim.engine import SimConfig
 from eamsim.policy import PolicyParams
 from eamsim.traces import AttackScenario, synthesize_trace
+from conftest import CONFIGS
 
 ALL_RATES = {p: 30.0 for p in Profile}
 
@@ -267,6 +268,17 @@ def test_equal_budget_without_soc_restores_initial_energies():
     assert reset[2] == pytest.approx([initial, initial], rel=1e-12)
 
 
+def test_budget_reset_logs_energies_in_buffer_order():
+    config = budget_config(budget_soc=None)
+    config.bank.capacitors[0].capacitance = 1000e-6  # buffer 0 now holds the most
+    _, log = run(config)
+    (reset,) = log.of_kind("budget_reset")
+    energies = reset[2]
+    assert energies[0] > energies[1]
+    (line,) = [ln for ln in log.export_lines() if ",budget_reset," in ln]
+    assert line.split(",")[2] == "+".join(str(e) for e in energies)
+
+
 def test_equal_budget_is_inert_without_attacks():
     _, log = run(budget_config(attacks=[]))
     assert log.of_kind("budget_reset") == []
@@ -365,8 +377,8 @@ def test_engine_buffer_integration_matches_buffer_step():
 
 
 def test_repeated_runs_are_identical():
-    cfg_doc = load_config("configs/compare_sine_30s.yaml")
-    first_rep, first_log = run(build_sim_config(load_config("configs/compare_sine_30s.yaml")))
+    cfg_doc = load_config(CONFIGS / "compare_sine_30s.yaml")
+    first_rep, first_log = run(build_sim_config(load_config(CONFIGS / "compare_sine_30s.yaml")))
     second_rep, second_log = run(build_sim_config(cfg_doc))
     assert list(first_log.export_lines()) == list(second_log.export_lines())
     assert first_rep.to_rows() == second_rep.to_rows()
@@ -392,7 +404,7 @@ def derived_schedulability(log):
 
 
 def test_metrics_derive_from_the_event_log():
-    doc = load_config("configs/compare_constant_300s.yaml")
+    doc = load_config(CONFIGS / "compare_constant_300s.yaml")
     doc["sim"]["timeline_stride"] = 1
     cfg = build_sim_config(doc)
     report, log = run(cfg)
@@ -428,7 +440,7 @@ def test_metrics_derive_from_the_event_log():
 
 
 def test_central_availability_is_uniform():
-    doc = load_config("configs/compare_constant_300s.yaml")
+    doc = load_config(CONFIGS / "compare_constant_300s.yaml")
     doc["policy"] = "central"
     report, _ = run(build_sim_config(doc))
     values = set(report.availability.values())

@@ -1,0 +1,138 @@
+"""Property test over random valid configurations: every run finishes, its
+energy ledger balances, the MCU runs at most one task, and every task start
+was funded by its buffer."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eamsim.apps import AppSpec, Profile, TaskSpec
+from eamsim.detector import DetectorConfig
+from eamsim.energy import Capacitor, CapacitorBank, Component, energy_at
+from eamsim.engine import SimConfig, _finalize, init_sim, step, validate_config
+from eamsim.policy import PolicyParams
+from eamsim.traces import AttackScenario, synthesize_trace
+
+HORIZON = 20.0  # s
+DT = 0.01  # s
+
+
+@st.composite
+def capacitors(draw):
+    v_max = draw(st.floats(2.0, 5.0))
+    v_on = v_max * draw(st.floats(0.3, 1.0))
+    v_off = v_on * draw(st.floats(0.0, 0.95))
+    return Capacitor(
+        capacitance=draw(st.floats(10e-6, 1000e-6)),
+        efficiency=draw(st.floats(0.1, 1.0)),
+        drain_fraction=draw(st.floats(0.0, 0.01)),
+        v_on=v_on,
+        v_off=v_off,
+        v_max=v_max,
+        voltage=v_max * draw(st.floats(0.0, 1.0)),
+    )
+
+
+@st.composite
+def chains(draw, n_buffers):
+    """A chain T0 -> T1 -> ... of one to four tasks."""
+    n = draw(st.integers(1, 4))
+    rate = st.sampled_from([0.0, 360.0, 1800.0, 7200.0, 36000.0])
+    tasks = tuple(
+        TaskSpec(
+            id=f"T{k}",
+            energy_cost=draw(st.floats(1e-6, 200e-6)),
+            duration=draw(st.floats(1e-3, 0.1)),
+            buffer=draw(st.integers(0, n_buffers - 1)),
+            rates={p: draw(rate) for p in Profile},
+            predecessors=(f"T{k - 1}",) if k else (),
+        )
+        for k in range(n)
+    )
+    return AppSpec(name="chain", tasks=tasks, sink_task=tasks[-1].id)
+
+
+@st.composite
+def attack_lists(draw):
+    """Zero to three disjoint attack windows inside the horizon."""
+    attacks, t = [], 0.0
+    for k in range(draw(st.integers(0, 3))):
+        start = t + draw(st.floats(0.0, 5.0))
+        duration = draw(st.floats(0.05, 5.0))
+        attacks.append(
+            AttackScenario(start, duration, draw(st.sampled_from(["short", "long"])), f"a{k}")
+        )
+        t = start + duration
+    return attacks
+
+
+@st.composite
+def sim_configs(draw):
+    caps = draw(st.lists(capacitors(), min_size=1, max_size=3))
+    bank = CapacitorBank(
+        capacitors=caps,
+        component_map={b: (c,) for b, c in zip(range(len(caps)), Component)},
+    )
+    capacity = sum(energy_at(c, c.v_max) for c in caps)
+    omega0 = capacity * draw(st.floats(0.0, 0.5))
+    return SimConfig(
+        trace=synthesize_trace(
+            draw(st.sampled_from(["constant", "sinusoid", "step"])),
+            amplitude=draw(st.floats(0.0, 4.0)),
+            length=HORIZON,
+            interval=draw(st.sampled_from([0.1, 1.0])),
+            period=draw(st.floats(1.0, 30.0)),
+        ),
+        app=draw(chains(len(caps))),
+        bank=bank,
+        params=PolicyParams(
+            alpha=draw(st.floats(0.0, 10.0)),
+            omega0=omega0,
+            omega1=omega0 + capacity * draw(st.floats(0.0, 0.5)),
+            lambda_lo=draw(st.floats(0.0, 0.5)),
+            decision_cost=draw(st.floats(0.0, 1e-6)),
+        ),
+        detector=DetectorConfig(
+            detection_delay=draw(st.floats(0.0, 2.0)),
+            remaining_time_error=draw(st.floats(0.0, 0.5)),
+            rng_seed=draw(st.integers(0, 100)),
+        ),
+        attacks=draw(attack_lists()),
+        policy=draw(st.sampled_from(["eam", "fh", "central"])),
+        dt=DT,
+        horizon=HORIZON,
+        timeline_stride=0,
+        equal_budget=draw(st.booleans()),
+        budget_soc=draw(st.none() | st.floats(0.0, 1.0)),
+    )
+
+
+@settings(max_examples=100)
+@given(sim_configs())
+def test_random_valid_configs_balance_and_schedule_soundly(config):
+    assert validate_config(config) == []
+    sim = init_sim(config)
+    while sim.i < sim.n_slots:
+        step(sim)
+    _, log = _finalize(sim)
+
+    t = log.totals
+    residual = (
+        t["e_start"] + t["charged"] - t["sigma_drain"] - t["withdrawn"]
+        - t["decision_drained"] - t["spilled"] + t["reset_delta"] - t["e_end"]
+    )
+    assert abs(residual) < 1e-9
+
+    running = None
+    for ev in log.events:
+        kind = ev[1]
+        if kind == "start":
+            assert running is None, ev  # the MCU runs one task at a time
+            running = tid = ev[2]
+            cap = sim.bank.capacitors[sim.app.task(tid).buffer]
+            # The start logs the energy after the decision cost was drained
+            # from buffer 0; readiness was judged before that drain.
+            slack = config.params.decision_cost if sim.app.task(tid).buffer == 0 else 0.0
+            assert ev[3] - energy_at(cap, cap.v_off) >= ev[4] - slack - 1e-15, ev
+        elif kind in ("finish", "abort"):
+            assert ev[2] == running, ev
+            running = None

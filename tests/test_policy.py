@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from eamsim.apps import AppSpec, DataQueue, Profile, TaskSpec, Token, builtin_app
 from eamsim.config import _build_params
 from eamsim.detector import NO_ATTACK, AttackInfo
-from eamsim.energy import Capacitor, CapacitorBank, Component, energy_of
+from eamsim.energy import Capacitor, CapacitorBank, Component, drain, energy_of
+from eamsim.engine import SimConfig, run
 from eamsim.policy import (
     PolicyError,
     PolicyParams,
@@ -22,6 +23,7 @@ from eamsim.policy import (
     select_profile,
     set_task_states,
 )
+from eamsim.traces import synthesize_trace
 
 
 def attack(remaining, accuracy=1.0):
@@ -428,7 +430,8 @@ def test_policy_step_composition_and_decision_drain():
     assert rec.profile is Profile.NML and not rec.profile_changed
     assert set(rec.fired) == {"TS", "HS", "D", "AC"}
     assert rec.started == "TS"  # first Ready task in spec order
-    assert rec.overhead_drained == params.decision_cost
+    assert energy_of(bank.capacitors[0]) == e0_before  # the engine drains, not the policy
+    assert drain(bank.capacitors[0], params.decision_cost) == params.decision_cost
     assert energy_of(bank.capacitors[0]) == pytest.approx(
         e0_before - params.decision_cost, rel=1e-9
     )
@@ -459,7 +462,13 @@ def test_policy_step_decision_drain_floors_at_zero():
         component_map={0: (Component.MCU,)},
     )
     params = PolicyParams()
-    state = init_scheduler(app, Profile.NML)
-    rec = policy_step(state, app, bank, NO_ATTACK, {}, params, now=0.0, power=0.0)
-    assert rec.overhead_drained == 0.0  # cannot drain an empty buffer
+    assert drain(bank.capacitors[0], params.decision_cost) == 0.0  # nothing to take
     assert bank.capacitors[0].voltage == 0.0
+    # Over a run, the decision_drained ledger entry holds what was taken: nothing.
+    report, log = run(SimConfig(
+        trace=synthesize_trace("constant", 0.0, length=1.0, interval=1.0),
+        app=app, bank=bank, params=params, dt=1e-3, horizon=0.01,
+    ))
+    assert report.overhead_invocations == 10
+    assert log.totals["decision_drained"] == 0.0
+    assert (log.timeline_v[:, 0] == 0.0).all()
