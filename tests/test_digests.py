@@ -4,7 +4,9 @@ reproduces the recorded SHA-256 of metrics.csv, events.log and timeline.csv.
 Horizons are shortened with --set overrides so the whole matrix stays near
 2.2 M simulated slots; every run still contains its attack onset.  The same
 runs back a second check: every logged task-state change is a legal
-transition of the scheduler's state machine.
+transition of the scheduler's state machine.  hvac_attack.yaml also runs
+unshortened (one hour, 720 k slots per run), the only runs whose idle
+stretches last tens of minutes.
 
 A change that means to alter run output re-records the digests with
 
@@ -61,16 +63,20 @@ LEGAL_TRANSITIONS = frozenset(
 
 CASES = [(c, p, m) for c in sorted(SHORTEN) for p in POLICIES for m in MODES]
 
+# Unshortened runs, recorded under "<config>:<policy>:<mode>:full".
+FULL = "hvac_attack.yaml"
+FULL_CASES = [(p, m) for p in POLICIES for m in MODES]
+
 
 def test_shorten_table_covers_every_bundled_config():
     assert sorted(p.name for p in CONFIGS.glob("*.yaml")) == sorted(SHORTEN)
 
 
 @lru_cache(maxsize=None)
-def _artifacts(config: str, policy: str, mode: str) -> dict:
+def _artifacts(config: str, policy: str, mode: str, full: bool = False) -> dict:
     """Run one case through the CLI; artifact name -> bytes (None if absent)."""
     argv = ["run", "--config", str(CONFIGS / config), "--set", f"policy={policy}"]
-    for override in SHORTEN[config]:
+    for override in () if full else SHORTEN[config]:
         argv += ["--set", override]
     if mode == "equal_budget":
         argv.append("--equal-budget")
@@ -82,15 +88,15 @@ def _artifacts(config: str, policy: str, mode: str) -> dict:
         }
 
 
-def _digests(config: str, policy: str, mode: str) -> dict:
+def _digests(config: str, policy: str, mode: str, full: bool = False) -> dict:
     return {
         name: None if data is None else hashlib.sha256(data).hexdigest()
-        for name, data in _artifacts(config, policy, mode).items()
+        for name, data in _artifacts(config, policy, mode, full).items()
     }
 
 
-def _key(config: str, policy: str, mode: str) -> str:
-    return f"{config}:{policy}:{mode}"
+def _key(config: str, policy: str, mode: str, full: bool = False) -> str:
+    return f"{config}:{policy}:{mode}" + (":full" if full else "")
 
 
 @pytest.mark.parametrize("config,policy,mode", CASES)
@@ -98,6 +104,14 @@ def test_artifacts_match_recorded_digests(config, policy, mode, capsys):
     expected = json.loads(DIGESTS.read_text())[_key(config, policy, mode)]
     got = _digests(config, policy, mode)
     capsys.readouterr()  # the run prints its metric summary
+    assert got == expected
+
+
+@pytest.mark.parametrize("policy,mode", FULL_CASES)
+def test_full_hour_artifacts_match_recorded_digests(policy, mode, capsys):
+    expected = json.loads(DIGESTS.read_text())[_key(FULL, policy, mode, full=True)]
+    got = _digests(FULL, policy, mode, full=True)
+    capsys.readouterr()
     assert got == expected
 
 
@@ -120,6 +134,8 @@ def test_every_state_event_is_a_legal_transition(config, policy, mode, capsys):
 def _record() -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         table = {_key(*case): _digests(*case) for case in CASES}
+        table.update({_key(FULL, *case, full=True): _digests(FULL, *case, full=True)
+                      for case in FULL_CASES})
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS} ({len(table)} cases)")
 
