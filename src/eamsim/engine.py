@@ -13,6 +13,14 @@ Each slot of length dt advances the world in a fixed order:
    either progresses, completes (publishing its output token), or aborts
    transactionally when its buffer collapses.
 
+step() is the one-slot reference.  run() calls it only on slots where the
+policy's inputs can change; on idle stretches in between (no task running or
+pending, no release, reset or detector window edge due, profile and weights
+unchanged) it skips the policy and repeats the rest of the slot with the same
+float operations in the same order, so its output is that of step() on every
+slot.  overhead_invocations still counts every slot, as the modelled device
+decides on each one.
+
 The engine keeps an explicit energy ledger (charged, drained, withdrawn,
 spilled) so that tests can check conservation, and records every discrete
 event plus a per-slot timeline for later analysis.
@@ -487,11 +495,7 @@ def step(sim: SimState) -> None:
             else:
                 _abort_task(sim, tid, t, "withdrawal")
 
-    # availability accounting and post-attack recovery watches
-    avail = sim.avail_counts
-    for b, cap in enumerate(caps):
-        if cap.voltage >= cap.v_on:
-            avail[b] += 1
+    # post-attack recovery watches
     if sim.watches:
         done = []
         for watch in sim.watches:
@@ -509,17 +513,85 @@ def step(sim: SimState) -> None:
             sim.watches.remove(watch)
             sim.log.totals.setdefault("latency_records", []).append(watch)
 
-    # timeline sampling
+    _tally(sim, i, t, -1 if tid is None else sim.task_index[tid])
+    sim.i = i + 1
+
+
+def _tally(sim: SimState, i: int, t: float, running: int) -> None:
+    """Count the buffers at or above v_on in slot i and, on every
+    timeline_stride-th slot, write its timeline row."""
+    caps = sim.bank.capacitors
+    avail = sim.avail_counts
+    for b, cap in enumerate(caps):
+        if cap.voltage >= cap.v_on:
+            avail[b] += 1
     stride = sim.config.timeline_stride
     if stride > 0 and i % stride == 0:
+        log = sim.log
         r = i // stride
         log.timeline_t[r] = t
         for b, cap in enumerate(caps):
             log.timeline_v[r, b] = cap.voltage
-        log.timeline_profile[r] = _PROFILE_INDEX[sched.profile]
-        log.timeline_running[r] = sim.task_index[tid] if tid is not None else -1
+        log.timeline_profile[r] = _PROFILE_INDEX[sim.sched.profile]
+        log.timeline_running[r] = running
 
-    sim.i = i + 1
+
+def _idle_span(sim: SimState) -> None:
+    """Advance over the idle slots ahead without running the policy.
+
+    A span starts only when no task runs, no active task is pending, every
+    task is Blocked and no recovery watch is open.  On such a slot
+    policy_step fires nothing, changes no task state and starts nothing, so
+    only its profile and harvest shares are left to compute.  The span
+    does the rest of step's work in step's order and with the same float
+    operations: the decision-cost drain, slot_update with the shares, and
+    _tally.  It stops before the first slot where one of these holds: a
+    release is due, the equal-budget reset is due, a detector window opens
+    or closes, the profile would change, or the weights would.  Blind
+    policies may stay inside a window whose onset they have logged.  Every
+    slot of a span still counts as a policy invocation.
+    """
+    sched = sim.sched
+    if sched.executing is not None or sim.watches:
+        return
+    pending = sched.pending
+    for tid in sched.active:
+        if pending[tid]:
+            return
+    for state in sched.states.values():
+        if state is not TaskState.BLOCKED:
+            return
+    limit = min(sched._next_fire, sim.reset_at)
+    if sim.wptr < sim.n_windows:
+        first, end, _ = sim.det_windows[sim.wptr]
+        if not (sim.detector_blind and sim.prev_ongoing):
+            limit = min(limit, first)
+        limit = min(limit, end)
+    i = i0 = sim.i
+    n, dt, powers = sim.n_slots, sim.dt, sim.powers
+    app, bank, params, idle = sim.app, sim.bank, sim.params, sim.idle_info
+    caps, constants, ledger = bank.capacitors, sim.buffer_constants, sim.ledger
+    profile_fn, allocate_fn, profile = sim.profile_fn, sim.allocate_fn, sched.profile
+    cost = params.decision_cost
+    drained = sim.decision_drained
+    last_power, shares = None, ()
+    while i < n:
+        t = i * dt
+        if t >= limit or profile_fn(idle, total_energy(bank), params) is not profile:
+            break
+        power = powers[i]
+        if power != last_power:
+            weights, shares = allocate_fn(sched, app, bank, power, params)
+            if weights != sim.prev_weights:
+                break
+            last_power = power
+        drained += drain(caps[0], cost)
+        slot_update(caps, constants, shares, dt, ledger)
+        _tally(sim, i, t, -1)
+        i += 1
+    sim.overhead_invocations += i - i0
+    sim.decision_drained = drained
+    sim.i = i
 
 
 def _finalize(sim: SimState) -> tuple[MetricsReport, EventLog]:
@@ -562,11 +634,15 @@ def _finalize(sim: SimState) -> tuple[MetricsReport, EventLog]:
 
 
 def run(config: SimConfig) -> tuple[MetricsReport, EventLog]:
-    """Simulate the whole horizon and return (metrics, event log)."""
+    """Simulate the whole horizon and return (metrics, event log).
+
+    The result is that of calling step() on every slot; idle stretches run
+    through _idle_span instead."""
     sim = init_sim(config)
     n = sim.n_slots
     while sim.i < n:
         step(sim)
+        _idle_span(sim)
     return _finalize(sim)
 
 

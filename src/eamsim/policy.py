@@ -158,11 +158,9 @@ def init_scheduler(spec: AppSpec, profile: Profile, now: float = 0.0) -> Schedul
 
 def set_task_states(
     state: SchedulerState,
-    spec: AppSpec,
     bank: CapacitorBank,
     info: AttackInfo,
     queues: dict,
-    params: PolicyParams,
 ) -> list[tuple[str, TaskState, TaskState]]:
     """Re-classify every non-running task; returns the observed transitions."""
     caps = bank.capacitors
@@ -383,7 +381,7 @@ def policy_step(
     if changed:
         apply_profile(state, spec, profile, now)
     fired = fire_releases(state, now)
-    transitions = set_task_states(state, spec, bank, info, queues, params)
+    transitions = set_task_states(state, bank, info, queues)
     started = pick_execution_task(state, spec, params)
     if started is not None:
         transitions.append((started, TaskState.READY, TaskState.RUNNING))

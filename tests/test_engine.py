@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import eamsim.engine as engine
 from eamsim.apps import AppSpec, Profile, TaskSpec, builtin_app
 from eamsim.config import build_sim_config, load_config
 from eamsim.detector import DetectorConfig
@@ -371,6 +372,26 @@ def test_engine_buffer_integration_matches_buffer_step():
     assert log.timeline_v.shape == (2000, 1)
     assert np.array_equal(log.timeline_v[:, 0], np.array(expected))
     assert abs(residual(log)) < 1e-9
+
+
+# ------------------------------------------------------------- idle spans
+
+
+def test_run_invokes_the_policy_only_at_decision_points(monkeypatch):
+    calls = [0]
+    policy_step = engine.policy_step
+
+    def counted(*args):
+        calls[0] += 1
+        return policy_step(*args)
+
+    monkeypatch.setattr(engine, "policy_step", counted)
+    report, log = run(build_sim_config(load_config(CONFIGS / "hvac_attack.yaml")))
+    n_slots = log.totals["n_slots"]
+    assert n_slots == 720_000
+    assert calls[0] <= 0.03 * n_slots
+    # The modelled device still decides, and pays, on every slot.
+    assert report.overhead_invocations == n_slots
 
 
 # --------------------------------------------------------------- determinism

@@ -1,6 +1,9 @@
-"""Property test over random valid configurations: every run finishes, its
+"""Property tests over random valid configurations: every run finishes, its
 energy ledger balances, the MCU runs at most one task, and every task start
-was funded by its buffer."""
+was funded by its buffer; engine.run, which skips the policy on idle slots,
+gives exactly what stepping every slot gives."""
+
+import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from eamsim.apps import AppSpec, Profile, TaskSpec
 from eamsim.detector import DetectorConfig
 from eamsim.energy import Capacitor, CapacitorBank, Component, energy_at
-from eamsim.engine import SimConfig, _finalize, init_sim, step, validate_config
+from eamsim.engine import SimConfig, _finalize, init_sim, run, step, validate_config
 from eamsim.policy import PolicyParams
 from eamsim.traces import AttackScenario, synthesize_trace
 
@@ -136,3 +139,21 @@ def test_random_valid_configs_balance_and_schedule_soundly(config):
         elif kind in ("finish", "abort"):
             assert ev[2] == running, ev
             running = None
+
+
+@given(sim_configs(), st.sampled_from([0, 1, 7]))
+def test_run_matches_stepping_every_slot(config, stride):
+    config = dataclasses.replace(config, timeline_stride=stride)
+    _, fast = run(config)
+    sim = init_sim(config)
+    while sim.i < sim.n_slots:
+        step(sim)
+    _, slow = _finalize(sim)
+
+    assert fast.events == slow.events
+    assert repr(fast.totals) == repr(slow.totals)
+    for name in ("timeline_t", "timeline_v", "timeline_profile", "timeline_running"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.tobytes() == b.tobytes(), name

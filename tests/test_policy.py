@@ -178,10 +178,10 @@ def test_set_task_states_energy_gate_no_attack():
     bank = make_bank(v0=2.4)  # usable = 0.5*C*(v^2 - v_off^2) = 126 uJ
     state = init_scheduler(app, Profile.NML)
     fire_releases(state, 0.0)
-    trans = set_task_states(state, app, bank, NO_ATTACK, {}, PolicyParams())
+    trans = set_task_states(state, bank, NO_ATTACK, {})
     assert trans == [("T", TaskState.BLOCKED, TaskState.READY)]
     # Repeat invocation: no state change, no transition records.
-    assert set_task_states(state, app, bank, NO_ATTACK, {}, PolicyParams()) == []
+    assert set_task_states(state, bank, NO_ATTACK, {}) == []
 
 
 def test_set_task_states_exact_cost_boundary():
@@ -192,24 +192,23 @@ def test_set_task_states_exact_cost_boundary():
     state = init_scheduler(app, Profile.NML)
     fire_releases(state, 0.0)
     # Idle: usable >= cost admits the task.
-    set_task_states(state, app, bank, NO_ATTACK, {}, PolicyParams())
+    set_task_states(state, bank, NO_ATTACK, {})
     assert state.states["T"] is TaskState.READY
     # Under attack the energy test is strict, so the same level is refused.
     state2 = init_scheduler(app, Profile.NML)
     fire_releases(state2, 0.0)
-    set_task_states(state2, app, bank, attack(remaining=1000.0), {}, PolicyParams())
+    set_task_states(state2, bank, attack(remaining=1000.0), {})
     assert state2.states["T"] is TaskState.BLOCKED
 
 
 def test_set_task_states_attack_period_rule():
     app = simple_app(cost=10e-6)  # period 120 s at 30/h
     bank = make_bank(v0=2.4)
-    params = PolicyParams()
 
     def classify(remaining):
         state = init_scheduler(app, Profile.NML)
         fire_releases(state, 0.0)
-        set_task_states(state, app, bank, attack(remaining), {}, params)
+        set_task_states(state, bank, attack(remaining), {})
         return state.states["T"]
 
     assert classify(120.0) is TaskState.BLOCKED  # remaining == period: refused
@@ -225,19 +224,18 @@ def test_set_task_states_requires_release_and_data():
     app = AppSpec(name="x", tasks=(t1, t2), sink_task="B")
     bank = make_bank()
     queues = {("A", "B"): DataQueue(4)}
-    params = PolicyParams()
 
     state = init_scheduler(app, Profile.NML)
-    set_task_states(state, app, bank, NO_ATTACK, queues, params)
+    set_task_states(state, bank, NO_ATTACK, queues)
     assert state.states["A"] is TaskState.BLOCKED  # no release fired yet
 
     fire_releases(state, 0.0)
-    set_task_states(state, app, bank, NO_ATTACK, queues, params)
+    set_task_states(state, bank, NO_ATTACK, queues)
     assert state.states["A"] is TaskState.READY
     assert state.states["B"] is TaskState.BLOCKED  # released but starved of data
 
     queues[("A", "B")].push(Token(0, 0.0, frozenset({"A"})))
-    set_task_states(state, app, bank, NO_ATTACK, queues, params)
+    set_task_states(state, bank, NO_ATTACK, queues)
     assert state.states["B"] is TaskState.READY
 
 
@@ -246,11 +244,11 @@ def test_set_task_states_skips_running_task():
     bank = make_bank()
     state = init_scheduler(app, Profile.NML)
     fire_releases(state, 0.0)
-    set_task_states(state, app, bank, NO_ATTACK, {}, PolicyParams())
+    set_task_states(state, bank, NO_ATTACK, {})
     assert pick_execution_task(state, app, PolicyParams()) == "T"
     # Drain the buffer below cost; the running task must not be re-classified.
     bank.capacitors[0].voltage = bank.capacitors[0].v_off
-    assert set_task_states(state, app, bank, NO_ATTACK, {}, PolicyParams()) == []
+    assert set_task_states(state, bank, NO_ATTACK, {}) == []
     assert state.states["T"] is TaskState.RUNNING
 
 
@@ -263,7 +261,7 @@ def test_pick_execution_task_order_and_bookkeeping():
     bank = make_bank()
     state = init_scheduler(app, Profile.NML)
     fire_releases(state, 0.0)
-    set_task_states(state, app, bank, NO_ATTACK, {}, PolicyParams())
+    set_task_states(state, bank, NO_ATTACK, {})
     assert state.states["A"] is TaskState.READY and state.states["B"] is TaskState.READY
 
     picked = pick_execution_task(state, app, PolicyParams())
@@ -285,7 +283,7 @@ def test_pick_execution_task_edf_order():
     params = PolicyParams(edf_order=True)
     state = init_scheduler(app, Profile.NML)
     fire_releases(state, 0.0)
-    set_task_states(state, app, bank, NO_ATTACK, {}, params)
+    set_task_states(state, bank, NO_ATTACK, {})
     state.next_release["A"] = 240.0  # B's next deadline is nearer
     state.next_release["B"] = 120.0
     assert pick_execution_task(state, app, params) == "B"
