@@ -4,9 +4,11 @@ reproduces the recorded SHA-256 of metrics.csv, events.log and timeline.csv.
 Horizons are shortened with --set overrides so the whole matrix stays near
 2.2 M simulated slots; every run still contains its attack onset.  The same
 runs back a second check: every logged task-state change is a legal
-transition of the scheduler's state machine.  hvac_attack.yaml also runs
-unshortened (one hour, 720 k slots per run), the only runs whose idle
-stretches last tens of minutes.
+transition of the scheduler's state machine.  hvac_attack.yaml also runs in
+two variants: unshortened (one hour, 720 k slots per run), the only runs
+whose idle stretches last tens of minutes, and shortened with a late, noisy
+detector and a timeline row per slot, the only runs whose remaining-time
+estimates straddle the policy's thresholds.
 
 A change that means to alter run output re-records the digests with
 
@@ -63,9 +65,18 @@ LEGAL_TRANSITIONS = frozenset(
 
 CASES = [(c, p, m) for c in sorted(SHORTEN) for p in POLICIES for m in MODES]
 
-# Unshortened runs, recorded under "<config>:<policy>:<mode>:full".
+# Variant runs of FULL, recorded under "<config>:<policy>:<mode>:<variant>",
+# with their overrides.
 FULL = "hvac_attack.yaml"
 FULL_CASES = [(p, m) for p in POLICIES for m in MODES]
+VARIANTS = {
+    "full": (),
+    "noisy": SHORTEN[FULL] + (
+        "detector.detection_delay_s=1.5",
+        "detector.remaining_time_error=0.35",
+        "sim.timeline_stride=1",
+    ),
+}
 
 
 def test_shorten_table_covers_every_bundled_config():
@@ -73,10 +84,10 @@ def test_shorten_table_covers_every_bundled_config():
 
 
 @lru_cache(maxsize=None)
-def _artifacts(config: str, policy: str, mode: str, full: bool = False) -> dict:
+def _artifacts(config: str, policy: str, mode: str, variant: str | None = None) -> dict:
     """Run one case through the CLI; artifact name -> bytes (None if absent)."""
     argv = ["run", "--config", str(CONFIGS / config), "--set", f"policy={policy}"]
-    for override in () if full else SHORTEN[config]:
+    for override in SHORTEN[config] if variant is None else VARIANTS[variant]:
         argv += ["--set", override]
     if mode == "equal_budget":
         argv.append("--equal-budget")
@@ -88,15 +99,15 @@ def _artifacts(config: str, policy: str, mode: str, full: bool = False) -> dict:
         }
 
 
-def _digests(config: str, policy: str, mode: str, full: bool = False) -> dict:
+def _digests(config: str, policy: str, mode: str, variant: str | None = None) -> dict:
     return {
         name: None if data is None else hashlib.sha256(data).hexdigest()
-        for name, data in _artifacts(config, policy, mode, full).items()
+        for name, data in _artifacts(config, policy, mode, variant).items()
     }
 
 
-def _key(config: str, policy: str, mode: str, full: bool = False) -> str:
-    return f"{config}:{policy}:{mode}" + (":full" if full else "")
+def _key(config: str, policy: str, mode: str, variant: str | None = None) -> str:
+    return f"{config}:{policy}:{mode}" + (f":{variant}" if variant else "")
 
 
 @pytest.mark.parametrize("config,policy,mode", CASES)
@@ -109,8 +120,16 @@ def test_artifacts_match_recorded_digests(config, policy, mode, capsys):
 
 @pytest.mark.parametrize("policy,mode", FULL_CASES)
 def test_full_hour_artifacts_match_recorded_digests(policy, mode, capsys):
-    expected = json.loads(DIGESTS.read_text())[_key(FULL, policy, mode, full=True)]
-    got = _digests(FULL, policy, mode, full=True)
+    expected = json.loads(DIGESTS.read_text())[_key(FULL, policy, mode, "full")]
+    got = _digests(FULL, policy, mode, "full")
+    capsys.readouterr()
+    assert got == expected
+
+
+@pytest.mark.parametrize("policy,mode", FULL_CASES)
+def test_noisy_detector_artifacts_match_recorded_digests(policy, mode, capsys):
+    expected = json.loads(DIGESTS.read_text())[_key(FULL, policy, mode, "noisy")]
+    got = _digests(FULL, policy, mode, "noisy")
     capsys.readouterr()
     assert got == expected
 
@@ -134,8 +153,8 @@ def test_every_state_event_is_a_legal_transition(config, policy, mode, capsys):
 def _record() -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         table = {_key(*case): _digests(*case) for case in CASES}
-        table.update({_key(FULL, *case, full=True): _digests(FULL, *case, full=True)
-                      for case in FULL_CASES})
+        table.update({_key(FULL, *case, variant): _digests(FULL, *case, variant)
+                      for variant in VARIANTS for case in FULL_CASES})
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS} ({len(table)} cases)")
 
