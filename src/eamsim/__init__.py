@@ -6,8 +6,6 @@ from .energy import (
     Capacitor,
     CapacitorBank,
     Component,
-    buffer_step,
-    charge_voltage,
     default_bank,
     withdraw,
 )
@@ -54,9 +52,7 @@ __all__ = [
     "TaskState",
     "Token",
     "allocate_harvest",
-    "buffer_step",
     "builtin_app",
-    "charge_voltage",
     "compute_metrics",
     "default_bank",
     "detect",

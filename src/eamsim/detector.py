@@ -5,8 +5,10 @@ record produced by an external detector.  This module models that detector as
 an oracle over the ground-truth attack windows with two configurable
 imperfections: a detection delay (the attack is only reported once it has been
 underway for that long) and a multiplicative error on the remaining-time
-estimate, drawn uniformly from [-err, +err] with a seeded generator so runs
-replay exactly.
+estimate, drawn uniformly from [-err, +err] with a generator seeded by
+(seed, t) so runs replay exactly.  A report draws lazily: remaining_exceeds(x)
+needs no draw when x lies outside the band [r * (1 - err), r * (1 + err)]
+around the true remainder r, and drawing less often changes no value.
 """
 
 from __future__ import annotations
@@ -22,14 +24,56 @@ from .traces import AttackScenario
 _NS = 1_000_000_000
 
 
-@dataclass(frozen=True, slots=True)
 class AttackInfo:
-    """What the scheduler knows about the attack state at one instant."""
+    """What the scheduler knows about the attack state at one instant.
 
-    ongoing: bool  # attack currently reported
-    accuracy: float  # detector's self-reported accuracy, [0, 1]
-    elapsed: float  # s since the attack began (0 when not ongoing)
-    remaining: float  # s of attack left, as estimated (0 when not ongoing)
+    ongoing: an attack is reported; accuracy: the detector's self-reported
+    accuracy, in [0, 1]; elapsed: s since the attack began; remaining: s of
+    attack left, as estimated (both 0 when not ongoing).  detect() passes the
+    true remainder, the noise bound err > 0 and the seed of the draw.
+    """
+
+    __slots__ = ("ongoing", "accuracy", "elapsed", "_true", "_err", "_key", "_est")
+
+    def __init__(self, ongoing: bool, accuracy: float, elapsed: float, remaining: float,
+                 err: float = 0.0, key: int = 0) -> None:
+        self.ongoing, self.accuracy, self.elapsed = ongoing, accuracy, elapsed
+        self._true, self._err, self._key = remaining, err, key
+        self._est = remaining if err == 0.0 else None
+
+    @property
+    def remaining(self) -> float:
+        if self._est is None:
+            u = random.Random(self._key).uniform(-self._err, self._err)
+            self._est = max(self._true * (1.0 + u), 0.0)
+        return self._est
+
+    def remaining_exceeds(self, x: float) -> bool:
+        """remaining > x, drawing the noise only if x is inside its band.
+
+        uniform() keeps u in [-err, err] exactly and every operation below
+        rounds monotonically, so r * (1 - err) <= remaining <= r * (1 + err)
+        holds in floats as it does in reals."""
+        if self._est is None:
+            if self._true * (1.0 - self._err) > x:
+                return True
+            if self._true * (1.0 + self._err) <= x:
+                return False
+        return self.remaining > x
+
+    def _fields(self) -> tuple:
+        return self.ongoing, self.accuracy, self.elapsed, self.remaining
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AttackInfo):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "AttackInfo(ongoing=%r, accuracy=%r, elapsed=%r, remaining=%r)" % self._fields()
 
 
 NO_ATTACK = AttackInfo(ongoing=False, accuracy=1.0, elapsed=0.0, remaining=0.0)
@@ -68,21 +112,14 @@ def detect(t: float, scenarios: list[AttackScenario], cfg: DetectorConfig) -> At
 
     An attack is reported while start + delay <= t < end.  Elapsed time is
     measured from the true attack start; the remaining-time estimate is the
-    true remainder scaled by (1 + u), u ~ Uniform(-err, +err), floored at 0.
+    true remainder scaled by (1 + u), u ~ Uniform(-err, +err), floored at 0,
+    with u drawn when the report first needs it (AttackInfo).
     """
+    err = cfg.remaining_time_error
     for sc in scenarios:
         if sc.start + cfg.detection_delay <= t < sc.end:
-            remaining = sc.end - t
-            if cfg.remaining_time_error > 0:
-                # Integer seed (tuple seeding is deprecated); the shift keeps
-                # (seed, t) pairs distinct for any t below ~2 years in ns.
-                rng = random.Random((cfg.rng_seed << 56) + round(t * _NS))
-                u = rng.uniform(-cfg.remaining_time_error, cfg.remaining_time_error)
-                remaining = max(remaining * (1.0 + u), 0.0)
-            return AttackInfo(
-                ongoing=True,
-                accuracy=cfg.reported_accuracy,
-                elapsed=t - sc.start,
-                remaining=remaining,
-            )
+            # Integer seed (tuple seeding is deprecated); the shift keeps
+            # (seed, t) pairs distinct for any t below ~2 years in ns.
+            key = (cfg.rng_seed << 56) + round(t * _NS) if err > 0 else 0
+            return AttackInfo(True, cfg.reported_accuracy, t - sc.start, sc.end - t, err, key)
     return idle_report(cfg)

@@ -14,12 +14,12 @@ Each slot of length dt advances the world in a fixed order:
    transactionally when its buffer collapses.
 
 step() is the one-slot reference.  run() calls it only on slots where the
-policy's inputs can change; on idle stretches in between (no task running or
-pending, no release, reset or detector window edge due, profile and weights
-unchanged) it skips the policy and repeats the rest of the slot with the same
-float operations in the same order, so its output is that of step() on every
-slot.  overhead_invocations still counts every slot, as the modelled device
-decides on each one.
+policy's inputs can change; on quiet stretches in between (no task running
+or passing the readiness rule, no release, reset or detector window edge
+due, profile and weights unchanged) it skips the policy and repeats the rest
+of the slot with the same float operations in the same order, so its output
+is that of step() on every slot.  overhead_invocations still counts every
+slot, as the modelled device decides on each one.
 
 The engine keeps an explicit energy ledger (charged, drained, withdrawn,
 spilled) so that tests can check conservation, and records every discrete
@@ -60,8 +60,10 @@ from .policy import (
     SchedulerState,
     TaskState,
     allocate_harvest,
+    any_ready,
     init_scheduler,
     policy_step,
+    released_tasks,
     select_profile,
 )
 from .traces import AttackScenario, EnergyTrace, validate_scenarios
@@ -242,6 +244,7 @@ class SimState:
     n_windows: int = 0
     wptr: int = 0
     idle_info: AttackInfo = NO_ATTACK
+    report: AttackInfo | None = None  # slot i's report, handed over by _quiet_span
     prev_ongoing: bool = False
     prev_weights: tuple = ()
     buffer_constants: tuple = ()  # energy.slot_constants() per buffer
@@ -426,7 +429,8 @@ def step(sim: SimState) -> None:
         wptr += 1
         sim.wptr = wptr
     if wptr < n_win and t >= windows[wptr][0]:
-        true_info = detect(t, (windows[wptr][2],), sim.config.detector)
+        true_info = sim.report or detect(t, (windows[wptr][2],), sim.config.detector)
+        sim.report = None
     else:
         true_info = sim.idle_info
     if true_info.ongoing != sim.prev_ongoing:
@@ -495,26 +499,31 @@ def step(sim: SimState) -> None:
             else:
                 _abort_task(sim, tid, t, "withdrawal")
 
-    # post-attack recovery watches
     if sim.watches:
-        done = []
-        for watch in sim.watches:
-            end, seen = watch
-            for b, names in sim.comp_names:
-                cap = caps[b]
-                if cap.voltage >= cap.v_on:
-                    for name in names:
-                        if name not in seen:
-                            seen[name] = t - end
-            if len(seen) == sim.n_components:
-                log.add(t, "recovered", end)
-                done.append(watch)
-        for watch in done:
-            sim.watches.remove(watch)
-            sim.log.totals.setdefault("latency_records", []).append(watch)
-
+        _watch(sim, t)
     _tally(sim, i, t, -1 if tid is None else sim.task_index[tid])
     sim.i = i + 1
+
+
+def _watch(sim: SimState, t: float) -> None:
+    """Post-attack recovery watches: note each component back at or above
+    v_on in slot t, and close the watches that have seen every component."""
+    caps = sim.bank.capacitors
+    done = []
+    for watch in sim.watches:
+        end, seen = watch
+        for b, names in sim.comp_names:
+            cap = caps[b]
+            if cap.voltage >= cap.v_on:
+                for name in names:
+                    if name not in seen:
+                        seen[name] = t - end
+        if len(seen) == sim.n_components:
+            sim.log.add(t, "recovered", end)
+            done.append(watch)
+    for watch in done:
+        sim.watches.remove(watch)
+        sim.log.totals.setdefault("latency_records", []).append(watch)
 
 
 def _tally(sim: SimState, i: int, t: float, running: int) -> None:
@@ -536,48 +545,59 @@ def _tally(sim: SimState, i: int, t: float, running: int) -> None:
         log.timeline_running[r] = running
 
 
-def _idle_span(sim: SimState) -> None:
-    """Advance over the idle slots ahead without running the policy.
+def _quiet_span(sim: SimState) -> None:
+    """Advance over the quiet slots ahead without running the policy.
 
-    A span starts only when no task runs, no active task is pending, every
-    task is Blocked and no recovery watch is open.  On such a slot
-    policy_step fires nothing, changes no task state and starts nothing, so
-    only its profile and harvest shares are left to compute.  The span
-    does the rest of step's work in step's order and with the same float
-    operations: the decision-cost drain, slot_update with the shares, and
-    _tally.  It stops before the first slot where one of these holds: a
-    release is due, the equal-budget reset is due, a detector window opens
-    or closes, the profile would change, or the weights would.  Blind
-    policies may stay inside a window whose onset they have logged.  Every
-    slot of a span still counts as a policy invocation.
+    A span starts only when no task runs and every task is Blocked.  On a
+    slot of it policy_step fires nothing, changes no task state and starts
+    nothing, so only its profile and harvest shares are left to compute.
+    The span does the rest of step's work in step's order and with the same
+    float operations: the decision-cost drain, slot_update with the shares,
+    the recovery watches and _tally.  It stops before the first slot where
+    one of these holds: a release is due, the equal-budget reset is due, a
+    detector window opens or closes, a released task passes the readiness
+    rule (policy.any_ready), the profile would change, or the weights
+    would.  Before a window's onset is logged every policy stops at its
+    first slot.  After it, eam reads each slot's report; when a wake-up or a
+    profile change stops the span, step gets that slot's report, so the
+    slot draws its noise at most once.  Every slot of a span still counts
+    as a policy invocation.
     """
     sched = sim.sched
-    if sched.executing is not None or sim.watches:
+    if sched.executing is not None:
         return
-    pending = sched.pending
-    for tid in sched.active:
-        if pending[tid]:
-            return
     for state in sched.states.values():
         if state is not TaskState.BLOCKED:
             return
     limit = min(sched._next_fire, sim.reset_at)
+    reported = False
     if sim.wptr < sim.n_windows:
-        first, end, _ = sim.det_windows[sim.wptr]
-        if not (sim.detector_blind and sim.prev_ongoing):
+        first, end, attack = sim.det_windows[sim.wptr]
+        if sim.prev_ongoing:
+            reported = not sim.detector_blind
+        else:
             limit = min(limit, first)
         limit = min(limit, end)
-    i = i0 = sim.i
+    waiting = released_tasks(sched, sim.queues)
+    watches = sim.watches
+    i0 = sim.i
     n, dt, powers = sim.n_slots, sim.dt, sim.powers
-    app, bank, params, idle = sim.app, sim.bank, sim.params, sim.idle_info
+    app, bank, params, info = sim.app, sim.bank, sim.params, sim.idle_info
     caps, constants, ledger = bank.capacitors, sim.buffer_constants, sim.ledger
     profile_fn, allocate_fn, profile = sim.profile_fn, sim.allocate_fn, sched.profile
     cost = params.decision_cost
     drained = sim.decision_drained
     last_power, shares = None, ()
-    while i < n:
+    for i in range(i0, n):
         t = i * dt
-        if t >= limit or profile_fn(idle, total_energy(bank), params) is not profile:
+        if t >= limit:
+            break
+        if reported:
+            info = detect(t, (attack,), sim.config.detector)
+        woken = waiting and any_ready(waiting, bank, info)
+        if woken or profile_fn(info, total_energy(bank), params) is not profile:
+            if reported:
+                sim.report = info
             break
         power = powers[i]
         if power != last_power:
@@ -587,8 +607,11 @@ def _idle_span(sim: SimState) -> None:
             last_power = power
         drained += drain(caps[0], cost)
         slot_update(caps, constants, shares, dt, ledger)
+        if watches:
+            _watch(sim, t)
         _tally(sim, i, t, -1)
-        i += 1
+    else:
+        i = n
     sim.overhead_invocations += i - i0
     sim.decision_drained = drained
     sim.i = i
@@ -636,13 +659,13 @@ def _finalize(sim: SimState) -> tuple[MetricsReport, EventLog]:
 def run(config: SimConfig) -> tuple[MetricsReport, EventLog]:
     """Simulate the whole horizon and return (metrics, event log).
 
-    The result is that of calling step() on every slot; idle stretches run
-    through _idle_span instead."""
+    The result is that of calling step() on every slot; quiet stretches run
+    through _quiet_span instead."""
     sim = init_sim(config)
     n = sim.n_slots
     while sim.i < n:
         step(sim)
-        _idle_span(sim)
+        _quiet_span(sim)
     return _finalize(sim)
 
 

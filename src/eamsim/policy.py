@@ -118,7 +118,7 @@ def select_profile(info: AttackInfo, total: float, params: PolicyParams) -> Prof
     if attack and params.accuracy_gate and not info.accuracy > params.accuracy_threshold:
         attack = False  # detector not trusted; fall back to energy rules
     if attack:
-        return Profile.LA if info.remaining > params.alpha else Profile.SA
+        return Profile.LA if info.remaining_exceeds(params.alpha) else Profile.SA
     if total > params.omega1:
         return Profile.NML
     if total < params.omega0:
@@ -156,6 +156,36 @@ def init_scheduler(spec: AppSpec, profile: Profile, now: float = 0.0) -> Schedul
     return state
 
 
+def released_tasks(state: SchedulerState, queues: dict) -> list[tuple]:
+    """(task id, buffer, cost, period) of each task set_task_states judges:
+    not running, active, released and with its inputs.  Any other task stays
+    Blocked until a release, a profile change or a finish."""
+    pending, periods = state.pending, state.periods
+    return [
+        (tid, buf, cost, periods[tid])
+        for tid, buf, cost, edges in state._task_info
+        if tid != state.executing and tid in periods and pending[tid]
+        and (not edges or any(queues[edge] for edge in edges))
+    ]
+
+
+def is_ready(task: tuple, bank: CapacitorBank, info: AttackInfo) -> bool:
+    """The readiness rule for a released task: its buffer funds the whole
+    execution, and under a reported attack the attack outlasts its period."""
+    _, buf, cost, period = task
+    usable = usable_energy(bank.capacitors[buf])
+    if info.ongoing:
+        return usable > cost and info.remaining_exceeds(period)
+    return usable >= cost
+
+
+def any_ready(tasks: list, bank: CapacitorBank, info: AttackInfo) -> bool:
+    for task in tasks:
+        if is_ready(task, bank, info):
+            return True
+    return False
+
+
 def set_task_states(
     state: SchedulerState,
     bank: CapacitorBank,
@@ -163,43 +193,17 @@ def set_task_states(
     queues: dict,
 ) -> list[tuple[str, TaskState, TaskState]]:
     """Re-classify every non-running task; returns the observed transitions."""
-    caps = bank.capacitors
+    ready = {t[0] for t in released_tasks(state, queues) if is_ready(t, bank, info)}
     transitions: list[tuple[str, TaskState, TaskState]] = []
-    n_ready = 0
     states = state.states
-    pending = state.pending
-    periods = state.periods
-    rates = state.rates
-    executing = state.executing
-    ongoing = info.ongoing
-    remaining = info.remaining
-    st_ready = TaskState.READY
-    st_blocked = TaskState.BLOCKED
-    for tid, buf, cost, pred_edges in state._task_info:
-        if executing is not None and tid == executing:
+    for tid, old in states.items():
+        if tid == state.executing:
             continue
-        ready = False
-        if tid in rates and pending[tid]:
-            released = not pred_edges
-            if not released:
-                for edge in pred_edges:
-                    if queues[edge]:
-                        released = True
-                        break
-            if released:
-                usable = usable_energy(caps[buf])
-                if ongoing:
-                    ready = remaining > periods[tid] and usable > cost
-                else:
-                    ready = usable >= cost
-        target = st_ready if ready else st_blocked
-        old = states[tid]
-        if old is not target:
-            states[tid] = target
-            transitions.append((tid, old, target))
-        if ready:
-            n_ready += 1
-    state._scan_ready = n_ready
+        new = TaskState.READY if tid in ready else TaskState.BLOCKED
+        if old is not new:
+            states[tid] = new
+            transitions.append((tid, old, new))
+    state._scan_ready = len(ready)
     return transitions
 
 

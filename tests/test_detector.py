@@ -1,5 +1,8 @@
 """Attack detector: windowing, delay, remaining-time noise."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,6 +63,49 @@ def test_noisy_remaining_stays_in_band(t):
     assert info.ongoing
     assert 0.0 <= info.remaining <= true_remaining * 1.5 + 1e-9
     assert info.remaining >= true_remaining * 0.5 - 1e-9
+
+
+@st.composite
+def threshold_cases(draw):
+    """A report inside WINDOW and a threshold x near one end of its noise
+    band, or at its drawn estimate, a few ulps either way."""
+    t = draw(st.floats(min_value=100.0, max_value=150.0, exclude_max=True))
+    err = draw(st.one_of(
+        st.just(0.0),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.floats(min_value=1.0, max_value=10.0, exclude_min=True),
+    ))
+    cfg = DetectorConfig(remaining_time_error=err, rng_seed=draw(st.integers(0, 1 << 16)))
+    r = 150.0 - t
+    x = draw(st.sampled_from([r * (1.0 - err), r * (1.0 + err), detect(t, WINDOW, cfg).remaining]))
+    steps = draw(st.integers(-3, 3))
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return t, cfg, x
+
+
+@given(threshold_cases())
+def test_remaining_exceeds_agrees_with_the_drawn_estimate(case):
+    t, cfg, x = case
+    assert detect(t, WINDOW, cfg).remaining_exceeds(x) == (detect(t, WINDOW, cfg).remaining > x)
+
+
+def test_threshold_tests_outside_the_band_draw_no_noise(monkeypatch):
+    made = []
+
+    class CountedRandom(random.Random):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", CountedRandom)
+    cfg = DetectorConfig(remaining_time_error=0.2, rng_seed=3)
+    info = detect(120.0, WINDOW, cfg)  # true remainder 30 s: band [24, 36]
+    assert info.remaining_exceeds(23.0) and not info.remaining_exceeds(37.0)
+    assert made == []
+    assert info.remaining_exceeds(30.0) == (info.remaining > 30.0)
+    assert len(made) == 1  # drawn once, then kept
+    assert 24.0 <= info.remaining <= 36.0
 
 
 def test_multiple_windows_pick_the_right_one():

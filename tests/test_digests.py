@@ -31,7 +31,7 @@ from pathlib import Path
 import pytest
 
 from eamsim.cli import main
-from conftest import CONFIGS
+from conftest import CONFIGS, NOISY_HVAC
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 ARTIFACTS = ("metrics.csv", "events.log", "timeline.csv")
@@ -69,14 +69,7 @@ CASES = [(c, p, m) for c in sorted(SHORTEN) for p in POLICIES for m in MODES]
 # with their overrides.
 FULL = "hvac_attack.yaml"
 FULL_CASES = [(p, m) for p in POLICIES for m in MODES]
-VARIANTS = {
-    "full": (),
-    "noisy": SHORTEN[FULL] + (
-        "detector.detection_delay_s=1.5",
-        "detector.remaining_time_error=0.35",
-        "sim.timeline_stride=1",
-    ),
-}
+VARIANTS = {"full": (), "noisy": NOISY_HVAC}
 
 
 def test_shorten_table_covers_every_bundled_config():

@@ -1,13 +1,14 @@
 """Simulation engine: slot loop, energy ledger, events, metrics."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 import eamsim.engine as engine
 from eamsim.apps import AppSpec, Profile, TaskSpec, builtin_app
-from eamsim.config import build_sim_config, load_config
+from eamsim.config import apply_overrides, build_sim_config, load_config
 from eamsim.detector import DetectorConfig
 from eamsim.energy import (
     Capacitor,
@@ -28,7 +29,7 @@ from eamsim.engine import (
 from eamsim.engine import SimConfig
 from eamsim.policy import PolicyParams
 from eamsim.traces import AttackScenario, synthesize_trace
-from conftest import CONFIGS
+from conftest import CONFIGS, NOISY_HVAC
 
 ALL_RATES = {p: 30.0 for p in Profile}
 
@@ -391,6 +392,35 @@ def test_run_invokes_the_policy_only_at_decision_points(monkeypatch):
     assert n_slots == 720_000
     assert calls[0] <= 0.03 * n_slots
     # The modelled device still decides, and pays, on every slot.
+    assert report.overhead_invocations == n_slots
+
+
+def test_run_skips_the_policy_inside_a_noisy_reported_attack(monkeypatch):
+    """With a late, noisy detector, eam's quiet spans cover the reported
+    attack and the slots whose tasks wait for energy, and the detector draws
+    its noise only where a threshold lies inside the noise band."""
+    config = build_sim_config(apply_overrides(load_config(CONFIGS / "hvac_attack.yaml"),
+                                              list(NOISY_HVAC)))
+    calls, draws = [0], [0]
+    policy_step = engine.policy_step
+
+    def counted(*args):
+        calls[0] += 1
+        return policy_step(*args)
+
+    class CountedRandom(random.Random):
+        def __init__(self, *args):
+            draws[0] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine, "policy_step", counted)
+    monkeypatch.setattr(random, "Random", CountedRandom)
+    report, log = run(config)
+    n_slots = log.totals["n_slots"]
+    assert n_slots == 120_000
+    assert len(log.of_kind("profile")) == 980  # the estimates do cross alpha
+    assert calls[0] <= 0.02 * n_slots
+    assert 0 < draws[0] <= 4_000
     assert report.overhead_invocations == n_slots
 
 
