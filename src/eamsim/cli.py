@@ -62,20 +62,15 @@ def _timeline_lines(log, app):
     v = log.timeline_v
     if v is None:
         return
-    n_bufs = v.shape[1]
-    header = ["time_s"] + [f"v{b}_volts" for b in range(n_bufs)] + ["profile", "running"]
+    header = ["time_s"] + [f"v{b}_volts" for b in range(v.shape[1])] + ["profile", "running"]
     yield ",".join(header)
-    t = log.timeline_t
-    prof = log.timeline_profile
-    running = log.timeline_running
-    task_ids = [task.id for task in app.tasks]
-    for r in range(len(t)):
-        parts = [repr(float(t[r]))]
-        parts += [repr(float(v[r, b])) for b in range(n_bufs)]
-        parts.append(PROFILE_ORDER[prof[r]].value)
-        k = running[r]
-        parts.append(task_ids[k] if k >= 0 else "")
-        yield ",".join(parts)
+    profiles = [p.value for p in PROFILE_ORDER]
+    task_ids = [task.id for task in app.tasks] + [""]  # running -1: no task
+    columns = (log.timeline_t, v, log.timeline_profile, log.timeline_running)
+    for lo in range(0, len(v), 1024):  # rows to Python values a block at a time
+        block = (column[lo : lo + 1024].tolist() for column in columns)
+        for t, volts, prof, k in zip(*block):
+            yield ",".join([repr(t), *map(repr, volts), profiles[prof], task_ids[k]])
 
 
 def _metrics_lines(report: MetricsReport):

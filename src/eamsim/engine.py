@@ -18,8 +18,11 @@ policy's inputs can change; on quiet stretches in between (no task running
 or passing the readiness rule, no release, reset or detector window edge
 due, profile and weights unchanged) it skips the policy and repeats the rest
 of the slot with the same float operations in the same order, so its output
-is that of step() on every slot.  overhead_invocations still counts every
-slot, as the modelled device decides on each one.
+is that of step() on every slot.  Where a quiet slot leaves every buffer
+voltage bit-identical, the slots after it under the same power repeat it, so
+run() only advances the ledger sums (addend by addend, as step() would),
+availability counts and timeline rows over them.  overhead_invocations still
+counts every slot, as the modelled device decides on each one.
 
 The engine keeps an explicit energy ledger (charged, drained, withdrawn,
 spilled) so that tests can check conservation, and records every discrete
@@ -232,6 +235,7 @@ class SimState:
     sched: SchedulerState
     log: EventLog
     powers: list  # W per slot
+    power_edges: np.ndarray  # slots whose power differs from the slot before
     n_slots: int
     dt: float
     i: int = 0
@@ -275,14 +279,17 @@ class SimState:
     task_index: dict = field(default_factory=dict)  # task id -> timeline "running" code
 
 
-def _slot_powers(config: SimConfig, n_slots: int) -> list:
-    """Per-slot harvested power; attacks silence the harvester outright."""
+def _slot_powers(config: SimConfig, n_slots: int) -> tuple[list, np.ndarray]:
+    """Per-slot harvested power, attacks silencing the harvester outright,
+    and the slots whose power differs from the slot before."""
     t = np.arange(n_slots) * config.dt
     idx = np.searchsorted(config.trace.times, t, side="right") - 1
     v = config.trace.voltages[idx].copy()
     for sc in config.attacks:
         v[(t >= sc.start) & (t < sc.end)] = 0.0
-    return (v * v / config.trace.load_resistance).tolist()
+    power = v * v / config.trace.load_resistance
+    edges = np.flatnonzero(power[1:] != power[:-1]) + 1  # before the list: a lower peak
+    return power.tolist(), edges
 
 
 def init_sim(config: SimConfig) -> SimState:
@@ -306,6 +313,7 @@ def init_sim(config: SimConfig) -> SimState:
     stride = config.timeline_stride
     rows = (n_slots + stride - 1) // stride if stride > 0 else 0
     m = len(bank)
+    powers, power_edges = _slot_powers(config, n_slots)
     sim = SimState(
         config=config,
         app=app,
@@ -314,7 +322,8 @@ def init_sim(config: SimConfig) -> SimState:
         queues=queues,
         sched=sched,
         log=EventLog(),
-        powers=_slot_powers(config, n_slots),
+        powers=powers,
+        power_edges=power_edges,
         n_slots=n_slots,
         dt=config.dt,
         profile_fn=profile_fn,
@@ -562,6 +571,13 @@ def _quiet_span(sim: SimState) -> None:
     profile change stops the span, step gets that slot's report, so the
     slot draws its noise at most once.  Every slot of a span still counts
     as a policy invocation.
+
+    Outside a reported attack a slot that leaves every buffer voltage
+    bit-identical (compared once slot_update's bank energy repeats) is a
+    fixed point: each later slot under the same power has the same inputs,
+    so it repeats that slot's float operations and passes the same checks,
+    and open recovery watches, which saw these voltages, stay inert.  _hold
+    replays such stretches, advancing only the sums, counts and timeline.
     """
     sched = sim.sched
     if sched.executing is not None:
@@ -580,7 +596,7 @@ def _quiet_span(sim: SimState) -> None:
         limit = min(limit, end)
     waiting = released_tasks(sched, sim.queues)
     watches = sim.watches
-    i0 = sim.i
+    i0 = i = sim.i
     n, dt, powers = sim.n_slots, sim.dt, sim.powers
     app, bank, params, info = sim.app, sim.bank, sim.params, sim.idle_info
     caps, constants, ledger = bank.capacitors, sim.buffer_constants, sim.ledger
@@ -588,7 +604,8 @@ def _quiet_span(sim: SimState) -> None:
     cost = params.decision_cost
     drained = sim.decision_drained
     last_power, shares = None, ()
-    for i in range(i0, n):
+    last_total, held = None, None
+    while i < n:
         t = i * dt
         if t >= limit:
             break
@@ -606,15 +623,63 @@ def _quiet_span(sim: SimState) -> None:
                 break
             last_power = power
         drained += drain(caps[0], cost)
-        slot_update(caps, constants, shares, dt, ledger)
+        total = slot_update(caps, constants, shares, dt, ledger)
         if watches:
             _watch(sim, t)
         _tally(sim, i, t, -1)
-    else:
-        i = n
+        i += 1
+        if total != last_total or reported:
+            last_total, held = total, None
+            continue
+        volts = [cap.voltage for cap in caps]
+        if volts == held:  # slot i - 1 left the bank as it found it
+            i, drained = _hold(sim, i, limit, shares, drained)
+        held = volts
     sim.overhead_invocations += i - i0
     sim.decision_drained = drained
     sim.i = i
+
+
+def _hold(sim: SimState, i: int, limit: float, shares: tuple, drained: float):
+    """Replay slots i, i + 1, ... as repeats of slot i - 1, which left every
+    buffer as it found it: up to the next power change, for at most 1024
+    slots (bounding the arrays), and short of limit and the horizon by a
+    slot or two, which the span's own loop then checks.  Returns the first
+    slot not replayed and the new decision_drained sum."""
+    n, dt, edges = sim.n_slots, sim.dt, sim.power_edges
+    e = int(np.searchsorted(edges, i))
+    edge = int(edges[e]) if e < len(edges) else n
+    k = min(edge, i + 1024, int(min(limit, n * dt) / dt) - 1) - i
+    if k <= 0:
+        return i, drained
+    # One slot's addends come from the energy functions run on copies of
+    # the buffers with zero ledgers (0.0 + x is exact).  Rows: charged,
+    # sigma drain and spilled per buffer, then the decision drain padded
+    # with zeros (adding 0.0 leaves these non-negative sums as they are).
+    # The k slots add them one float at a time, in order: np.cumsum adds
+    # sequentially, where np.sum would add pairwise.
+    caps = sim.bank.capacitors
+    twins = [copy.copy(cap) for cap in caps]
+    taken = drain(twins[0], sim.params.decision_cost)
+    parts = [[0.0, 0.0, 0.0] for _ in caps]
+    for twin, constants, share, part in zip(twins, sim.buffer_constants, shares, parts):
+        slot_update((twin,), (constants,), (share,), dt, part)
+    sums = np.empty((4, k * len(caps) + 1))
+    sums[:, 0] = [*sim.ledger, drained]
+    sums[:, 1:] = np.tile([*zip(*parts), [taken] + [0.0] * (len(caps) - 1)], k)
+    *ledger, drained = np.cumsum(sums, axis=1)[:, -1].tolist()
+    sim.ledger[:] = ledger
+    for b, cap in enumerate(caps):
+        if cap.voltage >= cap.v_on:
+            sim.avail_counts[b] += k
+    stride = sim.config.timeline_stride
+    if stride > 0:
+        r0, r1 = -(-i // stride), -(-(i + k) // stride)
+        sim.log.timeline_t[r0:r1] = np.arange(r0 * stride, r1 * stride, stride) * dt
+        sim.log.timeline_v[r0:r1] = [cap.voltage for cap in caps]
+        sim.log.timeline_profile[r0:r1] = _PROFILE_INDEX[sim.sched.profile]
+        sim.log.timeline_running[r0:r1] = -1
+    return i + k, drained
 
 
 def _finalize(sim: SimState) -> tuple[MetricsReport, EventLog]:

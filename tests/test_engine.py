@@ -395,6 +395,32 @@ def test_run_invokes_the_policy_only_at_decision_points(monkeypatch):
     assert report.overhead_invocations == n_slots
 
 
+def test_run_replays_the_slots_that_leave_the_bank_unchanged(monkeypatch):
+    """On the one-hour hvac run the bank sits at its v_max ceiling for most
+    slots; run replays their ledger sums instead of integrating the buffers
+    and tallying them one slot at a time."""
+    calls = {"slot_update": 0, "_tally": 0}
+
+    def counting(name):
+        inner = getattr(engine, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(engine, name, counting(name))
+    report, log = run(build_sim_config(load_config(CONFIGS / "hvac_attack.yaml")))
+    n_slots = log.totals["n_slots"]
+    assert n_slots == 720_000
+    assert calls["slot_update"] <= 0.2 * n_slots
+    assert calls["_tally"] <= 0.2 * n_slots
+    assert report.overhead_invocations == n_slots
+    assert abs(residual(log)) < 1e-9
+
+
 def test_run_skips_the_policy_inside_a_noisy_reported_attack(monkeypatch):
     """With a late, noisy detector, eam's quiet spans cover the reported
     attack and the slots whose tasks wait for energy, and the detector draws

@@ -1,7 +1,8 @@
 """Property tests over random valid configurations: every run finishes, its
 energy ledger balances, the MCU runs at most one task, and every task start
-was funded by its buffer; engine.run, which skips the policy on idle slots,
-gives exactly what stepping every slot gives."""
+was funded by its buffer; engine.run, which skips the policy on quiet slots
+and replays the slots that repeat an exact fixed point, gives exactly what
+stepping every slot gives."""
 
 import dataclasses
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from eamsim.apps import AppSpec, Profile, TaskSpec
 from eamsim.detector import DetectorConfig
 from eamsim.energy import Capacitor, CapacitorBank, Component, energy_at
+import eamsim.engine as engine
 from eamsim.engine import SimConfig, _finalize, init_sim, run, step, validate_config
 from eamsim.policy import PolicyParams
 from eamsim.traces import AttackScenario, synthesize_trace
@@ -35,11 +37,14 @@ def capacitors(draw):
     )
 
 
+RATES = (0.0, 360.0, 1800.0, 7200.0, 36000.0)  # per hour
+
+
 @st.composite
-def chains(draw, n_buffers):
+def chains(draw, n_buffers, rates=RATES):
     """A chain T0 -> T1 -> ... of one to four tasks."""
     n = draw(st.integers(1, 4))
-    rate = st.sampled_from([0.0, 360.0, 1800.0, 7200.0, 36000.0])
+    rate = st.sampled_from(rates)
     tasks = tuple(
         TaskSpec(
             id=f"T{k}",
@@ -141,9 +146,7 @@ def test_random_valid_configs_balance_and_schedule_soundly(config):
             running = None
 
 
-@given(sim_configs(), st.sampled_from([0, 1, 7]))
-def test_run_matches_stepping_every_slot(config, stride):
-    config = dataclasses.replace(config, timeline_stride=stride)
+def assert_run_matches_steps(config):
     _, fast = run(config)
     sim = init_sim(config)
     while sim.i < sim.n_slots:
@@ -157,3 +160,85 @@ def test_run_matches_stepping_every_slot(config, stride):
         assert (a is None) == (b is None), name
         if a is not None:
             assert a.tobytes() == b.tobytes(), name
+
+
+@given(sim_configs(), st.sampled_from([0, 1, 7]))
+def test_run_matches_stepping_every_slot(config, stride):
+    assert_run_matches_steps(dataclasses.replace(config, timeline_stride=stride))
+
+
+@st.composite
+def fixed_point_configs(draw):
+    """(kind, config): sim_configs pushed towards an exact fixed point of the
+    slot.  Tasks run at most every 10 s.  "full": every buffer starts at
+    v_max, leaks little or nothing, pays a small decision cost and harvests
+    a constant or step trace, so it spills back to its ceiling.  "empty":
+    every buffer starts empty and an attack silences the harvester from
+    t = 0, so nothing charges, leaks or drains; eam is drawn too, as it must
+    not replay slots once the attack is reported."""
+    config = draw(sim_configs())
+    kind = draw(st.sampled_from(["full", "empty"]))
+    bank = CapacitorBank(
+        capacitors=[
+            dataclasses.replace(
+                cap,
+                voltage=cap.v_max if kind == "full" else 0.0,
+                drain_fraction=draw(st.sampled_from([0.0, 1e-7])),
+            )
+            for cap in config.bank.capacitors
+        ],
+        component_map=config.bank.component_map,
+    )
+    app = draw(chains(len(bank), rates=RATES[:2]))
+    if kind == "full":
+        trace = synthesize_trace(
+            draw(st.sampled_from(["constant", "step"])),
+            amplitude=draw(st.floats(2.0, 4.0)),
+            length=HORIZON,
+            interval=draw(st.sampled_from([0.1, 1.0])),
+            period=draw(st.floats(1.0, 30.0)),
+        )
+        return kind, dataclasses.replace(
+            config,
+            bank=bank,
+            trace=trace,
+            app=app,
+            params=dataclasses.replace(config.params, decision_cost=draw(st.floats(0.0, 1e-8))),
+            equal_budget=False,
+        )
+    attack = AttackScenario(0.0, draw(st.floats(1.0, HORIZON)), "long", "dark")
+    return kind, dataclasses.replace(
+        config,
+        bank=bank,
+        app=app,
+        attacks=[attack],
+        policy=draw(st.sampled_from(["fh", "central", "eam"])),
+        equal_budget=False,
+    )
+
+
+def test_run_matches_stepping_through_exact_fixed_points(monkeypatch):
+    """At least two in three runs of each kind reach a slot that leaves the
+    bank bit-identical, and run replays slots after it; run still gives
+    what stepping every slot gives."""
+    reached = {"full": [], "empty": []}
+    replayed = [0]
+    hold = engine._hold
+
+    def counted(sim, i, *args):
+        out = hold(sim, i, *args)
+        replayed[0] += out[0] - i
+        return out
+
+    monkeypatch.setattr(engine, "_hold", counted)
+
+    @given(fixed_point_configs(), st.sampled_from([0, 1, 7]))
+    def check(drawn, stride):
+        kind, config = drawn
+        replayed[0] = 0
+        assert_run_matches_steps(dataclasses.replace(config, timeline_stride=stride))
+        reached[kind].append(replayed[0] > 0)
+
+    check()
+    for kind, runs in reached.items():
+        assert 3 * sum(runs) >= 2 * len(runs), (kind, sum(runs), len(runs))
