@@ -39,14 +39,10 @@ def fh_capacity_fractions(bank: CapacitorBank) -> tuple[float, ...]:
 def fixed_split(fractions: tuple[float, ...]):
     """Allocation hook splitting the harvest by the same fractions every slot,
     whatever the scheduler state: fh_capacity_fractions of the run's bank,
-    which for the central policy's one-buffer bank is (1.0,).  The shares of
-    the last power seen are kept, as the trace holds each level many slots."""
-    last = [None, ()]  # power, its shares
+    which for the central policy's one-buffer bank is (1.0,)."""
 
     def allocate(state, spec, bank, power, params):
-        if power != last[0]:
-            last[:] = power, split_power(power, fractions)
-        return fractions, last[1]
+        return fractions, split_power(power, fractions)
 
     return allocate
 

@@ -60,8 +60,6 @@ def _write_atomic(path: Path, lines) -> None:
 
 def _timeline_lines(log, app):
     v = log.timeline_v
-    if v is None:
-        return
     header = ["time_s"] + [f"v{b}_volts" for b in range(v.shape[1])] + ["profile", "running"]
     yield ",".join(header)
     profiles = [p.value for p in PROFILE_ORDER]
@@ -102,9 +100,8 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_atomic(out / "metrics.csv", _metrics_lines(report))
     _write_atomic(out / "events.log", log.export_lines())
-    timeline = list(_timeline_lines(log, config.app))
-    if timeline:
-        _write_atomic(out / "timeline.csv", timeline)
+    if log.timeline_v is not None:
+        _write_atomic(out / "timeline.csv", _timeline_lines(log, config.app))
     _print_summary(report)
     return 0
 

@@ -2,8 +2,10 @@
 
 Each slot of length dt advances the world in a fixed order:
 
-1. harvested power for the slot is read from the trace, forced to zero
-   inside any attack window (the harvester is dead during an attack);
+1. harvested power for the slot is read from its run: init_sim samples the
+   trace once per slot, forces the power to zero inside any attack window
+   (the harvester is dead during an attack) and keeps each stretch of equal
+   power as one run, its end slot and its power;
 2. the detector is consulted (the mitigation policy sees its report,
    baselines never do);
 3. the policy runs: profile selection, release firing, task classification,
@@ -234,11 +236,12 @@ class SimState:
     queues: dict
     sched: SchedulerState
     log: EventLog
-    powers: list  # W per slot
-    power_edges: np.ndarray  # slots whose power differs from the slot before
+    run_ends: list  # per run of equal harvested power: the slot after it
+    run_powers: list  # per run: its power, W
     n_slots: int
     dt: float
     i: int = 0
+    run: int = 0  # the run of slot i - 1, or of slot i (step moves it on)
     # policy hooks
     profile_fn: object = select_profile
     allocate_fn: object = allocate_harvest
@@ -279,17 +282,17 @@ class SimState:
     task_index: dict = field(default_factory=dict)  # task id -> timeline "running" code
 
 
-def _slot_powers(config: SimConfig, n_slots: int) -> tuple[list, np.ndarray]:
-    """Per-slot harvested power, attacks silencing the harvester outright,
-    and the slots whose power differs from the slot before."""
+def _slot_powers(config: SimConfig, n_slots: int) -> tuple[list, list]:
+    """Harvested power, attacks silencing the harvester outright, as runs of
+    slots with equal power: the slot after each run, and the run's power."""
     t = np.arange(n_slots) * config.dt
     idx = np.searchsorted(config.trace.times, t, side="right") - 1
-    v = config.trace.voltages[idx].copy()
+    v = config.trace.voltages[idx]  # a copy: indexing by an array copies
     for sc in config.attacks:
         v[(t >= sc.start) & (t < sc.end)] = 0.0
     power = v * v / config.trace.load_resistance
-    edges = np.flatnonzero(power[1:] != power[:-1]) + 1  # before the list: a lower peak
-    return power.tolist(), edges
+    ends = np.append(np.flatnonzero(power[1:] != power[:-1]) + 1, n_slots)
+    return ends.tolist(), power[ends - 1].tolist()
 
 
 def init_sim(config: SimConfig) -> SimState:
@@ -313,7 +316,7 @@ def init_sim(config: SimConfig) -> SimState:
     stride = config.timeline_stride
     rows = (n_slots + stride - 1) // stride if stride > 0 else 0
     m = len(bank)
-    powers, power_edges = _slot_powers(config, n_slots)
+    run_ends, run_powers = _slot_powers(config, n_slots)
     sim = SimState(
         config=config,
         app=app,
@@ -322,8 +325,8 @@ def init_sim(config: SimConfig) -> SimState:
         queues=queues,
         sched=sched,
         log=EventLog(),
-        powers=powers,
-        power_edges=power_edges,
+        run_ends=run_ends,
+        run_powers=run_powers,
         n_slots=n_slots,
         dt=config.dt,
         profile_fn=profile_fn,
@@ -427,7 +430,9 @@ def step(sim: SimState) -> None:
         log.add(t, "budget_reset", [energy_of(c) for c in caps])
 
     # (1) harvested power, already zeroed inside attack windows
-    power = sim.powers[i]
+    if i == sim.run_ends[sim.run]:
+        sim.run += 1
+    power = sim.run_powers[sim.run]
 
     # (2) detector report (baselines are blind by construction)
     wptr = sim.wptr
@@ -597,13 +602,14 @@ def _quiet_span(sim: SimState) -> None:
     waiting = released_tasks(sched, sim.queues)
     watches = sim.watches
     i0 = i = sim.i
-    n, dt, powers = sim.n_slots, sim.dt, sim.powers
+    n, dt, r = sim.n_slots, sim.dt, sim.run
+    ends, powers = sim.run_ends, sim.run_powers
     app, bank, params, info = sim.app, sim.bank, sim.params, sim.idle_info
     caps, constants, ledger = bank.capacitors, sim.buffer_constants, sim.ledger
     profile_fn, allocate_fn, profile = sim.profile_fn, sim.allocate_fn, sched.profile
     cost = params.decision_cost
     drained = sim.decision_drained
-    last_power, shares = None, ()
+    shares = None
     last_total, held = None, None
     while i < n:
         t = i * dt
@@ -616,12 +622,12 @@ def _quiet_span(sim: SimState) -> None:
             if reported:
                 sim.report = info
             break
-        power = powers[i]
-        if power != last_power:
-            weights, shares = allocate_fn(sched, app, bank, power, params)
+        if i == ends[r]:
+            r, shares = r + 1, None
+        if shares is None:
+            weights, shares = allocate_fn(sched, app, bank, powers[r], params)
             if weights != sim.prev_weights:
                 break
-            last_power = power
         drained += drain(caps[0], cost)
         total = slot_update(caps, constants, shares, dt, ledger)
         if watches:
@@ -633,23 +639,21 @@ def _quiet_span(sim: SimState) -> None:
             continue
         volts = [cap.voltage for cap in caps]
         if volts == held:  # slot i - 1 left the bank as it found it
-            i, drained = _hold(sim, i, limit, shares, drained)
+            i, drained = _hold(sim, i, ends[r], limit, shares, drained)
         held = volts
     sim.overhead_invocations += i - i0
     sim.decision_drained = drained
-    sim.i = i
+    sim.i, sim.run = i, r
 
 
-def _hold(sim: SimState, i: int, limit: float, shares: tuple, drained: float):
+def _hold(sim: SimState, i: int, end: int, limit: float, shares: tuple, drained: float):
     """Replay slots i, i + 1, ... as repeats of slot i - 1, which left every
-    buffer as it found it: up to the next power change, for at most 1024
-    slots (bounding the arrays), and short of limit and the horizon by a
-    slot or two, which the span's own loop then checks.  Returns the first
-    slot not replayed and the new decision_drained sum."""
-    n, dt, edges = sim.n_slots, sim.dt, sim.power_edges
-    e = int(np.searchsorted(edges, i))
-    edge = int(edges[e]) if e < len(edges) else n
-    k = min(edge, i + 1024, int(min(limit, n * dt) / dt) - 1) - i
+    buffer as it found it: up to end, the end of slot i - 1's power run, for
+    at most 1024 slots (bounding the arrays), and short of limit and the
+    horizon by a slot or two, which the span's own loop then checks.  Returns
+    the first slot not replayed and the new decision_drained sum."""
+    n, dt = sim.n_slots, sim.dt
+    k = min(end, i + 1024, int(min(limit, n * dt) / dt) - 1) - i
     if k <= 0:
         return i, drained
     # One slot's addends come from the energy functions run on copies of

@@ -81,7 +81,6 @@ class SchedulerState:
 
     profile: Profile
     active: list[str]  # task ids with a positive rate, in spec order
-    rates: dict[str, float]  # per hour, for the active profile
     periods: dict[str, float]  # s, 3600 / rate
     states: dict[str, TaskState]
     pending: dict[str, bool]  # release fired and not yet served
@@ -89,15 +88,10 @@ class SchedulerState:
     executing: str | None = None
     exec_remaining: float = 0.0  # s of work left on the executing task
     exec_drawn: float = 0.0  # J already withdrawn by the executing task
-    # Lookup tables: _task_info is built from the app by init_scheduler; the
-    # active (task, buffer) pairs and the bitmask of buffers they reference
-    # are rebuilt with the active set by apply_profile.
+    # (id, buffer, cost, input edges) per task, built from the app by
+    # init_scheduler; the earliest next release, kept by fire_releases.
     _task_info: tuple = field(default=(), repr=False, compare=False)
-    _active_bufs: tuple = field(default=(), repr=False, compare=False)
-    _referenced: int = field(default=0, repr=False, compare=False)
-    _alloc_memo: tuple | None = field(default=None, repr=False, compare=False)
     _next_fire: float = field(default=-math.inf, repr=False, compare=False)
-    _scan_ready: int = field(default=-1, repr=False, compare=False)
 
 
 class PolicyDecision(NamedTuple):
@@ -142,7 +136,6 @@ def init_scheduler(spec: AppSpec, profile: Profile, now: float = 0.0) -> Schedul
     state = SchedulerState(
         profile=profile,
         active=[],
-        rates={},
         periods={},
         states={t.id: TaskState.BLOCKED for t in spec.tasks},
         pending={t.id: False for t in spec.tasks},
@@ -203,7 +196,6 @@ def set_task_states(
         if old is not new:
             states[tid] = new
             transitions.append((tid, old, new))
-    state._scan_ready = len(ready)
     return transitions
 
 
@@ -212,10 +204,6 @@ def pick_execution_task(
 ) -> str | None:
     """Dispatch the first Ready task; the MCU runs at most one task."""
     if state.executing is not None:
-        return None
-    hint = state._scan_ready
-    state._scan_ready = -1  # hint is good for one dispatch only
-    if hint == 0:
         return None
     order = state.active
     if params.edf_order:
@@ -270,27 +258,17 @@ def allocate_harvest(
     (unless no buffer is referenced at all, in which case every buffer
     weighs lambda_lo).  Shares come from split_power.
     """
-    states = state.states
-    st_ready = TaskState.READY
-    st_running = TaskState.RUNNING
-    hot_mask = 0
-    for tid, buf in state._active_bufs:
-        st = states[tid]
-        if st is st_ready or st is st_running:
-            hot_mask |= 1 << buf
-    m = len(bank.capacitors)
-    memo = state._alloc_memo
-    if (
-        memo is not None
-        and memo[0] == hot_mask
-        and memo[1] == power
-        and memo[2] is params
-        and memo[3] == m
-    ):
-        return memo[4], memo[5]
-    referenced = state._referenced or -1  # no buffer referenced: all of them
+    states, periods = state.states, state.periods
+    hot_mask = referenced = 0
+    for tid, buf, _, _ in state._task_info:
+        if tid in periods:
+            referenced |= 1 << buf
+            if states[tid] is TaskState.READY or states[tid] is TaskState.RUNNING:
+                hot_mask |= 1 << buf
+    referenced = referenced or -1  # no buffer referenced: all of them
     hi = params.lambda_hi
     lo = params.lambda_lo
+    m = len(bank.capacitors)
     weights = [0.0] * m
     for i in range(m):
         if referenced >> i & 1:
@@ -302,18 +280,13 @@ def allocate_harvest(
         weights = [1.0 if referenced >> i & 1 else 0.0 for i in range(m)]
         scale = sum(weights)
     fractions = tuple(w / scale for w in weights)
-    shares = split_power(power, fractions)
-    state._alloc_memo = (hot_mask, power, params, m, fractions, shares)
-    return fractions, shares
-
-
-_NO_FIRES: list = []
+    return fractions, split_power(power, fractions)
 
 
 def fire_releases(state: SchedulerState, now: float) -> list[str]:
     """Mark due releases pending; strictly periodic, no backlog accumulation."""
     if now < state._next_fire:
-        return _NO_FIRES
+        return []
     fired: list[str] = []
     next_release = state.next_release
     for tid in state.active:
@@ -336,7 +309,7 @@ def apply_profile(state: SchedulerState, spec: AppSpec, profile: Profile, now: f
 
     Newly enabled tasks release immediately; tasks staying active keep their
     schedule but never wait longer than one period of the new profile.
-    Excluded tasks lose any pending release.  Rebuilds the allocation tables.
+    Excluded tasks lose any pending release.
     """
     old_active = set(state.active)
     active, rates = build_active_set(spec, profile)
@@ -350,14 +323,7 @@ def apply_profile(state: SchedulerState, spec: AppSpec, profile: Profile, now: f
         state.pending[tid] = False
     state.profile = profile
     state.active = active
-    state.rates = rates
     state.periods = periods
-    state._active_bufs = tuple((t.id, t.buffer) for t in spec.tasks if t.id in rates)
-    referenced = 0
-    for _, buf in state._active_bufs:
-        referenced |= 1 << buf
-    state._referenced = referenced
-    state._alloc_memo = None
     state._next_fire = -math.inf
 
 

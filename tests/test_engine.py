@@ -1,5 +1,6 @@
 """Simulation engine: slot loop, energy ledger, events, metrics."""
 
+import bisect
 import math
 import random
 
@@ -376,6 +377,69 @@ def test_engine_buffer_integration_matches_buffer_step():
 
 
 # ------------------------------------------------------------- idle spans
+
+
+# -------------------------------------------------------------- power runs
+
+
+def per_slot_powers(config, n_slots):
+    """Harvested power sampled slot by slot, as step's order describes it:
+    the trace voltage held since the last sample at or before i * dt, zero
+    inside any attack window, then V^2 / R."""
+    times, volts = config.trace.times.tolist(), config.trace.voltages.tolist()
+    powers = []
+    for i in range(n_slots):
+        t = i * config.dt
+        v = volts[bisect.bisect_right(times, t) - 1]
+        if any(sc.start <= t < sc.end for sc in config.attacks):
+            v = 0.0
+        powers.append(v * v / config.trace.load_resistance)
+    return powers
+
+
+def expand_runs(sim):
+    powers, start = [], 0
+    for end, power in zip(sim.run_ends, sim.run_powers):
+        assert end > start
+        powers += [power] * (end - start)
+        start = end
+    return powers
+
+
+def assert_runs_match_sampling(config):
+    sim = init_sim(config)
+    expected = per_slot_powers(config, sim.n_slots)
+    assert sim.run_ends[-1] == sim.n_slots
+    assert np.array(expand_runs(sim)).tobytes() == np.array(expected).tobytes()
+    # Each run is as long as it can be: neighbours differ in power.
+    assert all(a != b for a, b in zip(sim.run_powers, sim.run_powers[1:]))
+    return sim
+
+
+def test_hvac_hour_power_is_3541_runs():
+    """The bundled attack starts and ends on trace samples."""
+    sim = assert_runs_match_sampling(
+        build_sim_config(load_config(CONFIGS / "hvac_attack.yaml")))
+    assert sim.n_slots == 720_000
+    assert len(sim.run_ends) == 3541
+
+
+def test_power_runs_with_attacks_on_and_between_trace_samples():
+    config = one_task_config(
+        trace=synthesize_trace("sinusoid", 3.0, 120.0, 1.0, period=40.0),
+        attacks=[
+            AttackScenario(start=10.0, duration=5.0, kind="short", id="on"),
+            AttackScenario(start=20.47, duration=2.25, kind="short", id="between"),
+        ],
+    )
+    assert_runs_match_sampling(config)
+
+
+def test_constant_trace_is_one_power_run():
+    config = one_task_config(trace=synthesize_trace("constant", 3.0, 120.0, 1.0))
+    sim = assert_runs_match_sampling(config)
+    assert sim.run_ends == [sim.n_slots]
+    assert sim.run_powers == [3.0 * 3.0 / config.trace.load_resistance]
 
 
 def test_run_invokes_the_policy_only_at_decision_points(monkeypatch):

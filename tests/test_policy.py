@@ -354,14 +354,14 @@ def test_allocate_zero_lambda_lo_falls_back_to_even_split():
     assert sum(sh) == pytest.approx(1e-3, rel=1e-12)
 
 
-def test_allocate_memo_is_consistent():
+def test_allocate_follows_state_and_power_changes():
     bank = make_bank()
     params = PolicyParams()
     app, state = two_buffer_state(hot0=True)
     first = allocate_harvest(state, app, bank, 1e-3, params)
-    again = allocate_harvest(state, app, bank, 1e-3, params)  # memoised path
+    again = allocate_harvest(state, app, bank, 1e-3, params)
     assert again == first
-    # Changing the hot set invalidates the memo.
+    # Changing the hot set moves the split.
     state.states["B"] = TaskState.RUNNING
     fr, _ = allocate_harvest(state, app, bank, 1e-3, params)
     assert fr == (0.5, 0.5)
