@@ -2,10 +2,12 @@
 
 Each slot of length dt advances the world in a fixed order:
 
-1. harvested power for the slot is read from its run: init_sim samples the
-   trace once per slot, forces the power to zero inside any attack window
-   (the harvester is dead during an attack) and keeps each stretch of equal
-   power as one run, its end slot and its power;
+1. harvested power for the slot is read from its run.  A slot holds the
+   trace sample last at or before its start (zero-order hold), or zero
+   inside any attack window (the harvester is dead during an attack).
+   init_sim finds the first slot each sample and attack edge reaches,
+   computes V^2 / R once per stretch between them and keeps each stretch of
+   equal power as one run, its end slot and its power;
 2. the detector is consulted (the mitigation policy sees its report,
    baselines never do);
 3. the policy runs: profile selection, release firing, task classification,
@@ -101,15 +103,23 @@ class SimConfig:
     budget_soc: float | None = None  # SOC used by the reset; None keeps initial
     label: str = ""
 
+    @property
+    def n_slots(self) -> int:
+        """Slots simulated; validate_config checks that the count is finite."""
+        return int(round(self.horizon / self.dt))
+
 
 def validate_config(config: SimConfig) -> list[str]:
     problems: list[str] = []
+    n_slots = None  # until dt and horizon are known to give a finite count
     if config.policy not in POLICY_NAMES:
         problems.append(f"unknown policy {config.policy!r}")
-    if not config.dt > 0:
-        problems.append("dt must be positive")
-    if config.horizon < config.dt:
-        problems.append("horizon must cover at least one slot")
+    if not 0 < config.dt < math.inf:
+        problems.append("dt must be positive and finite")
+    elif not (config.horizon >= config.dt and math.isfinite(config.horizon / config.dt)):
+        problems.append("horizon must be finite and cover at least one slot")
+    else:
+        n_slots = config.n_slots
     if config.queue_capacity < 1:
         problems.append("queue capacity must be >= 1")
     if config.timeline_stride < 0:
@@ -121,13 +131,13 @@ def validate_config(config: SimConfig) -> list[str]:
         validate_scenarios(config.attacks)
     except ValueError as exc:
         problems.append(str(exc))
-    lo, hi = config.trace.span
-    n_slots = int(round(config.horizon / config.dt))
-    last_t = (n_slots - 1) * config.dt
-    if lo > 0 or hi < last_t:
-        problems.append(
-            f"trace span [{lo}, {hi}] does not cover simulated time [0, {last_t}]"
-        )
+    if n_slots is not None:
+        lo, hi = config.trace.span
+        last_t = (n_slots - 1) * config.dt
+        if lo > 0 or hi < last_t:
+            problems.append(
+                f"trace span [{lo}, {hi}] does not cover simulated time [0, {last_t}]"
+            )
     return problems
 
 
@@ -282,17 +292,47 @@ class SimState:
     task_index: dict = field(default_factory=dict)  # task id -> timeline "running" code
 
 
+def _first_slots(x: np.ndarray, dt: float, n: int) -> np.ndarray:
+    """Per time in x, the first slot i in [0, n] whose start i * dt is >= it.
+
+    A ceil guess, then a step down or up by one where the float comparison a
+    slot makes with its own t = i * dt disagrees; one step suffices while the
+    slot count is far below 2**52.  The times must not be NaN."""
+    i = np.clip(np.ceil(x / dt), 0, n).astype(np.int64)
+    i -= (i > 0) & ((i - 1) * dt >= x)
+    i += (i < n) & (i * dt < x)
+    return i
+
+
 def _slot_powers(config: SimConfig, n_slots: int) -> tuple[list, list]:
     """Harvested power, attacks silencing the harvester outright, as runs of
-    slots with equal power: the slot after each run, and the run's power."""
-    t = np.arange(n_slots) * config.dt
-    idx = np.searchsorted(config.trace.times, t, side="right") - 1
-    v = config.trace.voltages[idx]  # a copy: indexing by an array copies
-    for sc in config.attacks:
-        v[(t >= sc.start) & (t < sc.end)] = 0.0
-    power = v * v / config.trace.load_resistance
-    ends = np.append(np.flatnonzero(power[1:] != power[:-1]) + 1, n_slots)
-    return ends.tolist(), power[ends - 1].tolist()
+    slots with equal power: the slot after each run, and the run's power.
+
+    Slot i holds the last trace sample at or before t = i * dt, or 0 V while
+    an attack window [start, end) holds t.  Its power can change only at the
+    first slot whose t reaches a sample time or an attack edge, so those
+    slots cut the horizon into stretches and V^2 / R is computed once per
+    stretch.  _first_slots makes the comparison t >= x that each slot would,
+    so the runs are those of sampling every slot, bit for bit, at a cost in
+    trace samples and attacks, not in slots."""
+    dt, trace = config.dt, config.trace
+    # The samples some slot holds: the last at or before t = 0 (validation
+    # puts one there) and every later one up to the last slot's t.
+    lo = int(np.searchsorted(trace.times, 0.0, side="right")) - 1
+    hi = int(np.searchsorted(trace.times, (n_slots - 1) * dt, side="right"))
+    held = _first_slots(trace.times[lo:hi], dt, n_slots)  # non-decreasing, held[0] == 0
+    edges = np.array([(sc.start, sc.end) for sc in config.attacks], dtype=float)
+    windows = _first_slots(edges.reshape(-1, 2), dt, n_slots)  # [first, after-last) slot
+    starts = np.sort(np.concatenate([held, windows.ravel()]))
+    ends = np.append(starts[1:], n_slots)
+    nonempty = starts < ends
+    starts, ends = starts[nonempty], ends[nonempty]
+    v = trace.voltages[lo + np.searchsorted(held, starts, side="right") - 1]
+    for first, after in windows.tolist():
+        v[(starts >= first) & (starts < after)] = 0.0
+    power = v * v / trace.load_resistance
+    last = np.append(power[1:] != power[:-1], True)  # the last stretch of each run
+    return ends[last].tolist(), power[last].tolist()
 
 
 def init_sim(config: SimConfig) -> SimState:
@@ -308,7 +348,7 @@ def init_sim(config: SimConfig) -> SimState:
         profile_fn, allocate_fn = select_profile, allocate_harvest
     else:
         profile_fn, allocate_fn = pin_nml, fixed_split(fh_capacity_fractions(bank))
-    n_slots = int(round(config.horizon / config.dt))
+    n_slots = config.n_slots
     queues = {edge: DataQueue(config.queue_capacity) for edge in app.edges}
     initial_profile = profile_fn(NO_ATTACK, total_energy(bank), config.params)
     sched = init_scheduler(app, initial_profile, now=0.0)

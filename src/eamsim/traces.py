@@ -36,8 +36,8 @@ class EnergyTrace:
     new instance.  The sample arrays are locked against in-place writes.
     """
 
-    times: np.ndarray  # s, strictly increasing
-    voltages: np.ndarray  # V, >= 0
+    times: np.ndarray  # s, finite, strictly increasing
+    voltages: np.ndarray  # V, finite, >= 0
     load_resistance: float  # ohm, resistor the voltage was measured across
     name: str = "trace"
 
@@ -48,12 +48,14 @@ class EnergyTrace:
             raise TraceError("times and voltages must be 1-D arrays of equal length")
         if times.size == 0:
             raise TraceError("trace must contain at least one sample")
+        if not np.all(np.isfinite(times)):
+            raise TraceError("sample times must be finite")
         if np.any(np.diff(times) <= 0):
             raise TraceError("sample times must be strictly increasing")
-        if np.any(volts < 0):
-            raise TraceError("voltages must be non-negative")
-        if not self.load_resistance > 0:
-            raise TraceError("load resistance must be positive")
+        if not np.all((volts >= 0) & (volts < np.inf)):  # NaN fails both
+            raise TraceError("voltages must be finite and non-negative")
+        if not 0 < self.load_resistance < math.inf:
+            raise TraceError("load resistance must be positive and finite")
         times.flags.writeable = False
         volts.flags.writeable = False
         object.__setattr__(self, "times", times)
@@ -83,10 +85,10 @@ class AttackScenario:
     id: str = "attack"
 
     def __post_init__(self) -> None:
-        if self.start < 0:
-            raise TraceError("attack start must be >= 0")
-        if not self.duration > 0:
-            raise TraceError("attack duration must be positive")
+        if not 0 <= self.start < math.inf:
+            raise TraceError("attack start must be finite and >= 0")
+        if not 0 < self.duration < math.inf:
+            raise TraceError("attack duration must be positive and finite")
         if self.kind not in ATTACK_KINDS:
             raise TraceError(f"attack kind must be one of {ATTACK_KINDS}")
 

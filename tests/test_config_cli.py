@@ -369,6 +369,26 @@ def test_missing_config_fails_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "override, match",
+    [
+        ("sim.horizon_s=.nan", "horizon must be finite"),
+        ("sim.horizon_s=.inf", "horizon must be finite"),
+        ("sim.dt_ms=.nan", "dt must be positive and finite"),
+        ("sim.dt_ms=.inf", "dt must be positive and finite"),
+        ("attacks.0.start_s=.nan", "attack start must be finite"),
+        ("attacks.0.duration_s=.inf", "attack duration must be positive and finite"),
+    ],
+)
+def test_run_rejects_non_finite_values_cleanly(tmp_path, capsys, override, match):
+    rc = cli.main(["run", "--config", str(CONFIGS / "hvac_attack.yaml"),
+                   "--out", str(tmp_path), "--set", override])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_seed_and_equal_budget_flags_become_overrides():
     args = cli._parser().parse_args(
         [

@@ -3,9 +3,12 @@
 import bisect
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import eamsim.engine as engine
 from eamsim.apps import AppSpec, Profile, TaskSpec, builtin_app
@@ -29,7 +32,7 @@ from eamsim.engine import (
 )
 from eamsim.engine import SimConfig
 from eamsim.policy import PolicyParams
-from eamsim.traces import AttackScenario, synthesize_trace
+from eamsim.traces import AttackScenario, EnergyTrace, synthesize_trace
 from conftest import CONFIGS, NOISY_HVAC
 
 ALL_RATES = {p: 30.0 for p in Profile}
@@ -96,6 +99,17 @@ def test_validate_config_reports_problems():
         assert needle in problems
     short = one_task_config(horizon=500.0)  # trace covers only 120 s
     assert any("span" in p for p in validate_config(short))
+
+
+@pytest.mark.parametrize(
+    "over",
+    [{"horizon": math.nan}, {"horizon": math.inf}, {"dt": math.nan}, {"dt": math.inf},
+     {"horizon": 1e300, "dt": 1e-300}],
+)
+def test_validate_config_rejects_non_finite_slot_counts(over):
+    problems = validate_config(one_task_config(**over))
+    assert len(problems) == 1
+    assert "must be positive and finite" in problems[0] or "horizon must be finite" in problems[0]
 
 
 def test_init_sim_raises_on_invalid_config():
@@ -440,6 +454,74 @@ def test_constant_trace_is_one_power_run():
     sim = assert_runs_match_sampling(config)
     assert sim.run_ends == [sim.n_slots]
     assert sim.run_powers == [3.0 * 3.0 / config.trace.load_resistance]
+
+
+@st.composite
+def sampled_power_configs(draw):
+    """A one-task config whose trace and attacks put slot boundaries on,
+    next to and between slot starts: dt does not divide the sample
+    interval, the first sample may lie before 0, attacks start on samples,
+    between them, on a slot start or at t = 0, and may run to or past the
+    horizon.  Voltages repeat so that neighbouring stretches merge."""
+    dt = draw(st.sampled_from([0.003, 0.007, 0.0123]))
+    n_slots = draw(st.integers(1, 2500))
+    horizon = n_slots * dt
+    last_t = (n_slots - 1) * dt
+    first = draw(st.sampled_from([0.0, -0.0123]) | st.floats(-1.0, 0.0))
+    if draw(st.booleans()):
+        interval = draw(st.sampled_from([0.01, 0.05, 0.1, 0.25]))
+        times = [first + k * interval for k in range(int((last_t - first) / interval) + 2)]
+    else:
+        times = [first]
+        while times[-1] < last_t:
+            times.append(times[-1] + draw(st.floats(1e-3, 2.0)))
+    volts = draw(st.lists(st.sampled_from([0.0, 1.5, 2.0, 3.3]),
+                          min_size=len(times), max_size=len(times)))
+    on_trace = [t for t in times if 0.0 <= t <= horizon]
+    starts = sorted(draw(st.lists(
+        st.sampled_from(on_trace or [0.0])
+        | st.floats(0.0, horizon)
+        | st.just(0.0)
+        | st.integers(0, n_slots).map(lambda i: i * dt),
+        max_size=4,
+    )))
+    attacks, end = [], -math.inf
+    for k, start in enumerate(starts):
+        if start < end:
+            continue  # windows must not overlap
+        duration = draw(st.floats(1e-3, horizon)
+                        | st.just(horizon - start)
+                        | st.floats(horizon - start, 2 * horizon))
+        if not duration > 0:
+            continue
+        attacks.append(AttackScenario(start, duration, "short", f"a{k}"))
+        end = attacks[-1].end
+    trace = EnergyTrace(np.array(times), np.array(volts), 30e3)
+    return one_task_config(trace=trace, attacks=attacks, dt=dt, horizon=horizon)
+
+
+@given(sampled_power_configs())
+def test_power_runs_equal_sampling_every_slot(config):
+    assert validate_config(config) == []
+    assert_runs_match_sampling(config)
+
+
+def test_init_sim_memory_does_not_grow_with_the_slot_count():
+    """A 4 h hvac_attack run has 2,880,000 slots.  init_sim's traced peak
+    stays under a bound fixed in advance: power runs are found from the
+    3,700-odd samples per hour and the attack edges, never slot by slot.
+    Sampling every slot traced 23.8 MB at 1 h, and four times that at 4 h."""
+    doc = apply_overrides(load_config(CONFIGS / "hvac_attack.yaml"),
+                          ["sim.horizon_s=14400", "trace.length_s=14500"])
+    config = build_sim_config(doc)
+    tracemalloc.start()
+    try:
+        sim = init_sim(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sim.n_slots == 2_880_000
+    assert peak < 4_000_000
 
 
 def test_run_invokes_the_policy_only_at_decision_points(monkeypatch):

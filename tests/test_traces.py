@@ -78,6 +78,27 @@ def test_trace_validation():
         EnergyTrace(np.array([0.0]), np.array([1.0]), 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trace_rejects_non_finite_voltages(bad):
+    with pytest.raises(TraceError, match="voltages must be finite"):
+        EnergyTrace(np.array([0.0, 1.0, 2.0]), np.array([1.0, bad, 1.0]), 30e3)
+
+
+@pytest.mark.parametrize(
+    "times", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]]
+)
+def test_trace_rejects_non_finite_sample_times(times):
+    # NaN compares False with everything, so the increasing check alone misses it.
+    with pytest.raises(TraceError, match="sample times must be finite"):
+        EnergyTrace(np.array(times), np.array([1.0, 1.0, 1.0]), 30e3)
+
+
+@pytest.mark.parametrize("resistance", [np.nan, np.inf])
+def test_trace_rejects_non_finite_load_resistance(resistance):
+    with pytest.raises(TraceError, match="load resistance"):
+        EnergyTrace(np.array([0.0, 1.0]), np.array([1.0, 1.0]), resistance)
+
+
 def test_trace_is_immutable():
     tr = synthesize_trace("constant", 1.0, length=5.0, interval=1.0)
     with pytest.raises(ValueError):
@@ -119,6 +140,18 @@ def test_attack_scenario_basics():
         AttackScenario(start=0.0, duration=0.0)
     with pytest.raises(TraceError):
         AttackScenario(start=0.0, duration=5.0, kind="medium")
+
+
+@pytest.mark.parametrize("start", [np.nan, np.inf])
+def test_attack_rejects_non_finite_start(start):
+    with pytest.raises(TraceError, match="attack start must be finite"):
+        AttackScenario(start=start, duration=5.0)
+
+
+@pytest.mark.parametrize("duration", [np.nan, np.inf])
+def test_attack_rejects_non_finite_duration(duration):
+    with pytest.raises(TraceError, match="attack duration must be positive and finite"):
+        AttackScenario(start=0.0, duration=duration)
 
 
 def test_validate_scenarios_overlap():
