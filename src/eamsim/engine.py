@@ -321,14 +321,22 @@ def _slot_powers(config: SimConfig, n_slots: int) -> tuple[list, list]:
     lo = int(np.searchsorted(trace.times, 0.0, side="right")) - 1
     hi = int(np.searchsorted(trace.times, (n_slots - 1) * dt, side="right"))
     held = _first_slots(trace.times[lo:hi], dt, n_slots)  # non-decreasing, held[0] == 0
-    edges = np.array([(sc.start, sc.end) for sc in config.attacks], dtype=float)
-    windows = _first_slots(edges.reshape(-1, 2), dt, n_slots)  # [first, after-last) slot
-    starts = np.sort(np.concatenate([held, windows.ravel()]))
+    # Attack windows are disjoint, so their edges in start order are sorted.
+    attacks = sorted(config.attacks, key=lambda sc: sc.start)
+    edges = _first_slots(np.array([x for sc in attacks for x in (sc.start, sc.end)]), dt, n_slots)
+    # Merge the two sorted lists by position: a value's index is its own
+    # index plus the count of the other list's values before it (a sample
+    # goes before an equal edge).  np.sort or np.unique would page in sorting
+    # code that stays resident; that alone raised attack_storm's peak RSS,
+    # which the timeline export sets, not init.
+    starts = np.empty(held.size + edges.size, dtype=np.int64)
+    starts[np.arange(held.size) + np.searchsorted(edges, held)] = held
+    starts[np.arange(edges.size) + np.searchsorted(held, edges, side="right")] = edges
     ends = np.append(starts[1:], n_slots)
     nonempty = starts < ends
     starts, ends = starts[nonempty], ends[nonempty]
     v = trace.voltages[lo + np.searchsorted(held, starts, side="right") - 1]
-    for first, after in windows.tolist():
+    for first, after in edges.reshape(-1, 2).tolist():  # [first, after-last) slot
         v[(starts >= first) & (starts < after)] = 0.0
     power = v * v / trace.load_resistance
     last = np.append(power[1:] != power[:-1], True)  # the last stretch of each run

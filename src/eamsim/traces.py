@@ -164,8 +164,8 @@ def synthesize_trace(
     """
     if amplitude < 0:
         raise TraceError("amplitude must be non-negative")
-    if not length > 0 or not interval > 0:
-        raise TraceError("length and interval must be positive")
+    if not 0 < length < math.inf or not 0 < interval < math.inf:
+        raise TraceError("length and interval must be positive and finite")
     n = math.ceil(length / interval) + 1
     times = np.arange(n) * interval
     if kind == "constant":

@@ -102,14 +102,18 @@ def test_validate_config_reports_problems():
 
 
 @pytest.mark.parametrize(
-    "over",
-    [{"horizon": math.nan}, {"horizon": math.inf}, {"dt": math.nan}, {"dt": math.inf},
-     {"horizon": 1e300, "dt": 1e-300}],
+    "over, problem",
+    [
+        ({"horizon": math.nan}, "horizon must be finite"),
+        ({"horizon": math.inf}, "horizon must be finite"),
+        ({"horizon": 1e300, "dt": 1e-300}, "horizon must be finite"),  # count overflows
+        ({"dt": math.nan}, "dt must be positive and finite"),
+        ({"dt": math.inf}, "dt must be positive and finite"),
+    ],
 )
-def test_validate_config_rejects_non_finite_slot_counts(over):
+def test_validate_config_rejects_non_finite_slot_counts(over, problem):
     problems = validate_config(one_task_config(**over))
-    assert len(problems) == 1
-    assert "must be positive and finite" in problems[0] or "horizon must be finite" in problems[0]
+    assert len(problems) == 1 and problems[0].startswith(problem)
 
 
 def test_init_sim_raises_on_invalid_config():
@@ -462,7 +466,8 @@ def sampled_power_configs(draw):
     next to and between slot starts: dt does not divide the sample
     interval, the first sample may lie before 0, attacks start on samples,
     between them, on a slot start or at t = 0, and may run to or past the
-    horizon.  Voltages repeat so that neighbouring stretches merge."""
+    horizon; they come in any order.  Voltages repeat so that neighbouring
+    stretches merge."""
     dt = draw(st.sampled_from([0.003, 0.007, 0.0123]))
     n_slots = draw(st.integers(1, 2500))
     horizon = n_slots * dt
@@ -478,26 +483,25 @@ def sampled_power_configs(draw):
     volts = draw(st.lists(st.sampled_from([0.0, 1.5, 2.0, 3.3]),
                           min_size=len(times), max_size=len(times)))
     on_trace = [t for t in times if 0.0 <= t <= horizon]
-    starts = sorted(draw(st.lists(
+    starts = sorted(set(draw(st.lists(
         st.sampled_from(on_trace or [0.0])
         | st.floats(0.0, horizon)
         | st.just(0.0)
         | st.integers(0, n_slots).map(lambda i: i * dt),
         max_size=4,
-    )))
-    attacks, end = [], -math.inf
+    ))))
+    attacks = []
     for k, start in enumerate(starts):
-        if start < end:
-            continue  # windows must not overlap
-        duration = draw(st.floats(1e-3, horizon)
-                        | st.just(horizon - start)
-                        | st.floats(horizon - start, 2 * horizon))
-        if not duration > 0:
-            continue
-        attacks.append(AttackScenario(start, duration, "short", f"a{k}"))
-        end = attacks[-1].end
+        room = (starts[k + 1] if k + 1 < len(starts) else horizon) - start
+        if k + 1 == len(starts) and draw(st.booleans()):
+            duration = draw(st.just(room) | st.floats(room, 2 * horizon))  # to or past the end
+        else:  # up to the next start or the horizon, or part of the way
+            duration = room * draw(st.just(1.0) | st.floats(0.01, 1.0))
+        if duration > 0 and (k + 1 == len(starts) or start + duration <= starts[k + 1]):
+            attacks.append(AttackScenario(start, duration, "short", f"a{k}"))
     trace = EnergyTrace(np.array(times), np.array(volts), 30e3)
-    return one_task_config(trace=trace, attacks=attacks, dt=dt, horizon=horizon)
+    return one_task_config(trace=trace, attacks=draw(st.permutations(attacks)),
+                           dt=dt, horizon=horizon)
 
 
 @given(sampled_power_configs())

@@ -54,6 +54,8 @@ def test_synthesize_step():
         (dict(kind="constant", amplitude=-1.0, length=1.0, interval=0.1), "amplitude"),
         (dict(kind="constant", amplitude=1.0, length=0.0, interval=0.1), "positive"),
         (dict(kind="constant", amplitude=1.0, length=1.0, interval=0.0), "positive"),
+        (dict(kind="constant", amplitude=1.0, length=np.inf, interval=0.1), "finite"),
+        (dict(kind="constant", amplitude=1.0, length=1.0, interval=np.inf), "finite"),
         (dict(kind="sinusoid", amplitude=1.0, length=1.0, interval=0.1, period=None), "period"),
     ],
 )
