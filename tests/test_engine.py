@@ -513,8 +513,8 @@ def test_power_runs_equal_sampling_every_slot(config):
 def test_init_sim_memory_does_not_grow_with_the_slot_count():
     """A 4 h hvac_attack run has 2,880,000 slots.  init_sim's traced peak
     stays under a bound fixed in advance: power runs are found from the
-    3,700-odd samples per hour and the attack edges, never slot by slot.
-    Sampling every slot traced 23.8 MB at 1 h, and four times that at 4 h."""
+    3,600 trace samples per hour and the attack edges, never slot by slot.
+    Sampling every slot traced 23.8 MB at 1 h and 95 MB at 4 h."""
     doc = apply_overrides(load_config(CONFIGS / "hvac_attack.yaml"),
                           ["sim.horizon_s=14400", "trace.length_s=14500"])
     config = build_sim_config(doc)

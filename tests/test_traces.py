@@ -54,9 +54,9 @@ def test_synthesize_step():
         (dict(kind="constant", amplitude=-1.0, length=1.0, interval=0.1), "amplitude"),
         (dict(kind="constant", amplitude=1.0, length=0.0, interval=0.1), "positive"),
         (dict(kind="constant", amplitude=1.0, length=1.0, interval=0.0), "positive"),
+        (dict(kind="sinusoid", amplitude=1.0, length=1.0, interval=0.1, period=None), "period"),
         (dict(kind="constant", amplitude=1.0, length=np.inf, interval=0.1), "finite"),
         (dict(kind="constant", amplitude=1.0, length=1.0, interval=np.inf), "finite"),
-        (dict(kind="sinusoid", amplitude=1.0, length=1.0, interval=0.1, period=None), "period"),
     ],
 )
 def test_synthesize_rejects(kw, msg):
