@@ -21,6 +21,7 @@ recognise end-to-end pipeline completions at the sink.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -52,15 +53,15 @@ class TaskSpec:
     component: Component = Component.MCU
 
     def __post_init__(self) -> None:
-        if not self.energy_cost > 0:
-            raise AppModelError(f"task {self.id}: energy cost must be positive")
-        if not self.duration > 0:
-            raise AppModelError(f"task {self.id}: duration must be positive")
+        if not 0 < self.energy_cost < math.inf:
+            raise AppModelError(f"task {self.id}: energy cost must be positive and finite")
+        if not 0 < self.duration < math.inf:
+            raise AppModelError(f"task {self.id}: duration must be positive and finite")
         if self.buffer < 0:
             raise AppModelError(f"task {self.id}: buffer index must be >= 0")
         for profile, rate in self.rates.items():
-            if rate < 0:
-                raise AppModelError(f"task {self.id}: negative rate for {profile}")
+            if not 0 <= rate < math.inf:
+                raise AppModelError(f"task {self.id}: rate for {profile} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

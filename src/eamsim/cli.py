@@ -29,6 +29,7 @@ from pathlib import Path
 
 from .apps import AppModelError
 from .config import ConfigError, apply_overrides, build_sim_config, load_config
+from .detector import DetectorError
 from .energy import EnergyModelError
 from .engine import PROFILE_ORDER, EngineError, MetricsReport, run
 from .policy import PolicyError
@@ -38,6 +39,7 @@ _ERRORS = (
     ConfigError,
     TraceError,
     EngineError,
+    DetectorError,
     EnergyModelError,
     AppModelError,
     PolicyError,

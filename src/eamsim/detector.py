@@ -13,6 +13,7 @@ around the true remainder r, and drawing less often changes no value.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -22,6 +23,10 @@ from .traces import AttackScenario
 # (seed, t) so that replaying a run, or re-querying the same slot, gives the
 # identical perturbation.
 _NS = 1_000_000_000
+
+
+class DetectorError(ValueError):
+    """Invalid detector configuration."""
 
 
 class AttackInfo:
@@ -87,12 +92,12 @@ class DetectorConfig:
     rng_seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.detection_delay < 0:
-            raise ValueError("detection delay must be >= 0")
-        if not 0 <= self.remaining_time_error:
-            raise ValueError("remaining-time error must be >= 0")
+        if not 0 <= self.detection_delay < math.inf:
+            raise DetectorError("detection delay must be finite and >= 0")
+        if not 0 <= self.remaining_time_error < math.inf:
+            raise DetectorError("remaining-time error must be finite and >= 0")
         if not 0 <= self.reported_accuracy <= 1:
-            raise ValueError("reported accuracy must be in [0, 1]")
+            raise DetectorError("reported accuracy must be in [0, 1]")
 
 
 def idle_report(cfg: DetectorConfig) -> AttackInfo:

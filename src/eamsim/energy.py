@@ -58,16 +58,16 @@ class Capacitor:
     voltage: float = 0.0  # V, current charge level
 
     def __post_init__(self) -> None:
-        if not self.capacitance > 0:
-            raise EnergyModelError("capacitance must be positive")
-        if not self.parallel_resistance > 0:
-            raise EnergyModelError("parallel resistance must be positive")
+        if not 0 < self.capacitance < math.inf:
+            raise EnergyModelError("capacitance must be positive and finite")
+        if not 0 < self.parallel_resistance < math.inf:
+            raise EnergyModelError("parallel resistance must be positive and finite")
         if not 0 < self.efficiency <= 1:
             raise EnergyModelError("efficiency must be in (0, 1]")
         if not 0 <= self.drain_fraction < 1:
             raise EnergyModelError("drain fraction must be in [0, 1)")
-        if not 0 <= self.v_off < self.v_on <= self.v_max:
-            raise EnergyModelError("need 0 <= v_off < v_on <= v_max")
+        if not 0 <= self.v_off < self.v_on <= self.v_max < math.inf:
+            raise EnergyModelError("need 0 <= v_off < v_on <= v_max, all finite")
         if not 0 <= self.voltage <= self.v_max:
             raise EnergyModelError("voltage must lie in [0, v_max]")
 

@@ -18,11 +18,14 @@ Each slot of length dt advances the world in a fixed order:
    transactionally when its buffer collapses.
 
 step() is the one-slot reference.  run() calls it only on slots where the
-policy's inputs can change; on quiet stretches in between (no task running
-or passing the readiness rule, no release, reset or detector window edge
-due, profile and weights unchanged) it skips the policy and repeats the rest
-of the slot with the same float operations in the same order, so its output
-is that of step() on every slot.  Where a quiet slot leaves every buffer
+policy's inputs can change; on quiet stretches in between (no task passing
+the readiness rule, no release, reset or detector window edge due, weights
+unchanged, no profile switch that changes more than the profile) it skips
+the policy and repeats the rest of the slot with the same float operations
+in the same order, so its output is that of step() on every slot.  A quiet
+stretch may hold a running task, which draws its energy each slot, and a
+profile switch that keeps the active set and readies no task.  Where a quiet
+slot with no task running leaves every buffer
 voltage bit-identical, the slots after it under the same power repeat it, so
 run() only advances the ledger sums (addend by addend, as step() would),
 availability counts and timeline rows over them.  overhead_invocations still
@@ -68,7 +71,10 @@ from .policy import (
     TaskState,
     allocate_harvest,
     any_ready,
+    apply_profile,
+    fire_releases,
     init_scheduler,
+    only_profile_changes,
     policy_step,
     released_tasks,
     select_profile,
@@ -544,27 +550,35 @@ def step(sim: SimState) -> None:
     # (5) the running task draws its slice of energy
     tid = sched.executing
     if tid is not None:
-        task = sim.app.task(tid)
-        cap = caps[task.buffer]
-        if cap.voltage < cap.v_off:
-            _abort_task(sim, tid, t, "brownout")
-        else:
-            remaining = sched.exec_remaining
-            draw = task.energy_cost * (dt if dt < remaining else remaining) / task.duration
-            if withdraw(cap, draw):
-                sim.withdrawn += draw
-                sched.exec_drawn += draw
-                remaining -= dt
-                sched.exec_remaining = remaining
-                if remaining <= 1e-12:
-                    _complete_task(sim, tid, t)
-            else:
-                _abort_task(sim, tid, t, "withdrawal")
+        _draw(sim, tid, t)
 
     if sim.watches:
         _watch(sim, t)
     _tally(sim, i, t, -1 if tid is None else sim.task_index[tid])
     sim.i = i + 1
+
+
+def _draw(sim: SimState, tid: str, t: float) -> None:
+    """The running task tid withdraws its pro-rata energy for slot t, then
+    progresses, completes or, when its buffer collapses, aborts."""
+    sched = sim.sched
+    task = sim.app.task(tid)
+    cap = sim.bank.capacitors[task.buffer]
+    if cap.voltage < cap.v_off:
+        _abort_task(sim, tid, t, "brownout")
+        return
+    dt = sim.dt
+    remaining = sched.exec_remaining
+    draw = task.energy_cost * (dt if dt < remaining else remaining) / task.duration
+    if withdraw(cap, draw):
+        sim.withdrawn += draw
+        sched.exec_drawn += draw
+        remaining -= dt
+        sched.exec_remaining = remaining
+        if remaining <= 1e-12:
+            _complete_task(sim, tid, t)
+    else:
+        _abort_task(sim, tid, t, "withdrawal")
 
 
 def _watch(sim: SimState, t: float) -> None:
@@ -610,34 +624,40 @@ def _tally(sim: SimState, i: int, t: float, running: int) -> None:
 def _quiet_span(sim: SimState) -> None:
     """Advance over the quiet slots ahead without running the policy.
 
-    A span starts only when no task runs and every task is Blocked.  On a
-    slot of it policy_step fires nothing, changes no task state and starts
-    nothing, so only its profile and harvest shares are left to compute.
-    The span does the rest of step's work in step's order and with the same
-    float operations: the decision-cost drain, slot_update with the shares,
-    the recovery watches and _tally.  It stops before the first slot where
-    one of these holds: a release is due, the equal-budget reset is due, a
-    detector window opens or closes, a released task passes the readiness
-    rule (policy.any_ready), the profile would change, or the weights
-    would.  Before a window's onset is logged every policy stops at its
-    first slot.  After it, eam reads each slot's report; when a wake-up or a
-    profile change stops the span, step gets that slot's report, so the
-    slot draws its noise at most once.  Every slot of a span still counts
-    as a policy invocation.
+    A span starts only when every task but the running one, if any, is
+    Blocked.  On a slot of it policy_step fires nothing, changes no task
+    state and starts nothing, so only its profile and harvest shares are left
+    to compute.  The span does the rest of step's work in step's order and
+    with the same float operations: the decision-cost drain, slot_update with
+    the shares, the running task's draw (_draw), the recovery watches and
+    _tally.  It stops before the first slot where one of these holds: a
+    release is due, the equal-budget reset is due, a detector window opens
+    or closes, a released task passes the readiness rule (policy.any_ready),
+    the weights would change, or the profile would change in a way
+    policy.only_profile_changes rejects.  A switch it accepts changes only
+    the profile, so the span applies it as policy_step would (apply_profile,
+    fire_releases, which fires nothing), logs it and lowers its limit to the
+    new next release.  It stops after the slot where the running task
+    completes or aborts.  Before a window's onset is logged every policy
+    stops at its first slot.  After it, eam reads each slot's report; when a
+    wake-up or a profile change stops the span, step gets that slot's report,
+    so the slot draws its noise at most once.  Every slot of a span still
+    counts as a policy invocation.
 
-    Outside a reported attack a slot that leaves every buffer voltage
-    bit-identical (compared once slot_update's bank energy repeats) is a
-    fixed point: each later slot under the same power has the same inputs,
-    so it repeats that slot's float operations and passes the same checks,
-    and open recovery watches, which saw these voltages, stay inert.  _hold
-    replays such stretches, advancing only the sums, counts and timeline.
+    Outside a reported attack and with no task running, a slot that leaves
+    every buffer voltage bit-identical (compared once slot_update's bank
+    energy repeats) is a fixed point: each later slot under the same power
+    has the same inputs, so it repeats that slot's float operations and
+    passes the same checks, and open recovery watches, which saw these
+    voltages, stay inert.  _hold replays such stretches, advancing only the
+    sums, counts and timeline.
     """
     sched = sim.sched
-    if sched.executing is not None:
-        return
-    for state in sched.states.values():
-        if state is not TaskState.BLOCKED:
+    running = sched.executing
+    for tid, state in sched.states.items():
+        if state is not TaskState.BLOCKED and tid != running:
             return
+    code = -1 if running is None else sim.task_index[running]
     limit = min(sched._next_fire, sim.reset_at)
     reported = False
     if sim.wptr < sim.n_windows:
@@ -665,8 +685,12 @@ def _quiet_span(sim: SimState) -> None:
             break
         if reported:
             info = detect(t, (attack,), sim.config.detector)
-        woken = waiting and any_ready(waiting, bank, info)
-        if woken or profile_fn(info, total_energy(bank), params) is not profile:
+        new = profile_fn(info, total_energy(bank), params)
+        if new is not profile:
+            stop = not only_profile_changes(sched, app, new, t, waiting, bank, info)
+        else:
+            stop = waiting and any_ready(waiting, bank, info)
+        if stop:
             if reported:
                 sim.report = info
             break
@@ -676,12 +700,25 @@ def _quiet_span(sim: SimState) -> None:
             weights, shares = allocate_fn(sched, app, bank, powers[r], params)
             if weights != sim.prev_weights:
                 break
+        if new is not profile:
+            apply_profile(sched, app, new, t)
+            fire_releases(sched, t)
+            sim.log.add(t, "profile", new.value)
+            profile = new
+            waiting = released_tasks(sched, sim.queues)
+            limit = min(limit, sched._next_fire)
         drained += drain(caps[0], cost)
         total = slot_update(caps, constants, shares, dt, ledger)
+        if running is not None:
+            _draw(sim, running, t)
         if watches:
             _watch(sim, t)
-        _tally(sim, i, t, -1)
+        _tally(sim, i, t, code)
         i += 1
+        if running is not None:
+            if sched.executing is None:
+                break  # the task finished or aborted: step the next slot
+            continue
         if total != last_total or reported:
             last_total, held = total, None
             continue

@@ -56,16 +56,18 @@ class PolicyParams:
     edf_order: bool = False  # dispatch Ready tasks earliest-deadline-first
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise PolicyError("alpha must be >= 0")
-        if not 0 <= self.omega0 <= self.omega1:
-            raise PolicyError("need 0 <= omega0 <= omega1")
-        if self.lambda_lo < 0 or self.lambda_hi < self.lambda_lo:
-            raise PolicyError("need lambda_hi >= lambda_lo >= 0")
+        if not 0 <= self.alpha < math.inf:
+            raise PolicyError("alpha must be finite and >= 0")
+        if not 0 <= self.omega0 <= self.omega1 < math.inf:
+            raise PolicyError("need 0 <= omega0 <= omega1, all finite")
+        if not 0 <= self.lambda_lo <= self.lambda_hi < math.inf:
+            raise PolicyError("need lambda_hi >= lambda_lo >= 0, all finite")
         if self.lambda_hi <= 0:
             raise PolicyError("lambda_hi must be positive")
-        if self.decision_cost < 0 or self.decision_time < 0:
-            raise PolicyError("decision overhead must be >= 0")
+        if not (0 <= self.decision_cost < math.inf and 0 <= self.decision_time < math.inf):
+            raise PolicyError("decision overhead must be finite and >= 0")
+        if not math.isfinite(self.accuracy_threshold):
+            raise PolicyError("accuracy threshold must be finite")
 
 
 class TaskState(enum.Enum):
@@ -130,6 +132,12 @@ def build_active_set(spec: AppSpec, profile: Profile) -> tuple[list[str], dict[s
             active.append(task.id)
             rates[task.id] = rate
     return active, rates
+
+
+def profile_periods(spec: AppSpec, profile: Profile) -> tuple[list[str], dict[str, float]]:
+    """The active set under a profile, with each task's release period in s."""
+    active, rates = build_active_set(spec, profile)
+    return active, {tid: 3600.0 / r for tid, r in rates.items()}
 
 
 def init_scheduler(spec: AppSpec, profile: Profile, now: float = 0.0) -> SchedulerState:
@@ -312,8 +320,7 @@ def apply_profile(state: SchedulerState, spec: AppSpec, profile: Profile, now: f
     Excluded tasks lose any pending release.
     """
     old_active = set(state.active)
-    active, rates = build_active_set(spec, profile)
-    periods = {tid: 3600.0 / r for tid, r in rates.items()}
+    active, periods = profile_periods(spec, profile)
     for tid in active:
         if tid not in old_active:
             state.next_release[tid] = now
@@ -325,6 +332,34 @@ def apply_profile(state: SchedulerState, spec: AppSpec, profile: Profile, now: f
     state.active = active
     state.periods = periods
     state._next_fire = -math.inf
+
+
+def only_profile_changes(
+    state: SchedulerState,
+    spec: AppSpec,
+    profile: Profile,
+    now: float,
+    tasks: list,
+    bank: CapacitorBank,
+    info: AttackInfo,
+) -> bool:
+    """Whether switching to profile at now changes nothing but the profile.
+
+    The caller guarantees that no release is due (now < state._next_fire),
+    that every task but the running one is Blocked, and that tasks is
+    released_tasks(state, queues).  The switch must keep the active set, and
+    no released task may pass the readiness rule under the new periods.
+    policy_step at now is then apply_profile alone: no task is enabled or
+    excluded; nothing fires, because every staying task's next release,
+    min(next, now + period), is after now; no task changes state and none
+    starts, because set_task_states finds no task Ready; and the weights
+    stay the same, because allocate_harvest depends only on the active set
+    and the task states.
+    """
+    active, periods = profile_periods(spec, profile)
+    return active == state.active and not any_ready(
+        [(tid, buf, cost, periods[tid]) for tid, buf, cost, _ in tasks], bank, info
+    )
 
 
 def policy_step(

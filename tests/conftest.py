@@ -1,5 +1,6 @@
 """Shared pytest/hypothesis setup."""
 
+import importlib.util
 from pathlib import Path
 
 from hypothesis import HealthCheck, settings
@@ -7,6 +8,14 @@ from hypothesis import HealthCheck, settings
 # The bundled run configurations, found from this file so that the suite runs
 # from any working directory.
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# The benchmark's workload definitions (perfbench/workloads.py), read only:
+# storm_config(variant) is the attack_storm run configuration, and golden.json
+# beside it holds the artifact digests of every benchmark input.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", CONFIGS.parent / "perfbench" / "workloads.py")
+WORKLOADS = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(WORKLOADS)
 
 # --set overrides of hvac_attack.yaml: the attack at 300 s of a 600 s run, a
 # late, noisy detector and a timeline row per slot.  eam's remaining-time

@@ -1,5 +1,6 @@
 """Application model: builtin task graphs, rate tables, queues."""
 
+import math
 import pytest
 
 from eamsim.apps import (
@@ -150,6 +151,10 @@ def test_appspec_validation():
         dict(energy_cost=1e-6, duration=0.0),
         dict(energy_cost=1e-6, duration=1e-3, buffer=-1),
         dict(energy_cost=1e-6, duration=1e-3, rates={Profile.NML: -1.0}),
+        dict(energy_cost=math.inf, duration=1e-3),
+        dict(energy_cost=1e-6, duration=math.inf),
+        dict(energy_cost=1e-6, duration=1e-3, rates={Profile.NML: math.inf}),
+        dict(energy_cost=1e-6, duration=1e-3, rates={Profile.NML: math.nan}),
     ],
 )
 def test_taskspec_validation(kw):

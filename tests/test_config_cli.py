@@ -378,6 +378,14 @@ def test_missing_config_fails_cleanly(tmp_path, capsys):
         ("sim.dt_ms=.inf", "dt must be positive and finite"),
         ("attacks.0.start_s=.nan", "attack start must be finite"),
         ("attacks.0.duration_s=.inf", "attack duration must be positive and finite"),
+        ("params.decision_cost_nj=.nan", "decision overhead must be finite"),
+        ("params.alpha_s=.nan", "alpha must be finite"),
+        ("params.lambda_hi=.inf", "lambda_lo >= 0, all finite"),
+        ("bank.capacitors.0.v_max=.inf", "v_max, all finite"),
+        ("bank.capacitors.0.capacitance_uf=.inf", "capacitance must be positive and finite"),
+        ("detector.remaining_time_error=.inf", "remaining-time error must be finite"),
+        ("detector.detection_delay_s=.nan", "detection delay must be finite"),
+        ("detector.detection_delay_s=-1", "detection delay must be finite and >= 0"),
     ],
 )
 def test_run_rejects_non_finite_values_cleanly(tmp_path, capsys, override, match):

@@ -8,7 +8,9 @@ transition of the scheduler's state machine.  hvac_attack.yaml also runs in
 two variants: unshortened (one hour, 720 k slots per run), the only runs
 whose idle stretches last tens of minutes, and shortened with a late, noisy
 detector and a timeline row per slot, the only runs whose remaining-time
-estimates straddle the policy's thresholds.
+estimates straddle the policy's thresholds.  One attack_storm input of the
+benchmark is also checked against the digests the benchmark itself records
+(perfbench/golden.json), which this file only reads.
 
 A change that means to alter run output re-records the digests with
 
@@ -31,7 +33,7 @@ from pathlib import Path
 import pytest
 
 from eamsim.cli import main
-from conftest import CONFIGS, NOISY_HVAC
+from conftest import CONFIGS, NOISY_HVAC, WORKLOADS
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 ARTIFACTS = ("metrics.csv", "events.log", "timeline.csv")
@@ -70,6 +72,9 @@ CASES = [(c, p, m) for c in sorted(SHORTEN) for p in POLICIES for m in MODES]
 FULL = "hvac_attack.yaml"
 FULL_CASES = [(p, m) for p in POLICIES for m in MODES]
 VARIANTS = {"full": (), "noisy": NOISY_HVAC}
+
+# The attack_storm benchmark input checked against perfbench/golden.json.
+STORM_VARIANT = 7
 
 
 def test_shorten_table_covers_every_bundled_config():
@@ -125,6 +130,17 @@ def test_noisy_detector_artifacts_match_recorded_digests(policy, mode, capsys):
     got = _digests(FULL, policy, mode, "noisy")
     capsys.readouterr()
     assert got == expected
+
+
+def test_attack_storm_artifacts_match_the_benchmark_digests(tmp_path, capsys):
+    """One attack_storm input, built and run as the benchmark builds and runs
+    it, reproduces the digests in perfbench/golden.json."""
+    argv, variant, config_sha = WORKLOADS.prepare("attack_storm", STORM_VARIANT, tmp_path)
+    expected = json.loads(WORKLOADS.GOLDEN.read_text())["attack_storm"][variant]
+    assert config_sha == expected["config_sha256"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert WORKLOADS.artifact_digests(tmp_path / "out") == expected["artifacts"]
 
 
 @pytest.mark.parametrize("config,policy,mode", CASES)

@@ -33,7 +33,7 @@ from eamsim.engine import (
 from eamsim.engine import SimConfig
 from eamsim.policy import PolicyParams
 from eamsim.traces import AttackScenario, EnergyTrace, synthesize_trace
-from conftest import CONFIGS, NOISY_HVAC
+from conftest import CONFIGS, NOISY_HVAC, WORKLOADS
 
 ALL_RATES = {p: 30.0 for p in Profile}
 
@@ -540,7 +540,7 @@ def test_run_invokes_the_policy_only_at_decision_points(monkeypatch):
     report, log = run(build_sim_config(load_config(CONFIGS / "hvac_attack.yaml")))
     n_slots = log.totals["n_slots"]
     assert n_slots == 720_000
-    assert calls[0] <= 0.03 * n_slots
+    assert calls[0] <= 400  # 271, with spans through running tasks
     # The modelled device still decides, and pays, on every slot.
     assert report.overhead_invocations == n_slots
 
@@ -595,9 +595,33 @@ def test_run_skips_the_policy_inside_a_noisy_reported_attack(monkeypatch):
     n_slots = log.totals["n_slots"]
     assert n_slots == 120_000
     assert len(log.of_kind("profile")) == 980  # the estimates do cross alpha
-    assert calls[0] <= 0.02 * n_slots
+    # Switches that change only the profile run inside the span: 46 calls.
+    assert calls[0] <= 60
     assert 0 < draws[0] <= 4_000
     assert report.overhead_invocations == n_slots
+
+
+def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeypatch):
+    """attack_storm variant 5: a four-task pipeline released every second, a
+    noisy late detector over eight attacks and 22,728 SA/LA switches.  The
+    policy runs on 3,528 of the 300,000 slots (33,502 when every profile
+    switch and every slot with a running task was stepped)."""
+    config = build_sim_config(WORKLOADS.storm_config(5))
+    calls = [0]
+    policy_step = engine.policy_step
+
+    def counted(*args):
+        calls[0] += 1
+        return policy_step(*args)
+
+    monkeypatch.setattr(engine, "policy_step", counted)
+    report, log = run(config)
+    n_slots = log.totals["n_slots"]
+    assert n_slots == 300_000
+    assert len(log.of_kind("profile")) == 22_728
+    assert calls[0] <= 4_000
+    assert report.overhead_invocations == n_slots
+    assert abs(residual(log)) < 1e-9
 
 
 # --------------------------------------------------------------- determinism

@@ -242,3 +242,72 @@ def test_run_matches_stepping_through_exact_fixed_points(monkeypatch):
     check()
     for kind, runs in reached.items():
         assert 3 * sum(runs) >= 2 * len(runs), (kind, sum(runs), len(runs))
+
+
+def switch_config(cost: float, noise: float = 0.0, seed: int = 0) -> SimConfig:
+    """One task, released every 10 s in NML, every 5 s in SA and every 20 s
+    in LA, on a full buffer; one attack over [12, 31) s with alpha = 10 s.
+    The release at 20 s comes while the attack has 11 s left: LA, and 11 s
+    is less than the LA period, so the task waits.  Once the estimate drops
+    to alpha the profile switches to SA, whose 5 s period it exceeds, so a
+    funded task becomes Ready on the switch slot itself."""
+    cap = Capacitor(capacitance=100e-6, drain_fraction=0.0, voltage=3.0)
+    rates = {Profile.NML: 360.0, Profile.LP: 360.0, Profile.CTL: 360.0,
+             Profile.SA: 720.0, Profile.LA: 180.0}
+    task = TaskSpec(id="T0", energy_cost=cost, duration=0.05, buffer=0, rates=rates)
+    return SimConfig(
+        trace=synthesize_trace("constant", amplitude=3.0, length=40.0, interval=1.0),
+        app=AppSpec(name="switch", tasks=(task,), sink_task="T0"),
+        bank=CapacitorBank(capacitors=[cap], component_map={0: (Component.MCU,)}),
+        params=PolicyParams(alpha=10.0),
+        detector=DetectorConfig(remaining_time_error=noise, rng_seed=seed),
+        attacks=[AttackScenario(12.0, 19.0, "long", "a0")],
+        dt=DT,
+        horizon=40.0,
+        timeline_stride=1,
+    )
+
+
+def test_a_profile_switch_that_readies_a_task_is_stepped():
+    """The LA -> SA switch at 21 s makes the released task Ready: run starts
+    it on that slot, as stepping every slot does.  With a cost its buffer
+    cannot fund, the same switch changes only the profile and the span
+    applies it itself."""
+    _, log = run(switch_config(50e-6))
+    switch = [ev[0] for ev in log.events if ev[1] == "profile" and ev[2] == Profile.SA.value]
+    starts = [ev[0] for ev in log.events if ev[1] == "start"]
+    assert switch and switch[0] in starts and 20.0 < switch[0] < 22.0
+    for cost in (50e-6, 1e-3):
+        assert_run_matches_steps(switch_config(cost))
+
+
+@settings(max_examples=25)
+@given(st.floats(0.05, 0.9), st.integers(0, 1000))
+def test_noisy_profile_switches_with_a_released_task_match_stepping(noise, seed):
+    """A noisy estimate moves both ways, so a released task that a switch
+    left Blocked can pass the readiness rule under the new periods on a
+    later slot of the same span."""
+    assert_run_matches_steps(switch_config(50e-6, noise, seed))
+
+
+def test_a_running_task_on_a_buffer_refilled_every_slot_is_stepped():
+    """The harvest refills the task's buffer to its ceiling on every slot, so
+    each slot of the execution leaves the bank bit-identical; the task still
+    draws, progresses and finishes slot by slot, which replaying the bank
+    (engine._hold) would skip."""
+    cap = Capacitor(capacitance=100e-6, drain_fraction=0.0, voltage=3.0)
+    task = TaskSpec(id="T0", energy_cost=1e-6, duration=1.0, buffer=0,
+                    rates={p: 360.0 for p in Profile})
+    config = SimConfig(
+        trace=synthesize_trace("constant", amplitude=3.0, length=HORIZON, interval=1.0),
+        app=AppSpec(name="full", tasks=(task,), sink_task="T0"),
+        bank=CapacitorBank(capacitors=[cap], component_map={0: (Component.MCU,)}),
+        params=PolicyParams(),
+        dt=DT,
+        horizon=HORIZON,
+        timeline_stride=1,
+    )
+    _, log = run(config)
+    assert [ev[0] for ev in log.events if ev[1] == "start"] == [0.0, 10.0]
+    assert len(log.of_kind("finish")) == 2
+    assert_run_matches_steps(config)
