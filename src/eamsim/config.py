@@ -138,11 +138,20 @@ def _check_keys(node: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
 
 
+def _convert(convert, value, where: str):
+    """convert(value), with a value it cannot take reported as a ConfigError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: bad value {value!r} ({exc})") from None
+
+
 def _fields(node: dict, table: dict, where: str) -> dict:
     """Check a section's keys against its table; return the converted fields."""
     _check_keys(node, table, where)
     return {
-        table[key][0]: table[key][1](value) for key, value in node.items() if table[key]
+        table[key][0]: _convert(table[key][1], value, f"{where}.{key}")
+        for key, value in node.items() if table[key]
     }
 
 
@@ -256,7 +265,10 @@ def _build_task(node, k: int) -> TaskSpec:
             raise ConfigError(f"{where}: missing {req}")
     rates_node = _require_mapping(node["rates_per_hour"], f"{where}.rates_per_hour")
     _check_keys(rates_node, _PROFILES, f"{where}.rates_per_hour")
-    rates = {profile: float(rates_node.get(key, 0.0)) for key, profile in _PROFILES.items()}
+    rates = {
+        profile: _convert(float, rates_node.get(key, 0.0), f"{where}.rates_per_hour.{key}")
+        for key, profile in _PROFILES.items()
+    }
     return TaskSpec(rates=rates, component=_component(node["component"], where), **fields)
 
 
@@ -290,11 +302,11 @@ def _build_capacitor(node, k: int) -> Capacitor:
         raise ConfigError(f"bank.capacitors[{k}]: give initial_soc or initial_v, not both")
     cap = Capacitor(**fields)
     if "initial_v" in node:
-        cap.voltage = float(node["initial_v"])
+        cap.voltage = _convert(float, node["initial_v"], f"bank.capacitors[{k}].initial_v")
         if not 0 <= cap.voltage <= cap.v_max:
             raise ConfigError(f"bank.capacitors[{k}]: initial_v outside [0, v_max]")
     else:
-        soc = float(node.get("initial_soc", 0.5))
+        soc = _convert(float, node.get("initial_soc", 0.5), f"bank.capacitors[{k}].initial_soc")
         if not 0 <= soc <= 1:
             raise ConfigError(f"bank.capacitors[{k}]: initial_soc outside [0, 1]")
         set_soc(cap, soc)
@@ -324,8 +336,8 @@ def _build_params(node, bank: CapacitorBank) -> PolicyParams:
     fields = _fields(node, _PARAMS, "params")
     capacity = total_capacity(bank)
     return PolicyParams(
-        omega0=float(node.get("omega0_frac", 0.2)) * capacity,
-        omega1=float(node.get("omega1_frac", 0.6)) * capacity,
+        omega0=_convert(float, node.get("omega0_frac", 0.2), "params.omega0_frac") * capacity,
+        omega1=_convert(float, node.get("omega1_frac", 0.6), "params.omega1_frac") * capacity,
         **fields,
     )
 

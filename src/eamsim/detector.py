@@ -66,6 +66,12 @@ class AttackInfo:
                 return False
         return self.remaining > x
 
+    def never_exceeds(self, x: float) -> bool:
+        """Whether remaining_exceeds(x) is False now and at every later
+        report of the same window: the top of the band, r * (1 + err), is at
+        most x, and the true remainder r only shrinks as t grows."""
+        return self._true * (1.0 + self._err) <= x
+
     def _fields(self) -> tuple:
         return self.ongoing, self.accuracy, self.elapsed, self.remaining
 

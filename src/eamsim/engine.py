@@ -24,12 +24,22 @@ unchanged, no profile switch that changes more than the profile) it skips
 the policy and repeats the rest of the slot with the same float operations
 in the same order, so its output is that of step() on every slot.  A quiet
 stretch may hold a running task, which draws its energy each slot, and a
-profile switch that keeps the active set and readies no task.  Where a quiet
-slot with no task running leaves every buffer
-voltage bit-identical, the slots after it under the same power repeat it, so
-run() only advances the ledger sums (addend by addend, as step() would),
-availability counts and timeline rows over them.  overhead_invocations still
-counts every slot, as the modelled device decides on each one.
+profile switch that keeps the active set and readies no task.
+
+Inside a stretch the readiness and profile checks run only where they could
+fail.  A buffer gains at most eta * share * dt per slot, so a waiting task's
+energy deficit gives a count of slots before it can be funded; the stored
+total, moving by at most the gains up and the leak, decision cost and draw
+down, gives one for eam's energy profiles; a noise-free report's remaining
+time crosses alpha, and outlasts a period no longer, at slots found with the
+comparisons a slot makes.  Blind policies never change profile.  With no
+task running, the slots up to the next check run in one tight loop of the
+same float operations (_charge), the only copy of the slot physics beside
+step's.  Where a slot leaves every buffer voltage bit-identical, the slots
+after it under the same power repeat it, so run() only advances the ledger
+sums (addend by addend, as step() would), availability counts and timeline
+rows over them.  overhead_invocations still counts every slot, as the
+modelled device decides on each one.
 
 The engine keeps an explicit energy ledger (charged, drained, withdrawn,
 spilled) so that tests can check conservation, and records every discrete
@@ -72,12 +82,15 @@ from .policy import (
     allocate_harvest,
     any_ready,
     apply_profile,
+    attack_profiles,
+    energy_profile_slots,
     fire_releases,
     init_scheduler,
     only_profile_changes,
     policy_step,
     released_tasks,
     select_profile,
+    unready_slots,
 )
 from .traces import AttackScenario, EnergyTrace, validate_scenarios
 
@@ -133,6 +146,17 @@ def validate_config(config: SimConfig) -> list[str]:
     if config.budget_soc is not None and not 0 <= config.budget_soc <= 1:
         problems.append("budget_soc must be in [0, 1]")
     problems.extend(validate(config.app, num_buffers=len(config.bank)))
+    if n_slots is not None:
+        # A release period shorter than a slot has no meaning here, and one
+        # below the float spacing of the release times would stall
+        # policy.fire_releases.
+        for task in config.app.tasks:
+            for profile, rate in task.rates.items():
+                if rate > 0 and 3600.0 / rate < config.dt:
+                    problems.append(
+                        f"task {task.id}: {profile.value} period {3600.0 / rate!r} s "
+                        f"is shorter than one slot ({config.dt!r} s)"
+                    )
     try:
         validate_scenarios(config.attacks)
     except ValueError as exc:
@@ -544,18 +568,20 @@ def step(sim: SimState) -> None:
             task.energy_cost,
         )
 
-    # (4) buffers integrate their shares
-    slot_update(caps, sim.buffer_constants, rec.shares, dt, sim.ledger)
+    _slot_tail(sim, i, t, rec.shares, sched.executing)
+    sim.i = i + 1
 
-    # (5) the running task draws its slice of energy
-    tid = sched.executing
+
+def _slot_tail(sim: SimState, i: int, t: float, shares: tuple, tid: str | None) -> None:
+    """The rest of slot i once the decision cost is paid: (4) every buffer
+    integrates its share, (5) the running task tid, if any, draws its slice,
+    then the recovery watches and _tally."""
+    slot_update(sim.bank.capacitors, sim.buffer_constants, shares, sim.dt, sim.ledger)
     if tid is not None:
         _draw(sim, tid, t)
-
     if sim.watches:
         _watch(sim, t)
     _tally(sim, i, t, -1 if tid is None else sim.task_index[tid])
-    sim.i = i + 1
 
 
 def _draw(sim: SimState, tid: str, t: float) -> None:
@@ -628,38 +654,42 @@ def _quiet_span(sim: SimState) -> None:
     Blocked.  On a slot of it policy_step fires nothing, changes no task
     state and starts nothing, so only its profile and harvest shares are left
     to compute.  The span does the rest of step's work in step's order and
-    with the same float operations: the decision-cost drain, slot_update with
-    the shares, the running task's draw (_draw), the recovery watches and
-    _tally.  It stops before the first slot where one of these holds: a
-    release is due, the equal-budget reset is due, a detector window opens
-    or closes, a released task passes the readiness rule (policy.any_ready),
-    the weights would change, or the profile would change in a way
+    with the same float operations: the decision-cost drain and _slot_tail.
+    It stops before the first slot where one of these holds: a release is
+    due, the equal-budget reset is due, a detector window opens or closes, a
+    released task passes the readiness rule (policy.any_ready), the weights
+    would change, or the profile would change in a way
     policy.only_profile_changes rejects.  A switch it accepts changes only
     the profile, so the span applies it as policy_step would (apply_profile,
     fire_releases, which fires nothing), logs it and lowers its limit to the
     new next release.  It stops after the slot where the running task
     completes or aborts.  Before a window's onset is logged every policy
-    stops at its first slot.  After it, eam reads each slot's report; when a
-    wake-up or a profile change stops the span, step gets that slot's report,
-    so the slot draws its noise at most once.  Every slot of a span still
-    counts as a policy invocation.
+    stops at its first slot.  When a check stops the span inside a reported
+    attack, step gets that slot's report, so the slot draws its noise at
+    most once.  Every slot of a span still counts as a policy invocation.
 
-    Outside a reported attack and with no task running, a slot that leaves
-    every buffer voltage bit-identical (compared once slot_update's bank
-    energy repeats) is a fixed point: each later slot under the same power
-    has the same inputs, so it repeats that slot's float operations and
-    passes the same checks, and open recovery watches, which saw these
-    voltages, stay inert.  _hold replays such stretches, advancing only the
-    sums, counts and timeline.
+    The profile and readiness checks run only where they could fail.  After
+    each check _next_check finds the next slot that could; the checks run
+    again there, on a power-run change and after a profile switch, which are
+    all their inputs but the bank and the clock.  Until then no task runs
+    readiness, the profile keeps its value, and eam reads no report.
+
+    With no task running, _charge runs the slots up to that point in one
+    loop.  Where a slot leaves every buffer voltage bit-identical, it stops:
+    each later slot under the same power has the same inputs, so it repeats
+    that slot's float operations and, outside a reported attack, passes the
+    same checks, as the slot before it was proven to; open recovery watches,
+    which saw these voltages, stay inert.  _hold replays such stretches,
+    advancing only the sums, counts and timeline; inside a reported attack,
+    whose checks also read the clock, only up to the next check.
     """
     sched = sim.sched
     running = sched.executing
     for tid, state in sched.states.items():
         if state is not TaskState.BLOCKED and tid != running:
             return
-    code = -1 if running is None else sim.task_index[running]
     limit = min(sched._next_fire, sim.reset_at)
-    reported = False
+    reported, end = False, None
     if sim.wptr < sim.n_windows:
         first, end, attack = sim.det_windows[sim.wptr]
         if sim.prev_ongoing:
@@ -667,80 +697,212 @@ def _quiet_span(sim: SimState) -> None:
         else:
             limit = min(limit, first)
         limit = min(limit, end)
+    noisy = reported and sim.config.detector.remaining_time_error != 0.0
     waiting = released_tasks(sched, sim.queues)
-    watches = sim.watches
-    i0 = i = sim.i
+    i0 = i = check = sim.i
     n, dt, r = sim.n_slots, sim.dt, sim.run
+    short = _short_of(limit, n, dt)
     ends, powers = sim.run_ends, sim.run_powers
     app, bank, params, info = sim.app, sim.bank, sim.params, sim.idle_info
-    caps, constants, ledger = bank.capacitors, sim.buffer_constants, sim.ledger
+    caps, blind = bank.capacitors, sim.detector_blind
     profile_fn, allocate_fn, profile = sim.profile_fn, sim.allocate_fn, sched.profile
     cost = params.decision_cost
-    drained = sim.decision_drained
-    shares = None
-    last_total, held = None, None
+    shares = total = None
     while i < n:
         t = i * dt
         if t >= limit:
             break
-        if reported:
-            info = detect(t, (attack,), sim.config.detector)
-        new = profile_fn(info, total_energy(bank), params)
-        if new is not profile:
-            stop = not only_profile_changes(sched, app, new, t, waiting, bank, info)
-        else:
-            stop = waiting and any_ready(waiting, bank, info)
-        if stop:
-            if reported:
-                sim.report = info
-            break
         if i == ends[r]:
-            r, shares = r + 1, None
-        if shares is None:
-            weights, shares = allocate_fn(sched, app, bank, powers[r], params)
-            if weights != sim.prev_weights:
+            r, check, shares = r + 1, i, None
+        if i >= check:
+            if reported:
+                info = detect(t, (attack,), sim.config.detector)
+            if blind:  # pin_nml: the profile never changes
+                new = profile
+            else:
+                total = total_energy(bank)
+                new = profile_fn(info, total, params)
+            if new is not profile:
+                stop = not only_profile_changes(sched, app, new, t, waiting, bank, info)
+            else:
+                stop = waiting and any_ready(waiting, bank, info)
+            if stop:
+                if reported:
+                    sim.report = info
                 break
-        if new is not profile:
-            apply_profile(sched, app, new, t)
-            fire_releases(sched, t)
-            sim.log.add(t, "profile", new.value)
-            profile = new
-            waiting = released_tasks(sched, sim.queues)
-            limit = min(limit, sched._next_fire)
-        drained += drain(caps[0], cost)
-        total = slot_update(caps, constants, shares, dt, ledger)
-        if running is not None:
-            _draw(sim, running, t)
-        if watches:
-            _watch(sim, t)
-        _tally(sim, i, t, code)
-        i += 1
-        if running is not None:
-            if sched.executing is None:
+            if shares is None:
+                weights, shares = allocate_fn(sched, app, bank, powers[r], params)
+                if weights != sim.prev_weights:
+                    break
+            if new is not profile:
+                apply_profile(sched, app, new, t)
+                fire_releases(sched, t)
+                sim.log.add(t, "profile", new.value)
+                profile = new
+                waiting = released_tasks(sched, sim.queues)
+                limit = min(limit, sched._next_fire)
+                short = _short_of(limit, n, dt)
+            if noisy and attack_profiles(info, params):
+                check = i + 1  # the estimate may cross alpha on any slot
+            else:
+                check = _next_check(sim, i, info, total, waiting, shares, running, end)
+        if running is not None or (reported and check == i + 1):
+            sim.decision_drained += drain(caps[0], cost)
+            _slot_tail(sim, i, t, shares, running)
+            i += 1
+            if running is not None and sched.executing is None:
                 break  # the task finished or aborted: step the next slot
             continue
-        if total != last_total or reported:
-            last_total, held = total, None
-            continue
-        volts = [cap.voltage for cap in caps]
-        if volts == held:  # slot i - 1 left the bank as it found it
-            i, drained = _hold(sim, i, ends[r], limit, shares, drained)
-        held = volts
+        i, fixed = _charge(sim, i, max(i + 1, min(check, ends[r], short)), shares)
+        if fixed:
+            i = _hold(sim, i, min(ends[r], short, check if reported else n), shares)[0]
     sim.overhead_invocations += i - i0
-    sim.decision_drained = drained
     sim.i, sim.run = i, r
 
 
-def _hold(sim: SimState, i: int, end: int, limit: float, shares: tuple, drained: float):
+def _short_of(limit: float, n: int, dt: float) -> int:
+    """A slot bound a slot or two short of the first slot whose t reaches
+    limit (or of the horizon): every slot before it is known to be inside."""
+    return int(min(limit, n * dt) / dt) - 1
+
+
+# Relative slack per slot on the energy bounds of _next_check, far above the
+# few roundings by which a slot's float operations can move stored energy
+# beyond its drain, gain and draw.
+_SLACK = 1e-12
+
+
+def _next_check(sim: SimState, i: int, info: AttackInfo, total, waiting: list, shares,
+                running, end) -> int:
+    """The first slot after i at which a check of _quiet_span could fail,
+    given that every check passed at slot i on the bank as it is and that
+    the inputs other than the bank and the clock stay as they are.  info is
+    slot i's report, end the end of its window when an attack is reported,
+    and total the bank's energy that eam's profile check read.
+
+    A buffer gains at most eta * share * dt usable energy per slot: it keeps
+    at most what it holds, the decision drain, the leak and a running task's
+    draw only take energy, and clipping at v_max only lowers it.  Adding a
+    slack of _SLACK times its capacity for rounding gives its rise; the bank
+    falls by less than the leak of full buffers, the decision cost and the
+    running task's draw, plus the same slack, per slot.
+    policy.unready_slots and policy.energy_profile_slots turn these into
+    slot counts.  Under a trusted report, which must be noise-free here, SA
+    stays SA to the window's end and LA holds until the first slot whose
+    t = j * dt gives end - t <= alpha, found with the comparison
+    select_profile makes.  Blind policies keep NML."""
+    params, dt, constants = sim.params, sim.dt, sim.buffer_constants
+    k = math.inf
+    attack = attack_profiles(info, params)  # eam under a trusted report: SA or LA
+    if attack:
+        if sim.sched.profile is Profile.LA:
+            alpha = params.alpha
+            j = max(i + 1, math.ceil((end - alpha) / dt))
+            while j > i + 1 and not end - (j - 1) * dt > alpha:
+                j -= 1
+            while end - j * dt > alpha:
+                j += 1
+            k = j - i - 1
+    slack = [_SLACK * c[4] for c in constants]
+    rises = [s + c[3] * share * dt for s, c, share in zip(slack, constants, shares)]
+    if not attack and not sim.detector_blind:
+        fall = sum(s + c[2] * c[4] for s, c in zip(slack, constants)) + params.decision_cost
+        if running is not None:
+            task = sim.app.task(running)
+            fall += task.energy_cost * dt / task.duration
+        k = energy_profile_slots(total, params, sum(rises), fall)
+    for task in waiting:
+        if k <= 0:
+            break
+        k = min(k, unready_slots(task, sim.bank, info, rises[task[1]]))
+    return sim.n_slots if k >= sim.n_slots - i else i + 1 + int(k)
+
+
+def _charge(sim: SimState, i: int, stop: int, shares: tuple) -> tuple[int, bool]:
+    """Run slots i, i + 1, ... short of stop with no task running and no check
+    due: the decision drain (energy.drain) and energy.slot_update's float
+    operations in the same order, adding straight into the ledger sums, then
+    availability counting and timeline rows (_tally).  It stops after the
+    first slot that leaves every voltage as it found it, returning True,
+    and, while recovery watches are open, after a slot that lifts a buffer
+    they still wait for to v_on, whose _watch it then runs.  Returns the
+    first slot not run and whether that slot is such a fixed point."""
+    caps = sim.bank.capacitors
+    dt, cost = sim.dt, sim.params.decision_cost
+    bufs = [
+        (b, half_c, keep, sigma, eta * share * dt, ceiling, c, v_max, cap.v_on)
+        for b, (cap, (half_c, keep, sigma, eta, ceiling, c, v_max), share)
+        in enumerate(zip(caps, sim.buffer_constants, shares))
+    ]
+    half0, c0 = bufs[0][1], bufs[0][6]
+    vs = [cap.voltage for cap in caps]
+    # Buffers whose components an open recovery watch has yet to see.
+    watched = [
+        (b, caps[b].v_on) for b, names in sim.comp_names
+        if any(name not in seen for _, seen in sim.watches for name in names)
+    ]
+    charged, sigma_drain, spilled = sim.ledger
+    drained = sim.decision_drained
+    avail = sim.avail_counts
+    stride = sim.config.timeline_stride
+    if stride > 0:
+        log = sim.log
+        profile_code = _PROFILE_INDEX[sim.sched.profile]
+    fixed = False
+    while i < stop:
+        before = vs.copy()
+        v = vs[0]
+        energy = half0 * v * v
+        taken = cost if cost < energy else energy
+        if taken > 0.0:
+            vs[0] = math.sqrt(2.0 * (energy - taken) / c0)
+        drained += taken
+        for b, half_c, keep, sigma, gain, ceiling, c, v_max, v_on in bufs:
+            v = vs[b]
+            energy = half_c * v * v
+            new = keep * energy + gain
+            charged += gain
+            sigma_drain += sigma * energy
+            if new > ceiling:
+                spilled += new - ceiling
+                new = ceiling
+            v = math.sqrt(2.0 * new / c)
+            if not v < v_max:
+                v = v_max
+            vs[b] = v
+            if v >= v_on:
+                avail[b] += 1
+        if stride > 0 and i % stride == 0:
+            row = i // stride
+            log.timeline_t[row] = i * dt
+            log.timeline_v[row] = vs
+            log.timeline_profile[row] = profile_code
+            log.timeline_running[row] = -1
+        i += 1
+        if vs == before:
+            fixed = True
+            break
+        if watched and any(vs[b] >= v_on for b, v_on in watched):
+            for cap, v in zip(caps, vs):
+                cap.voltage = v
+            _watch(sim, (i - 1) * dt)
+            break
+    for cap, v in zip(caps, vs):
+        cap.voltage = v
+    sim.ledger[:] = charged, sigma_drain, spilled
+    sim.decision_drained = drained
+    return i, fixed
+
+
+def _hold(sim: SimState, i: int, end: int, shares: tuple) -> int:
     """Replay slots i, i + 1, ... as repeats of slot i - 1, which left every
-    buffer as it found it: up to end, the end of slot i - 1's power run, for
-    at most 1024 slots (bounding the arrays), and short of limit and the
-    horizon by a slot or two, which the span's own loop then checks.  Returns
-    the first slot not replayed and the new decision_drained sum."""
-    n, dt = sim.n_slots, sim.dt
-    k = min(end, i + 1024, int(min(limit, n * dt) / dt) - 1) - i
-    if k <= 0:
-        return i, drained
+    buffer as it found it: short of end, which the caller keeps inside slot
+    i - 1's power run and inside the span, for at most 1024 slots (bounding
+    the arrays).  Returns the first slot not replayed and the count."""
+    k = max(min(end, i + 1024) - i, 0)
+    if k == 0:
+        return i, 0
+    dt = sim.dt
     # One slot's addends come from the energy functions run on copies of
     # the buffers with zero ledgers (0.0 + x is exact).  Rows: charged,
     # sigma drain and spilled per buffer, then the decision drain padded
@@ -754,9 +916,9 @@ def _hold(sim: SimState, i: int, end: int, limit: float, shares: tuple, drained:
     for twin, constants, share, part in zip(twins, sim.buffer_constants, shares, parts):
         slot_update((twin,), (constants,), (share,), dt, part)
     sums = np.empty((4, k * len(caps) + 1))
-    sums[:, 0] = [*sim.ledger, drained]
+    sums[:, 0] = [*sim.ledger, sim.decision_drained]
     sums[:, 1:] = np.tile([*zip(*parts), [taken] + [0.0] * (len(caps) - 1)], k)
-    *ledger, drained = np.cumsum(sums, axis=1)[:, -1].tolist()
+    *ledger, sim.decision_drained = np.cumsum(sums, axis=1)[:, -1].tolist()
     sim.ledger[:] = ledger
     for b, cap in enumerate(caps):
         if cap.voltage >= cap.v_on:
@@ -768,7 +930,7 @@ def _hold(sim: SimState, i: int, end: int, limit: float, shares: tuple, drained:
         sim.log.timeline_v[r0:r1] = [cap.voltage for cap in caps]
         sim.log.timeline_profile[r0:r1] = _PROFILE_INDEX[sim.sched.profile]
         sim.log.timeline_running[r0:r1] = -1
-    return i + k, drained
+    return i + k, k
 
 
 def _finalize(sim: SimState) -> tuple[MetricsReport, EventLog]:

@@ -108,18 +108,37 @@ class PolicyDecision(NamedTuple):
     shares: tuple[float, ...]  # W allotted per buffer
 
 
+def attack_profiles(info: AttackInfo, params: PolicyParams) -> bool:
+    """Whether select_profile picks SA or LA from the report, rather than a
+    profile from the stored energy: an attack is reported and, with the
+    accuracy gate on, the detector is trusted."""
+    if not info.ongoing:
+        return False
+    return not (params.accuracy_gate and not info.accuracy > params.accuracy_threshold)
+
+
 def select_profile(info: AttackInfo, total: float, params: PolicyParams) -> Profile:
     """Pick the active profile from attack knowledge and stored energy."""
-    attack = info.ongoing
-    if attack and params.accuracy_gate and not info.accuracy > params.accuracy_threshold:
-        attack = False  # detector not trusted; fall back to energy rules
-    if attack:
+    if attack_profiles(info, params):
         return Profile.LA if info.remaining_exceeds(params.alpha) else Profile.SA
     if total > params.omega1:
         return Profile.NML
     if total < params.omega0:
         return Profile.CTL
     return Profile.LP
+
+
+def energy_profile_slots(total: float, params: PolicyParams, rise: float, fall: float) -> float:
+    """Slots after this one over which select_profile's energy rule keeps the
+    answer it gives for total, if the total moves by less than rise up and
+    fall down per slot (both positive): total + j * rise and total - j * fall
+    must stay on the same side of omega0 and omega1 for every j up to it."""
+    omega0, omega1 = params.omega0, params.omega1
+    if total > omega1:
+        return (total - omega1) // fall
+    if total < omega0:
+        return (omega0 - total) // rise
+    return min((total - omega0) // fall, (omega1 - total) // rise)
 
 
 def build_active_set(spec: AppSpec, profile: Profile) -> tuple[list[str], dict[str, float]]:
@@ -178,6 +197,19 @@ def is_ready(task: tuple, bank: CapacitorBank, info: AttackInfo) -> bool:
     if info.ongoing:
         return usable > cost and info.remaining_exceeds(period)
     return usable >= cost
+
+
+def unready_slots(task: tuple, bank: CapacitorBank, info: AttackInfo, rise: float) -> float:
+    """Slots after this one over which is_ready(task, ...), False now, stays
+    False, if the task's buffer gains less than rise (> 0) usable energy per
+    slot, rounding included.  Either the usable energy cannot reach the cost
+    in that many slots, or a reported attack's remainder can no longer exceed
+    the period in this window (AttackInfo.never_exceeds)."""
+    _, buf, cost, period = task
+    if info.ongoing and info.never_exceeds(period):
+        return math.inf
+    deficit = cost - usable_energy(bank.capacitors[buf])
+    return deficit // rise if deficit > 0.0 else 0.0
 
 
 def any_ready(tasks: list, bank: CapacitorBank, info: AttackInfo) -> bool:

@@ -397,6 +397,39 @@ def test_run_rejects_non_finite_values_cleanly(tmp_path, capsys, override, match
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "params.alpha_s=abc",
+        "sim.rng_seed=.inf",
+        "detector.rng_seed=.inf",
+        "sim.queue_capacity=1.5e400",
+    ],
+)
+def test_run_rejects_values_a_field_cannot_take(tmp_path, capsys, override):
+    """A value its field's conversion refuses (a word for a number, an
+    infinite or overflowing integer) stops with an error line naming it."""
+    rc = cli.main(["run", "--config", str(CONFIGS / "compare_sine_30s.yaml"),
+                   "--out", str(tmp_path), "--set", override])
+    assert rc == 1
+    err = capsys.readouterr().err
+    key = override.partition("=")[0]
+    assert err.startswith("error:") and key in err and "bad value" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_run_rejects_a_task_period_shorter_than_a_slot(tmp_path, capsys):
+    """A huge finite rate would stall the release loop; a period under one
+    slot is rejected before the run starts."""
+    rc = cli.main(["run", "--config", str(CONFIGS / "twotask_short_attack.yaml"),
+                   "--out", str(tmp_path), "--set", "app.tasks.0.rates_per_hour.nml=1.0e+300"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "task T1: NML period" in err
+    assert "shorter than one slot" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_seed_and_equal_budget_flags_become_overrides():
     args = cli._parser().parse_args(
         [

@@ -8,9 +8,9 @@ transition of the scheduler's state machine.  hvac_attack.yaml also runs in
 two variants: unshortened (one hour, 720 k slots per run), the only runs
 whose idle stretches last tens of minutes, and shortened with a late, noisy
 detector and a timeline row per slot, the only runs whose remaining-time
-estimates straddle the policy's thresholds.  One attack_storm input of the
-benchmark is also checked against the digests the benchmark itself records
-(perfbench/golden.json), which this file only reads.
+estimates straddle the policy's thresholds.  One attack_storm input and one
+policy_sweep input of the benchmark are also checked against the digests the
+benchmark itself records (perfbench/golden.json), which this file only reads.
 
 A change that means to alter run output re-records the digests with
 
@@ -73,8 +73,9 @@ FULL = "hvac_attack.yaml"
 FULL_CASES = [(p, m) for p in POLICIES for m in MODES]
 VARIANTS = {"full": (), "noisy": NOISY_HVAC}
 
-# The attack_storm benchmark input checked against perfbench/golden.json.
+# The benchmark inputs checked against perfbench/golden.json.
 STORM_VARIANT = 7
+SWEEP_VARIANT = 11
 
 
 def test_shorten_table_covers_every_bundled_config():
@@ -137,6 +138,18 @@ def test_attack_storm_artifacts_match_the_benchmark_digests(tmp_path, capsys):
     it, reproduces the digests in perfbench/golden.json."""
     argv, variant, config_sha = WORKLOADS.prepare("attack_storm", STORM_VARIANT, tmp_path)
     expected = json.loads(WORKLOADS.GOLDEN.read_text())["attack_storm"][variant]
+    assert config_sha == expected["config_sha256"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert WORKLOADS.artifact_digests(tmp_path / "out") == expected["artifacts"]
+
+
+def test_policy_sweep_artifacts_match_the_benchmark_digests(tmp_path, capsys):
+    """One policy_sweep input (12 cells of eam, fh and central), built and
+    run as the benchmark builds and runs it, reproduces the digests in
+    perfbench/golden.json."""
+    argv, variant, config_sha = WORKLOADS.prepare("policy_sweep", SWEEP_VARIANT, tmp_path)
+    expected = json.loads(WORKLOADS.GOLDEN.read_text())["policy_sweep"][variant]
     assert config_sha == expected["config_sha256"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()

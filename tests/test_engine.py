@@ -1,6 +1,8 @@
 """Simulation engine: slot loop, energy ledger, events, metrics."""
 
 import bisect
+import contextlib
+import io
 import math
 import random
 import tracemalloc
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import eamsim.cli as cli
 import eamsim.engine as engine
 from eamsim.apps import AppSpec, Profile, TaskSpec, builtin_app
 from eamsim.config import apply_overrides, build_sim_config, load_config
@@ -622,6 +625,37 @@ def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeyp
     assert calls[0] <= 4_000
     assert report.overhead_invocations == n_slots
     assert abs(residual(log)) < 1e-9
+
+
+@pytest.mark.parametrize("policy", ["eam", "fh"])
+def test_run_batches_the_attack_and_recharge_of_a_sweep_cell(monkeypatch, tmp_path, policy):
+    """The 300 s attack cell of policy_sweep variant 3 (120,000 slots): the
+    bounds of _next_check leave the checks idle through the attack and the
+    recharge after it, so _charge runs nearly every slot the policy does not.
+    eam reads 5 reports where it read one per reported slot (60,000); the
+    span steps 48 (eam) and 62 (fh) slots one at a time and calls _charge
+    324 times."""
+    calls = dict.fromkeys(("detect", "policy_step", "_slot_tail", "_charge"), 0)
+
+    def counting(name):
+        inner = getattr(engine, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(engine, name, counting(name))
+    argv = ["compare", "--config", str(CONFIGS / "hvac_attack.yaml"), "--seed", "3",
+            "--policies", policy, "--attack-durations", "300", "--set", "sim.horizon_s=600",
+            "--set", "sim.timeline_stride=0", "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert calls["detect"] <= 20
+    assert calls["_slot_tail"] - calls["policy_step"] <= 100
+    assert calls["_charge"] <= 400
 
 
 # --------------------------------------------------------------- determinism

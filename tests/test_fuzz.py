@@ -1,11 +1,12 @@
 """Property tests over random valid configurations: every run finishes, its
 energy ledger balances, the MCU runs at most one task, and every task start
-was funded by its buffer; engine.run, which skips the policy on quiet slots
-and replays the slots that repeat an exact fixed point, gives exactly what
-stepping every slot gives."""
+was funded by its buffer; engine.run, which skips the policy on quiet slots,
+batches the slots its bounds prove quiet and replays the slots that repeat
+an exact fixed point, gives exactly what stepping every slot gives."""
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -244,6 +245,69 @@ def test_run_matches_stepping_through_exact_fixed_points(monkeypatch):
         assert 3 * sum(runs) >= 2 * len(runs), (kind, sum(runs), len(runs))
 
 
+@st.composite
+def charging_configs(draw):
+    """sim_configs with buffers that start low and charge slowly from a weak
+    harvest, leaking nothing or a little, and tasks released from the start
+    that wait for energy: their readiness and eam's energy profiles are
+    settled by the bounds of engine._next_check, which are tight where a
+    buffer neither leaks nor pays the decision cost.  The detector is
+    noise-free or noisy; every policy is drawn."""
+    config = draw(sim_configs())
+    bank = CapacitorBank(
+        capacitors=[
+            dataclasses.replace(
+                cap,
+                voltage=cap.v_on * draw(st.floats(0.0, 1.0)),
+                drain_fraction=draw(st.sampled_from([0.0, 1e-6, 1e-4])),
+            )
+            for cap in config.bank.capacitors
+        ],
+        component_map=config.bank.component_map,
+    )
+    trace = synthesize_trace(
+        draw(st.sampled_from(["constant", "step", "sinusoid"])),
+        amplitude=draw(st.floats(0.2, 1.5)),
+        length=HORIZON,
+        interval=1.0,
+        period=draw(st.floats(5.0, 30.0)),
+    )
+    return dataclasses.replace(
+        config,
+        bank=bank,
+        trace=trace,
+        app=draw(chains(len(bank), rates=RATES[1:3])),
+        params=dataclasses.replace(
+            config.params, decision_cost=draw(st.sampled_from([0.0, 1e-9]))),
+        detector=dataclasses.replace(
+            config.detector, remaining_time_error=draw(st.sampled_from([0.0, 0.3]))),
+        policy=draw(st.sampled_from(["eam", "fh", "central"])),
+        equal_budget=False,
+    )
+
+
+def test_run_matches_stepping_while_buffers_charge(monkeypatch):
+    """At least two in three runs batch slots in engine._charge; run still
+    gives what stepping every slot gives."""
+    batched = []
+    charge = engine._charge
+
+    def counted(sim, i, *args):
+        out = charge(sim, i, *args)
+        batched[-1] += out[0] - i
+        return out
+
+    monkeypatch.setattr(engine, "_charge", counted)
+
+    @given(charging_configs(), st.sampled_from([0, 1, 7]))
+    def check(config, stride):
+        batched.append(0)
+        assert_run_matches_steps(dataclasses.replace(config, timeline_stride=stride))
+
+    check()
+    assert 3 * sum(k > 0 for k in batched) >= 2 * len(batched), batched
+
+
 def switch_config(cost: float, noise: float = 0.0, seed: int = 0) -> SimConfig:
     """One task, released every 10 s in NML, every 5 s in SA and every 20 s
     in LA, on a full buffer; one attack over [12, 31) s with alpha = 10 s.
@@ -288,6 +352,32 @@ def test_noisy_profile_switches_with_a_released_task_match_stepping(noise, seed)
     left Blocked can pass the readiness rule under the new periods on a
     later slot of the same span."""
     assert_run_matches_steps(switch_config(50e-6, noise, seed))
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.5])
+def test_an_empty_bank_held_through_a_reported_attack_switches_on_time(delay):
+    """An empty bank under an attack is a fixed point from the first slot,
+    but eam's profile still reads the clock: with alpha = 5 s the report
+    turns from LA to SA at 10 s, inside a replayed stretch, and no release
+    is due then (every period but SA's is 60 s)."""
+    cap = Capacitor(capacitance=100e-6, drain_fraction=0.0, voltage=0.0)
+    rates = {p: 60.0 for p in Profile} | {Profile.SA: 360.0}
+    task = TaskSpec(id="T0", energy_cost=50e-6, duration=0.05, buffer=0, rates=rates)
+    config = SimConfig(
+        trace=synthesize_trace("constant", amplitude=3.0, length=40.0, interval=1.0),
+        app=AppSpec(name="dark", tasks=(task,), sink_task="T0"),
+        bank=CapacitorBank(capacitors=[cap], component_map={0: (Component.MCU,)}),
+        params=PolicyParams(alpha=5.0),
+        detector=DetectorConfig(detection_delay=delay),
+        attacks=[AttackScenario(0.0, 15.0, "long", "a0")],
+        dt=DT,
+        horizon=40.0,
+        timeline_stride=1,
+    )
+    _, log = run(config)
+    assert [ev[:3] for ev in log.of_kind("profile")][:2] == [
+        (delay, "profile", "LA"), (10.0, "profile", "SA")]
+    assert_run_matches_steps(config)
 
 
 def test_a_running_task_on_a_buffer_refilled_every_slot_is_stepped():
