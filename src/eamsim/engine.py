@@ -30,9 +30,10 @@ Inside a stretch the readiness and profile checks run only where they could
 fail.  A buffer gains at most eta * share * dt per slot, so a waiting task's
 energy deficit gives a count of slots before it can be funded; the stored
 total, moving by at most the gains up and the leak, decision cost and draw
-down, gives one for eam's energy profiles; a noise-free report's remaining
-time crosses alpha, and outlasts a period no longer, at slots found with the
-comparisons a slot makes.  Blind policies never change profile.  With no
+down, gives one for eam's energy profiles.  A noise-free report's remaining
+time falls to alpha on a slot found with the comparison a slot makes, and a
+task whose period the report's noise band no longer exceeds waits out the
+window.  Blind policies never change profile.  With no
 task running, the slots up to the next check run in one tight loop of the
 same float operations (_charge), the only copy of the slot physics beside
 step's.  Where a slot leaves every buffer voltage bit-identical, the slots
