@@ -53,6 +53,11 @@ class AttackInfo:
             self._est = max(self._true * (1.0 + u), 0.0)
         return self._est
 
+    @staticmethod
+    def band_bottom(remaining: float, err: float) -> float:
+        """The least estimate a report of true remainder remaining can give."""
+        return remaining * (1.0 - err)
+
     def remaining_exceeds(self, x: float) -> bool:
         """remaining > x, drawing the noise only if x is inside its band.
 
@@ -60,7 +65,7 @@ class AttackInfo:
         rounds monotonically, so r * (1 - err) <= remaining <= r * (1 + err)
         holds in floats as it does in reals."""
         if self._est is None:
-            if self._true * (1.0 - self._err) > x:
+            if self.band_bottom(self._true, self._err) > x:
                 return True
             if self._true * (1.0 + self._err) <= x:
                 return False

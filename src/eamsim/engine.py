@@ -30,10 +30,11 @@ Inside a stretch the readiness and profile checks run only where they could
 fail.  A buffer gains at most eta * share * dt per slot, so a waiting task's
 energy deficit gives a count of slots before it can be funded; the stored
 total, moving by at most the gains up and the leak, decision cost and draw
-down, gives one for eam's energy profiles.  A noise-free report's remaining
-time falls to alpha on a slot found with the comparison a slot makes, and a
-task whose period the report's noise band no longer exceeds waits out the
-window.  Blind policies never change profile.  With no
+down, gives one for eam's energy profiles.  A report's noise band settles
+SA/LA without a draw where it lies on one side of alpha: LA holds until its
+bottom reaches alpha, on a slot found with the comparison a slot makes, SA to
+the window's end once its top has.  A task whose period the band no longer
+exceeds waits out the window.  Blind policies never change profile.  With no
 task running, the slots up to the next check run in one tight loop of the
 same float operations (_charge), the only copy of the slot physics beside
 step's.  Where a slot leaves every buffer voltage bit-identical, the slots
@@ -179,8 +180,9 @@ class EventLog:
     Events are (t, kind, *fields) tuples with non-decreasing t.  The totals
     dict carries the engine's raw accumulators (energy ledger, availability
     counts, release bookkeeping) from which metrics are derived.  The timeline
-    arrays, one row per timeline_stride slots, are allocated by init_sim and
-    filled as the run advances; they stay None when the timeline is off.
+    arrays, one row per timeline_stride slots, are allocated by init_sim, which
+    fills timeline_t, and the rest are filled as the run advances; they stay
+    None when the timeline is off.
     """
 
     events: list[tuple] = field(default_factory=list)
@@ -433,7 +435,10 @@ def init_sim(config: SimConfig) -> SimState:
     if config.equal_budget and config.attacks:
         sim.reset_at = min(sc.start for sc in config.attacks)
     if rows:
-        sim.log.timeline_t = np.empty(rows)
+        # Row r's t is (r * stride) * dt, bit for bit the i * dt of its slot.
+        sim.log.timeline_t = np.arange(rows, dtype=np.float64)
+        sim.log.timeline_t *= stride
+        sim.log.timeline_t *= config.dt
         sim.log.timeline_v = np.empty((rows, m))
         sim.log.timeline_profile = np.empty(rows, dtype=np.int8)
         sim.log.timeline_running = np.empty(rows, dtype=np.int16)
@@ -582,7 +587,7 @@ def _slot_tail(sim: SimState, i: int, t: float, shares: tuple, tid: str | None) 
         _draw(sim, tid, t)
     if sim.watches:
         _watch(sim, t)
-    _tally(sim, i, t, -1 if tid is None else sim.task_index[tid])
+    _tally(sim, i, -1 if tid is None else sim.task_index[tid])
 
 
 def _draw(sim: SimState, tid: str, t: float) -> None:
@@ -629,9 +634,9 @@ def _watch(sim: SimState, t: float) -> None:
         sim.log.totals.setdefault("latency_records", []).append(watch)
 
 
-def _tally(sim: SimState, i: int, t: float, running: int) -> None:
+def _tally(sim: SimState, i: int, running: int) -> None:
     """Count the buffers at or above v_on in slot i and, on every
-    timeline_stride-th slot, write its timeline row."""
+    timeline_stride-th slot, write its timeline row (init_sim set its t)."""
     caps = sim.bank.capacitors
     avail = sim.avail_counts
     for b, cap in enumerate(caps):
@@ -641,7 +646,6 @@ def _tally(sim: SimState, i: int, t: float, running: int) -> None:
     if stride > 0 and i % stride == 0:
         log = sim.log
         r = i // stride
-        log.timeline_t[r] = t
         for b, cap in enumerate(caps):
             log.timeline_v[r, b] = cap.voltage
         log.timeline_profile[r] = _PROFILE_INDEX[sim.sched.profile]
@@ -698,7 +702,6 @@ def _quiet_span(sim: SimState) -> None:
         else:
             limit = min(limit, first)
         limit = min(limit, end)
-    noisy = reported and sim.config.detector.remaining_time_error != 0.0
     waiting = released_tasks(sched, sim.queues)
     i0 = i = check = sim.i
     n, dt, r = sim.n_slots, sim.dt, sim.run
@@ -724,7 +727,7 @@ def _quiet_span(sim: SimState) -> None:
                 total = total_energy(bank)
                 new = profile_fn(info, total, params)
             if new is not profile:
-                stop = not only_profile_changes(sched, app, new, t, waiting, bank, info)
+                stop = not only_profile_changes(sched, new, t, waiting, bank, info)
             else:
                 stop = waiting and any_ready(waiting, bank, info)
             if stop:
@@ -736,17 +739,14 @@ def _quiet_span(sim: SimState) -> None:
                 if weights != sim.prev_weights:
                     break
             if new is not profile:
-                apply_profile(sched, app, new, t)
+                apply_profile(sched, new, t)
                 fire_releases(sched, t)
                 sim.log.add(t, "profile", new.value)
                 profile = new
                 waiting = released_tasks(sched, sim.queues)
                 limit = min(limit, sched._next_fire)
                 short = _short_of(limit, n, dt)
-            if noisy and attack_profiles(info, params):
-                check = i + 1  # the estimate may cross alpha on any slot
-            else:
-                check = _next_check(sim, i, info, total, waiting, shares, running, end)
+            check = _next_check(sim, i, info, total, waiting, shares, running, end)
         if running is not None or (reported and check == i + 1):
             sim.decision_drained += drain(caps[0], cost)
             _slot_tail(sim, i, t, shares, running)
@@ -788,22 +788,26 @@ def _next_check(sim: SimState, i: int, info: AttackInfo, total, waiting: list, s
     falls by less than the leak of full buffers, the decision cost and the
     running task's draw, plus the same slack, per slot.
     policy.unready_slots and policy.energy_profile_slots turn these into
-    slot counts.  Under a trusted report, which must be noise-free here, SA
-    stays SA to the window's end and LA holds until the first slot whose
-    t = j * dt gives end - t <= alpha, found with the comparison
-    select_profile makes.  Blind policies keep NML."""
+    slot counts.  Under a trusted report LA holds until the first slot whose
+    t = j * dt puts the noise band's bottom, AttackInfo.band_bottom, at or
+    below alpha, found with AttackInfo.remaining_exceeds' comparison; SA holds
+    to the window's end once the band's top is at most alpha.  Slots whose
+    band straddles alpha are checked one at a time.  Blind policies keep NML."""
     params, dt, constants = sim.params, sim.dt, sim.buffer_constants
     k = math.inf
     attack = attack_profiles(info, params)  # eam under a trusted report: SA or LA
     if attack:
-        if sim.sched.profile is Profile.LA:
-            alpha = params.alpha
-            j = max(i + 1, math.ceil((end - alpha) / dt))
-            while j > i + 1 and not end - (j - 1) * dt > alpha:
+        alpha, err = params.alpha, sim.config.detector.remaining_time_error
+        if sim.sched.profile is Profile.LA:  # j: a guess, then exact steps
+            n, low = sim.n_slots, 1.0 - err
+            j = math.ceil(min(max((end - alpha / low) / dt, i + 1), n)) if low > 0.0 else i + 1
+            while j > i + 1 and not AttackInfo.band_bottom(end - (j - 1) * dt, err) > alpha:
                 j -= 1
-            while end - j * dt > alpha:
+            while j < n and AttackInfo.band_bottom(end - j * dt, err) > alpha:
                 j += 1
             k = j - i - 1
+        elif not info.never_exceeds(alpha):
+            k = 0
     slack = [_SLACK * c[4] for c in constants]
     rises = [s + c[3] * share * dt for s, c, share in zip(slack, constants, shares)]
     if not attack and not sim.detector_blind:
@@ -823,11 +827,11 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple) -> tuple[int, bool]
     """Run slots i, i + 1, ... short of stop with no task running and no check
     due: the decision drain (energy.drain) and energy.slot_update's float
     operations in the same order, adding straight into the ledger sums, then
-    availability counting and timeline rows (_tally).  It stops after the
-    first slot that leaves every voltage as it found it, returning True,
-    and, while recovery watches are open, after a slot that lifts a buffer
-    they still wait for to v_on, whose _watch it then runs.  Returns the
-    first slot not run and whether that slot is such a fixed point."""
+    availability counting and timeline rows (_tally's, written as one block).
+    It stops after the first slot that leaves every voltage as it found it,
+    returning True, and, while recovery watches are open, after a slot that
+    lifts a buffer they still wait for to v_on, whose _watch it then runs.
+    Returns the first slot not run and whether that slot is a fixed point."""
     caps = sim.bank.capacitors
     dt, cost = sim.dt, sim.params.decision_cost
     bufs = [
@@ -846,12 +850,11 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple) -> tuple[int, bool]
     drained = sim.decision_drained
     avail = sim.avail_counts
     stride = sim.config.timeline_stride
-    if stride > 0:
-        log = sim.log
-        profile_code = _PROFILE_INDEX[sim.sched.profile]
+    row0 = -(-i // stride) if stride > 0 else 0  # the first row written
+    rows = []
     fixed = False
     while i < stop:
-        before = vs.copy()
+        before, vs = vs, vs.copy()  # a row keeps its slot's list
         v = vs[0]
         energy = half0 * v * v
         taken = cost if cost < energy else energy
@@ -874,11 +877,7 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple) -> tuple[int, bool]
             if v >= v_on:
                 avail[b] += 1
         if stride > 0 and i % stride == 0:
-            row = i // stride
-            log.timeline_t[row] = i * dt
-            log.timeline_v[row] = vs
-            log.timeline_profile[row] = profile_code
-            log.timeline_running[row] = -1
+            rows.append(vs)
         i += 1
         if vs == before:
             fixed = True
@@ -890,6 +889,11 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple) -> tuple[int, bool]
             break
     for cap, v in zip(caps, vs):
         cap.voltage = v
+    if rows:
+        log, block = sim.log, slice(row0, row0 + len(rows))
+        log.timeline_v[block] = rows
+        log.timeline_profile[block] = _PROFILE_INDEX[sim.sched.profile]
+        log.timeline_running[block] = -1
     sim.ledger[:] = charged, sigma_drain, spilled
     sim.decision_drained = drained
     return i, fixed
@@ -927,7 +931,6 @@ def _hold(sim: SimState, i: int, end: int, shares: tuple) -> int:
     stride = sim.config.timeline_stride
     if stride > 0:
         r0, r1 = -(-i // stride), -(-(i + k) // stride)
-        sim.log.timeline_t[r0:r1] = np.arange(r0 * stride, r1 * stride, stride) * dt
         sim.log.timeline_v[r0:r1] = [cap.voltage for cap in caps]
         sim.log.timeline_profile[r0:r1] = _PROFILE_INDEX[sim.sched.profile]
         sim.log.timeline_running[r0:r1] = -1

@@ -90,9 +90,12 @@ class SchedulerState:
     executing: str | None = None
     exec_remaining: float = 0.0  # s of work left on the executing task
     exec_drawn: float = 0.0  # J already withdrawn by the executing task
-    # (id, buffer, cost, input edges) per task, built from the app by
-    # init_scheduler; the earliest next release, kept by fire_releases.
+    # (id, buffer, cost, input edges) per task and each profile's (active,
+    # periods), built from the app by init_scheduler (apply_profile shares
+    # the latter, so nothing may mutate them); the earliest next release,
+    # kept by fire_releases.
     _task_info: tuple = field(default=(), repr=False, compare=False)
+    _profiles: dict = field(default_factory=dict, repr=False, compare=False)
     _next_fire: float = field(default=-math.inf, repr=False, compare=False)
 
 
@@ -171,8 +174,9 @@ def init_scheduler(spec: AppSpec, profile: Profile, now: float = 0.0) -> Schedul
             (t.id, t.buffer, t.energy_cost, tuple((p, t.id) for p in t.predecessors))
             for t in spec.tasks
         ),
+        _profiles={p: profile_periods(spec, p) for p in Profile},
     )
-    apply_profile(state, spec, profile, now)  # every task starts newly enabled
+    apply_profile(state, profile, now)  # every task starts newly enabled
     return state
 
 
@@ -344,7 +348,7 @@ def fire_releases(state: SchedulerState, now: float) -> list[str]:
     return fired
 
 
-def apply_profile(state: SchedulerState, spec: AppSpec, profile: Profile, now: float) -> None:
+def apply_profile(state: SchedulerState, profile: Profile, now: float) -> None:
     """Switch profiles at a slot boundary, re-phasing release schedules.
 
     Newly enabled tasks release immediately; tasks staying active keep their
@@ -352,7 +356,7 @@ def apply_profile(state: SchedulerState, spec: AppSpec, profile: Profile, now: f
     Excluded tasks lose any pending release.
     """
     old_active = set(state.active)
-    active, periods = profile_periods(spec, profile)
+    active, periods = state._profiles[profile]
     for tid in active:
         if tid not in old_active:
             state.next_release[tid] = now
@@ -368,7 +372,6 @@ def apply_profile(state: SchedulerState, spec: AppSpec, profile: Profile, now: f
 
 def only_profile_changes(
     state: SchedulerState,
-    spec: AppSpec,
     profile: Profile,
     now: float,
     tasks: list,
@@ -388,7 +391,7 @@ def only_profile_changes(
     stay the same, because allocate_harvest depends only on the active set
     and the task states.
     """
-    active, periods = profile_periods(spec, profile)
+    active, periods = state._profiles[profile]
     return active == state.active and not any_ready(
         [(tid, buf, cost, periods[tid]) for tid, buf, cost, _ in tasks], bank, info
     )
@@ -416,7 +419,7 @@ def policy_step(
     profile = profile_fn(info, total_energy(bank), params)
     changed = profile is not state.profile
     if changed:
-        apply_profile(state, spec, profile, now)
+        apply_profile(state, profile, now)
     fired = fire_releases(state, now)
     transitions = set_task_states(state, bank, info, queues)
     started = pick_execution_task(state, spec, params)

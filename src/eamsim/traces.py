@@ -167,7 +167,10 @@ def synthesize_trace(
     if not 0 < length < math.inf or not 0 < interval < math.inf:
         raise TraceError("length and interval must be positive and finite")
     n = math.ceil(length / interval) + 1
-    times = np.arange(n) * interval
+    try:
+        times = np.arange(n) * interval
+    except (ValueError, MemoryError) as exc:  # more samples than memory holds
+        raise TraceError(f"a trace of {n:.3g} samples cannot be held: {exc}") from None
     if kind == "constant":
         volts = np.full(n, float(amplitude))
     elif kind == "sinusoid":

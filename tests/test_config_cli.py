@@ -1,13 +1,19 @@
 """Configuration loading, --set overrides, and the command-line front-end."""
 
+import contextlib
 import dataclasses
+import io
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import eamsim.config as config_tables
 from eamsim import cli
 from eamsim.apps import Profile
 from eamsim.config import (
@@ -416,6 +422,53 @@ def test_run_rejects_values_a_field_cannot_take(tmp_path, capsys, override):
     key = override.partition("=")[0]
     assert err.startswith("error:") and key in err and "bad value" in err
     assert not any(tmp_path.iterdir())
+
+
+# Every key of every section table, addressed in twotask_short_attack.yaml
+# (the first attack, task and capacitor stand for the others).
+SET_KEYS = [
+    *sorted(config_tables._TOP_KEYS),
+    *(f"trace.{key}" for key in config_tables._TRACE),
+    *(f"attacks.0.{key}" for key in config_tables._ATTACK),
+    *(f"app.{key}" for key in sorted(config_tables._APP_KEYS)),
+    *(f"app.tasks.0.{key}" for key in config_tables._TASK),
+    *(f"params.{key}" for key in config_tables._PARAMS),
+    *(f"bank.{key}" for key in sorted(config_tables._BANK_KEYS)),
+    *(f"bank.capacitors.0.{key}" for key in config_tables._CAPACITOR),
+    *(f"detector.{key}" for key in config_tables._DETECTOR),
+    *(f"sim.{key}" for key in config_tables._SIM),
+]
+# Values no field should take quietly, as --set text.  Garbage has no digits,
+# so it never parses as a moderate number: a trace length of 1e8 s would
+# really be synthesised, where 1e30 samples cannot be held at all.
+SET_VALUES = st.one_of(
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=12),
+    st.sampled_from([".nan", ".inf", "-.inf", "0", "0.0", "-0.0", "[]", "[1, .nan]", "{}"]),
+    st.floats(min_value=1e30, allow_infinity=False).map(repr),
+    st.integers(min_value=2**63).map(str),
+    st.floats(max_value=-1e-9, allow_infinity=False).map(repr),
+    st.integers(max_value=-1).map(str),
+    st.lists(st.integers(-3, 3) | st.sampled_from([".nan", "abc"]), max_size=3).map(
+        lambda items: "[" + ", ".join(map(str, items)) + "]"),
+)
+
+
+@given(key=st.sampled_from(SET_KEYS), value=SET_VALUES, err=st.sampled_from([0.0, 0.3]))
+@example(key="trace.length_s", value="1e300", err=0.3)  # was a numpy ValueError
+@example(key="attacks.0.duration_s", value="1e300", err=0.0)  # the LA hold's search hung
+def test_run_with_any_set_value_ends_in_a_run_or_an_error_line(key, value, err):
+    """One --set of a bad value on a 2 s attacked run, with an exact or a
+    noisy detector: eamsim runs, or stops with exit 1 and an error line; it
+    never raises and never hangs."""
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["run", "--config", str(CONFIGS / "twotask_short_attack.yaml"), "--out", out]
+        for override in ("sim.horizon_s=2", "attacks.0.start_s=0.5", "attacks.0.duration_s=1",
+                         f"detector.remaining_time_error={err}", f"{key}={value}"):
+            argv += ["--set", override]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+    assert rc == 0 or (rc == 1 and err.getvalue().startswith("error:")), (rc, err.getvalue())
 
 
 def test_run_rejects_a_task_period_shorter_than_a_slot(tmp_path, capsys):

@@ -6,6 +6,7 @@ import io
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import eamsim.cli as cli
 import eamsim.engine as engine
 from eamsim.apps import AppSpec, Profile, TaskSpec, builtin_app
 from eamsim.config import apply_overrides, build_sim_config, load_config
-from eamsim.detector import DetectorConfig
+from eamsim.detector import AttackInfo, DetectorConfig, detect
 from eamsim.energy import (
     Capacitor,
     CapacitorBank,
@@ -345,18 +346,20 @@ def test_attack_window_drives_profile_changes():
 # ----------------------------------------------------------------- timeline
 
 
-def test_timeline_stride_downsamples():
-    cfg = one_task_config(horizon=20.0, dt=0.005, timeline_stride=7)
+@pytest.mark.parametrize("stride", [1, 7])
+def test_timeline_stride_downsamples(stride):
+    cfg = one_task_config(horizon=20.0, dt=0.005, timeline_stride=stride)
     _, log = run(cfg)
     n = log.totals["n_slots"]
     assert n == 4000
-    rows = (n + 7 - 1) // 7
+    rows = (n + stride - 1) // stride
     assert log.timeline_t.shape == (rows,)
     assert log.timeline_v.shape == (rows, 1)
     assert log.timeline_profile.shape == (rows,)
     assert log.timeline_running.shape == (rows,)
-    assert log.timeline_t[0] == 0.0
-    assert log.timeline_t[1] == pytest.approx(7 * 0.005, rel=1e-12)
+    # Row r is slot i = r * stride, at the t = i * dt that slot computes.
+    assert log.timeline_t.tolist() == [(r * stride) * 0.005 for r in range(rows)]
+    assert log.timeline_t.tolist() == [i * 0.005 for i in range(0, n, stride)]
 
 
 def test_timeline_stride_zero_disables_sampling():
@@ -608,23 +611,69 @@ def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeyp
     """attack_storm variant 5: a four-task pipeline released every second, a
     noisy late detector over eight attacks and 22,728 SA/LA switches.  The
     policy runs on 3,528 of the 300,000 slots (33,502 when every profile
-    switch and every slot with a running task was stepped)."""
+    switch and every slot with a running task was stepped).  The span reads
+    58,431 reports and steps 68,736 slots one at a time (149,449 and 159,945
+    when every slot of a noisy report was checked); the noise is drawn on
+    the same 58,057 slots either way."""
     config = build_sim_config(WORKLOADS.storm_config(5))
-    calls = [0]
-    policy_step = engine.policy_step
+    calls = dict.fromkeys(("policy_step", "detect", "_slot_tail", "Random"), 0)
 
-    def counted(*args):
-        calls[0] += 1
-        return policy_step(*args)
+    def counting(name):
+        inner = getattr(engine, name)
 
-    monkeypatch.setattr(engine, "policy_step", counted)
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return counted
+
+    class CountedRandom(random.Random):
+        def __init__(self, *args):
+            calls["Random"] += 1
+            super().__init__(*args)
+
+    for name in ("policy_step", "detect", "_slot_tail"):
+        monkeypatch.setattr(engine, name, counting(name))
+    monkeypatch.setattr(random, "Random", CountedRandom)
     report, log = run(config)
     n_slots = log.totals["n_slots"]
     assert n_slots == 300_000
     assert len(log.of_kind("profile")) == 22_728
-    assert calls[0] <= 4_000
+    assert calls["policy_step"] <= 4_000
+    assert calls["detect"] <= 60_000
+    assert calls["_slot_tail"] <= 70_000
+    assert calls["Random"] == 58_057
     assert report.overhead_invocations == n_slots
     assert abs(residual(log)) < 1e-9
+
+
+@given(
+    dt=st.sampled_from([0.005, 0.01, 0.02]),
+    end=st.floats(min_value=1.0, max_value=50.0),
+    alpha=st.floats(min_value=0.0, max_value=60.0),
+    err=st.sampled_from([0.0, 0.35, 1.0, 1.5]) | st.floats(min_value=0.0, max_value=1.0),
+    frac=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_la_hold_ends_on_the_first_slot_whose_noise_band_reaches_alpha(dt, end, alpha, err,
+                                                                        frac):
+    """_next_check's LA hold from a slot i inside a reported attack: on every
+    slot before the one it returns the report settles LA without a draw, and
+    on that slot the band's bottom is at or below alpha."""
+    config = one_task_config(
+        dt=dt, horizon=60.0, attacks=[AttackScenario(start=0.0, duration=end)],
+        detector=DetectorConfig(remaining_time_error=err),
+        params=PolicyParams(alpha=alpha, decision_cost=0.0, decision_time=0.0),
+    )
+    sim = init_sim(config)
+    sim.sched.profile = Profile.LA
+    i = int(frac * (end / dt - 1))
+    info = detect(i * dt, config.attacks, config.detector)
+    j = engine._next_check(sim, i, info, None, [], (0.0,), None, end)
+    assert i < j <= sim.n_slots
+    with mock.patch.object(random, "Random", side_effect=AssertionError("noise drawn")):
+        for s in range(i + 1, j):
+            assert detect(s * dt, config.attacks, config.detector).remaining_exceeds(alpha)
+    assert j == sim.n_slots or AttackInfo.band_bottom(end - j * dt, err) <= alpha
 
 
 @pytest.mark.parametrize("policy", ["eam", "fh"])

@@ -399,7 +399,7 @@ def test_apply_profile_rephases_releases():
 
     state = init_scheduler(app, Profile.SA, now=0.0)  # only B active
     assert state.active == ["B"]
-    apply_profile(state, app, Profile.NML, now=10.0)
+    apply_profile(state, Profile.NML, now=10.0)
     assert state.active == ["A", "B"]
     assert state.next_release["A"] == 10.0  # newly enabled: release immediately
     # B keeps its schedule, clipped to one new period out.
@@ -407,7 +407,7 @@ def test_apply_profile_rephases_releases():
 
     fire_releases(state, 10.0)
     assert state.pending["A"]
-    apply_profile(state, app, Profile.SA, now=20.0)
+    apply_profile(state, Profile.SA, now=20.0)
     assert state.pending["A"] is False  # excluded tasks lose pending releases
     assert state.profile is Profile.SA
 
