@@ -465,10 +465,10 @@ def test_run_with_any_set_value_ends_in_a_run_or_an_error_line(key, value, err):
         for override in ("sim.horizon_s=2", "attacks.0.start_s=0.5", "attacks.0.duration_s=1",
                          f"detector.remaining_time_error={err}", f"{key}={value}"):
             argv += ["--set", override]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             rc = cli.main(argv)
-    assert rc == 0 or (rc == 1 and err.getvalue().startswith("error:")), (rc, err.getvalue())
+    assert rc == 0 or (rc == 1 and stderr.getvalue().startswith("error:")), (rc, stderr.getvalue())
 
 
 def test_run_rejects_a_task_period_shorter_than_a_slot(tmp_path, capsys):

@@ -346,20 +346,19 @@ def test_attack_window_drives_profile_changes():
 # ----------------------------------------------------------------- timeline
 
 
-@pytest.mark.parametrize("stride", [1, 7])
-def test_timeline_stride_downsamples(stride):
-    cfg = one_task_config(horizon=20.0, dt=0.005, timeline_stride=stride)
-    _, log = run(cfg)
-    n = log.totals["n_slots"]
-    assert n == 4000
-    rows = (n + stride - 1) // stride
-    assert log.timeline_t.shape == (rows,)
-    assert log.timeline_v.shape == (rows, 1)
-    assert log.timeline_profile.shape == (rows,)
-    assert log.timeline_running.shape == (rows,)
-    # Row r is slot i = r * stride, at the t = i * dt that slot computes.
-    assert log.timeline_t.tolist() == [(r * stride) * 0.005 for r in range(rows)]
-    assert log.timeline_t.tolist() == [i * 0.005 for i in range(0, n, stride)]
+def test_timeline_stride_downsamples():
+    for stride in (1, 7):
+        _, log = run(one_task_config(horizon=20.0, dt=0.005, timeline_stride=stride))
+        n = log.totals["n_slots"]
+        assert n == 4000
+        rows = (n + stride - 1) // stride
+        assert log.timeline_t.shape == (rows,)
+        assert log.timeline_v.shape == (rows, 1)
+        assert log.timeline_profile.shape == (rows,)
+        assert log.timeline_running.shape == (rows,)
+        # Row r is slot i = r * stride, at the t = i * dt that slot computes.
+        assert log.timeline_t.tolist() == [(r * stride) * 0.005 for r in range(rows)]
+        assert log.timeline_t.tolist() == [i * 0.005 for i in range(0, n, stride)]
 
 
 def test_timeline_stride_zero_disables_sampling():
