@@ -58,6 +58,10 @@ class AttackInfo:
         """The least estimate a report of true remainder remaining can give."""
         return remaining * (1.0 - err)
 
+    @staticmethod
+    def band_top(remaining: float, err: float) -> float:  # the greatest estimate
+        return remaining * (1.0 + err)
+
     def remaining_exceeds(self, x: float) -> bool:
         """remaining > x, drawing the noise only if x is inside its band.
 
@@ -67,15 +71,15 @@ class AttackInfo:
         if self._est is None:
             if self.band_bottom(self._true, self._err) > x:
                 return True
-            if self._true * (1.0 + self._err) <= x:
+            if self.band_top(self._true, self._err) <= x:
                 return False
         return self.remaining > x
 
     def never_exceeds(self, x: float) -> bool:
         """Whether remaining_exceeds(x) is False now and at every later
-        report of the same window: the top of the band, r * (1 + err), is at
-        most x, and the true remainder r only shrinks as t grows."""
-        return self._true * (1.0 + self._err) <= x
+        report of the same window: the band's top is at most x, and the true
+        remainder only shrinks as t grows."""
+        return self.band_top(self._true, self._err) <= x
 
     def _fields(self) -> tuple:
         return self.ongoing, self.accuracy, self.elapsed, self.remaining

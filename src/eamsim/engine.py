@@ -32,15 +32,15 @@ energy deficit gives a count of slots before it can be funded; the stored
 total, moving by at most the gains up and the leak, decision cost and draw
 down, gives one for eam's energy profiles.  A report's noise band settles
 SA/LA without a draw where it lies on one side of alpha: LA holds until its
-bottom reaches alpha, on a slot found with the comparison a slot makes, SA to
-the window's end once its top has.  A task whose period the band no longer
-exceeds waits out the window.  Blind policies never change profile.  With no
-task running, the slots up to the next check run in one tight loop of the
-same float operations (_charge), the only copy of the slot physics beside
-step's.  Where a slot leaves every buffer voltage bit-identical, the slots
-after it under the same power repeat it, so run() only advances the ledger
-sums (addend by addend, as step() would), availability counts and timeline
-rows over them.  overhead_invocations still counts every slot, as the
+bottom reaches alpha, SA to the window's end once its top has.  A task whose
+period the band no longer exceeds waits out the window.  Blind policies never
+change profile.  With no task running, the slots up to the next check run in
+one tight loop of the same float operations (_charge), the only copy of the
+slot physics beside step's, which settles SA/LA on each slot while the band
+straddles alpha.  Where a slot leaves every buffer voltage bit-identical, the
+slots after it under the same power repeat it, so run() only advances the
+ledger sums (addend by addend, as step() would), availability counts and
+timeline rows over them.  overhead_invocations still counts every slot, as the
 modelled device decides on each one.
 
 The engine keeps an explicit energy ledger (charged, drained, withdrawn,
@@ -100,6 +100,10 @@ PROFILE_ORDER = tuple(Profile)
 _PROFILE_INDEX = {p: i for i, p in enumerate(PROFILE_ORDER)}
 
 
+MAX_SLOTS = 10**9  # caps on time and memory; 24 h at 5 ms is 17.28 M slots
+MAX_TIMELINE_ROWS = 2**25
+
+
 class EngineError(ValueError):
     pass
 
@@ -141,6 +145,10 @@ def validate_config(config: SimConfig) -> list[str]:
         problems.append("horizon must be finite and cover at least one slot")
     else:
         n_slots = config.n_slots
+        rows = -(-n_slots // config.timeline_stride) if config.timeline_stride > 0 else 0
+        if n_slots > MAX_SLOTS or rows > MAX_TIMELINE_ROWS:
+            problems.append(f"{n_slots:.4g} slots ({rows:.4g} timeline rows) exceed the "
+                            f"caps of {MAX_SLOTS:.0e} slots and {MAX_TIMELINE_ROWS} rows")
     if config.queue_capacity < 1:
         problems.append("queue capacity must be >= 1")
     if config.timeline_stride < 0:
@@ -665,8 +673,7 @@ def _quiet_span(sim: SimState) -> None:
     released task passes the readiness rule (policy.any_ready), the weights
     would change, or the profile would change in a way
     policy.only_profile_changes rejects.  A switch it accepts changes only
-    the profile, so the span applies it as policy_step would (apply_profile,
-    fire_releases, which fires nothing), logs it and lowers its limit to the
+    the profile; the span applies it (_switch) and lowers its limit to the
     new next release.  It stops after the slot where the running task
     completes or aborts.  Before a window's onset is logged every policy
     stops at its first slot.  When a check stops the span inside a reported
@@ -680,13 +687,15 @@ def _quiet_span(sim: SimState) -> None:
     readiness, the profile keeps its value, and eam reads no report.
 
     With no task running, _charge runs the slots up to that point in one
-    loop.  Where a slot leaves every buffer voltage bit-identical, it stops:
-    each later slot under the same power has the same inputs, so it repeats
-    that slot's float operations and, outside a reported attack, passes the
-    same checks, as the slot before it was proven to; open recovery watches,
-    which saw these voltages, stay inert.  _hold replays such stretches,
-    advancing only the sums, counts and timeline; inside a reported attack,
-    whose checks also read the clock, only up to the next check.
+    loop, settling the profile on each slot where _next_check asks it to
+    (the span checks again where it stops).  Where a slot leaves every buffer
+    voltage bit-identical, it stops: each later slot under the same power has
+    the same inputs, so it repeats that slot's float operations and, outside
+    a reported attack, passes the same checks, as the slot before it was
+    proven to; open recovery watches, which saw these voltages, stay inert.
+    _hold replays such stretches, advancing only the sums, counts and
+    timeline; inside a reported attack, whose checks also read the clock,
+    only up to the next check.
     """
     sched = sim.sched
     running = sched.executing
@@ -739,14 +748,10 @@ def _quiet_span(sim: SimState) -> None:
                 if weights != sim.prev_weights:
                     break
             if new is not profile:
-                apply_profile(sched, new, t)
-                fire_releases(sched, t)
-                sim.log.add(t, "profile", new.value)
-                profile = new
-                waiting = released_tasks(sched, sim.queues)
-                limit = min(limit, sched._next_fire)
+                limit = min(limit, _switch(sim, new, t))
+                profile, waiting = new, released_tasks(sched, sim.queues)
                 short = _short_of(limit, n, dt)
-            check = _next_check(sim, i, info, total, waiting, shares, running, end)
+            check, settle = _next_check(sim, i, info, total, waiting, shares, running, end)
         if running is not None or (reported and check == i + 1):
             sim.decision_drained += drain(caps[0], cost)
             _slot_tail(sim, i, t, shares, running)
@@ -754,11 +759,24 @@ def _quiet_span(sim: SimState) -> None:
             if running is not None and sched.executing is None:
                 break  # the task finished or aborted: step the next slot
             continue
-        i, fixed = _charge(sim, i, max(i + 1, min(check, ends[r], short)), shares)
-        if fixed:
+        stop = max(i + 1, min(check, ends[r], short))
+        i, fixed = _charge(sim, i, stop, shares, attack if settle else None)
+        if settle:  # _charge may have switched: check again where it stopped
+            check, profile, waiting = i, sched.profile, released_tasks(sched, sim.queues)
+            limit = min(limit, sched._next_fire)
+            short = _short_of(limit, n, dt)
+        elif fixed:
             i = _hold(sim, i, min(ends[r], short, check if reported else n), shares)[0]
     sim.overhead_invocations += i - i0
     sim.i, sim.run = i, r
+
+
+def _switch(sim: SimState, profile: Profile, t: float) -> float:
+    """Apply and log a switch only_profile_changes accepts; return the next release."""
+    apply_profile(sim.sched, profile, t)
+    fire_releases(sim.sched, t)
+    sim.log.add(t, "profile", profile.value)
+    return sim.sched._next_fire
 
 
 def _short_of(limit: float, n: int, dt: float) -> int:
@@ -774,7 +792,7 @@ _SLACK = 1e-12
 
 
 def _next_check(sim: SimState, i: int, info: AttackInfo, total, waiting: list, shares,
-                running, end) -> int:
+                running, end) -> tuple[int, bool]:
     """The first slot after i at which a check of _quiet_span could fail,
     given that every check passed at slot i on the bank as it is and that
     the inputs other than the bank and the clock stay as they are.  info is
@@ -788,26 +806,24 @@ def _next_check(sim: SimState, i: int, info: AttackInfo, total, waiting: list, s
     falls by less than the leak of full buffers, the decision cost and the
     running task's draw, plus the same slack, per slot.
     policy.unready_slots and policy.energy_profile_slots turn these into
-    slot counts.  Under a trusted report LA holds until the first slot whose
-    t = j * dt puts the noise band's bottom, AttackInfo.band_bottom, at or
-    below alpha, found with AttackInfo.remaining_exceeds' comparison; SA holds
-    to the window's end once the band's top is at most alpha.  Slots whose
-    band straddles alpha are checked one at a time.  Blind policies keep NML."""
+    slot counts.  Under a trusted report LA holds to the first slot whose
+    noise band bottom is at most alpha, SA to the window's end once the top
+    is.  Where the band straddles alpha on slot i + 1, no task runs and SA
+    and LA share their active set, the flag returned is True: _charge settles
+    the profile on each slot up to the band top's slot or the energy bound."""
     params, dt, constants = sim.params, sim.dt, sim.buffer_constants
-    k = math.inf
+    k, settle = math.inf, False
     attack = attack_profiles(info, params)  # eam under a trusted report: SA or LA
     if attack:
         alpha, err = params.alpha, sim.config.detector.remaining_time_error
-        if sim.sched.profile is Profile.LA:  # j: a guess, then exact steps
-            n, low = sim.n_slots, 1.0 - err
-            j = math.ceil(min(max((end - alpha / low) / dt, i + 1), n)) if low > 0.0 else i + 1
-            while j > i + 1 and not AttackInfo.band_bottom(end - (j - 1) * dt, err) > alpha:
-                j -= 1
-            while j < n and AttackInfo.band_bottom(end - j * dt, err) > alpha:
-                j += 1
-            k = j - i - 1
+        if sim.sched.profile is Profile.LA:
+            k = _band_slot(sim, i, end, AttackInfo.band_bottom, err, alpha) - i - 1
         elif not info.never_exceeds(alpha):
             k = 0
+        profiles = sim.sched._profiles
+        if k == 0 and running is None and profiles[Profile.SA][0] == profiles[Profile.LA][0]:
+            settle, info = True, sim.idle_info  # readiness by energy: the period may switch
+            k = _band_slot(sim, i, end, AttackInfo.band_top, err, alpha) - i - 1
     slack = [_SLACK * c[4] for c in constants]
     rises = [s + c[3] * share * dt for s, c, share in zip(slack, constants, shares)]
     if not attack and not sim.detector_blind:
@@ -820,10 +836,22 @@ def _next_check(sim: SimState, i: int, info: AttackInfo, total, waiting: list, s
         if k <= 0:
             break
         k = min(k, unready_slots(task, sim.bank, info, rises[task[1]]))
-    return sim.n_slots if k >= sim.n_slots - i else i + 1 + int(k)
+    return (sim.n_slots if k >= sim.n_slots - i else i + 1 + int(k)), settle
 
 
-def _charge(sim: SimState, i: int, stop: int, shares: tuple) -> tuple[int, bool]:
+def _band_slot(sim: SimState, i: int, end: float, edge, err: float, alpha: float) -> int:
+    """The first slot j > i (or the horizon) with edge(end - j * dt, err) <= alpha."""
+    n, dt, scale = sim.n_slots, sim.dt, edge(1.0, err)
+    j = math.ceil(min(max((end - alpha / scale) / dt, i + 1), n)) if scale > 0.0 else i + 1
+    while j > i + 1 and not edge(end - (j - 1) * dt, err) > alpha:
+        j -= 1
+    while j < n and edge(end - j * dt, err) > alpha:
+        j += 1
+    return j
+
+
+def _charge(sim: SimState, i: int, stop: int, shares: tuple,
+            attack: AttackScenario | None = None) -> tuple[int, bool]:
     """Run slots i, i + 1, ... short of stop with no task running and no check
     due: the decision drain (energy.drain) and energy.slot_update's float
     operations in the same order, adding straight into the ledger sums, then
@@ -831,9 +859,13 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple) -> tuple[int, bool]
     It stops after the first slot that leaves every voltage as it found it,
     returning True, and, while recovery watches are open, after a slot that
     lifts a buffer they still wait for to v_on, whose _watch it then runs.
+    Given a reported attack, it settles SA/LA on each slot after the first
+    (_switch), stops short of the next release and not at fixed points.
     Returns the first slot not run and whether that slot is a fixed point."""
-    caps = sim.bank.capacitors
-    dt, cost = sim.dt, sim.params.decision_cost
+    caps, profile_fn, detector = sim.bank.capacitors, sim.profile_fn, sim.config.detector
+    dt, cost, params = sim.dt, sim.params.decision_cost, sim.params
+    profile, p = sim.sched.profile, _PROFILE_INDEX[sim.sched.profile]
+    settle_from = i + 1 if attack is not None else stop
     bufs = [
         (b, half_c, keep, sigma, eta * share * dt, ceiling, c, v_max, cap.v_on)
         for b, (cap, (half_c, keep, sigma, eta, ceiling, c, v_max), share)
@@ -851,9 +883,14 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple) -> tuple[int, bool]
     avail = sim.avail_counts
     stride = sim.config.timeline_stride
     row0 = -(-i // stride) if stride > 0 else 0  # the first row written
-    rows = []
+    rows, profs = [], []
     fixed = False
     while i < stop:
+        if i >= settle_from:  # select_profile reads no total under a trusted report
+            new = profile_fn(detect(i * dt, (attack,), detector), 0.0, params)
+            if new is not profile:
+                stop = min(stop, _short_of(_switch(sim, new, i * dt), sim.n_slots, dt))
+                profile, p = new, _PROFILE_INDEX[new]
         before, vs = vs, vs.copy()  # a row keeps its slot's list
         v = vs[0]
         energy = half0 * v * v
@@ -878,8 +915,9 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple) -> tuple[int, bool]
                 avail[b] += 1
         if stride > 0 and i % stride == 0:
             rows.append(vs)
+            profs.append(p)
         i += 1
-        if vs == before:
+        if vs == before and attack is None:
             fixed = True
             break
         if watched and any(vs[b] >= v_on for b, v_on in watched):
@@ -892,7 +930,7 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple) -> tuple[int, bool]
     if rows:
         log, block = sim.log, slice(row0, row0 + len(rows))
         log.timeline_v[block] = rows
-        log.timeline_profile[block] = _PROFILE_INDEX[sim.sched.profile]
+        log.timeline_profile[block] = profs
         log.timeline_running[block] = -1
     sim.ledger[:] = charged, sigma_drain, spilled
     sim.decision_drained = drained

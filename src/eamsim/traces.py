@@ -56,6 +56,9 @@ class EnergyTrace:
             raise TraceError("voltages must be finite and non-negative")
         if not 0 < self.load_resistance < math.inf:
             raise TraceError("load resistance must be positive and finite")
+        peak = float(volts.max())
+        if not math.isfinite(peak * peak / self.load_resistance):
+            raise TraceError("harvested power V^2 / R must be finite")
         times.flags.writeable = False
         volts.flags.writeable = False
         object.__setattr__(self, "times", times)
@@ -166,11 +169,11 @@ def synthesize_trace(
         raise TraceError("amplitude must be non-negative")
     if not 0 < length < math.inf or not 0 < interval < math.inf:
         raise TraceError("length and interval must be positive and finite")
-    n = math.ceil(length / interval) + 1
     try:
+        n = math.ceil(length / interval) + 1
         times = np.arange(n) * interval
-    except (ValueError, MemoryError) as exc:  # more samples than memory holds
-        raise TraceError(f"a trace of {n:.3g} samples cannot be held: {exc}") from None
+    except (ValueError, MemoryError, OverflowError) as exc:  # more than memory holds
+        raise TraceError(f"{length / interval:.3g} trace samples cannot be held: {exc}") from None
     if kind == "constant":
         volts = np.full(n, float(amplitude))
     elif kind == "sinusoid":

@@ -404,6 +404,28 @@ def test_run_rejects_non_finite_values_cleanly(tmp_path, capsys, override, match
 
 
 @pytest.mark.parametrize(
+    "overrides, match",
+    [
+        (["trace.amplitude_v=1e300"], "harvested power V^2 / R must be finite"),
+        (["trace.load_resistance_ohm=1e-320"], "harvested power V^2 / R must be finite"),
+        (["sim.dt_ms=1e-9"], "3.6e+15 slots (1.8e+13 timeline rows) exceed the caps"),
+        (["sim.dt_ms=0.1", "sim.timeline_stride=1"], "3.6e+07 slots (3.6e+07 timeline rows)"),
+    ],
+)
+def test_run_rejects_runs_it_cannot_hold(tmp_path, capsys, overrides, match):
+    """Harvested power whose V^2 / R overflows (it ran to exit 0 with an
+    infinite ledger) and runs past the caps on slots or timeline rows (the
+    timeline arrays ran numpy out of memory) stop with an error line."""
+    argv = ["run", "--config", str(CONFIGS / "hvac_attack.yaml"), "--out", str(tmp_path)]
+    for override in overrides:
+        argv += ["--set", override]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "override",
     [
         "params.alpha_s=abc",
@@ -440,13 +462,15 @@ SET_KEYS = [
 ]
 # Values no field should take quietly, as --set text.  Garbage has no digits,
 # so it never parses as a moderate number: a trace length of 1e8 s would
-# really be synthesised, where 1e30 samples cannot be held at all.
+# really be synthesised, where 1e30 samples cannot be held at all.  Small
+# positive values are at most 1e-9: a slot that short exceeds the slot cap.
 SET_VALUES = st.one_of(
     st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=12),
     st.sampled_from([".nan", ".inf", "-.inf", "0", "0.0", "-0.0", "[]", "[1, .nan]", "{}"]),
     st.floats(min_value=1e30, allow_infinity=False).map(repr),
     st.integers(min_value=2**63).map(str),
     st.floats(max_value=-1e-9, allow_infinity=False).map(repr),
+    st.floats(min_value=0.0, max_value=1e-9, exclude_min=True).map(repr),
     st.integers(max_value=-1).map(str),
     st.lists(st.integers(-3, 3) | st.sampled_from([".nan", "abc"]), max_size=3).map(
         lambda items: "[" + ", ".join(map(str, items)) + "]"),
@@ -456,6 +480,9 @@ SET_VALUES = st.one_of(
 @given(key=st.sampled_from(SET_KEYS), value=SET_VALUES, err=st.sampled_from([0.0, 0.3]))
 @example(key="trace.length_s", value="1e300", err=0.3)  # was a numpy ValueError
 @example(key="attacks.0.duration_s", value="1e300", err=0.0)  # the LA hold's search hung
+@example(key="sim.dt_ms", value="1e-09", err=0.3)  # numpy ran out of memory
+@example(key="trace.sample_interval_s", value="5e-324", err=0.3)  # an OverflowError
+@example(key="trace.amplitude_v", value="1e300", err=0.0)  # ran with an infinite ledger
 def test_run_with_any_set_value_ends_in_a_run_or_an_error_line(key, value, err):
     """One --set of a bad value on a 2 s attacked run, with an exact or a
     noisy detector: eamsim runs, or stops with exit 1 and an error line; it

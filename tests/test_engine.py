@@ -611,11 +611,13 @@ def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeyp
     noisy late detector over eight attacks and 22,728 SA/LA switches.  The
     policy runs on 3,528 of the 300,000 slots (33,502 when every profile
     switch and every slot with a running task was stepped).  The span reads
-    58,431 reports and steps 68,736 slots one at a time (149,449 and 159,945
-    when every slot of a noisy report was checked); the noise is drawn on
-    the same 58,057 slots either way."""
+    58,431 reports; on the 58,133 slots whose noise band straddles alpha
+    _charge settles the profile, so the span checks 2,287 times and steps
+    10,907 slots one at a time (59,882 and 68,736 when it stepped those
+    slots, 149,449 and 159,945 when every slot of a noisy report was
+    checked); the noise is drawn on the same 58,057 slots every way."""
     config = build_sim_config(WORKLOADS.storm_config(5))
-    calls = dict.fromkeys(("policy_step", "detect", "_slot_tail", "Random"), 0)
+    calls = dict.fromkeys(("policy_step", "detect", "_slot_tail", "_next_check", "Random"), 0)
 
     def counting(name):
         inner = getattr(engine, name)
@@ -631,7 +633,7 @@ def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeyp
             calls["Random"] += 1
             super().__init__(*args)
 
-    for name in ("policy_step", "detect", "_slot_tail"):
+    for name in ("policy_step", "detect", "_slot_tail", "_next_check"):
         monkeypatch.setattr(engine, name, counting(name))
     monkeypatch.setattr(random, "Random", CountedRandom)
     report, log = run(config)
@@ -640,7 +642,8 @@ def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeyp
     assert len(log.of_kind("profile")) == 22_728
     assert calls["policy_step"] <= 4_000
     assert calls["detect"] <= 60_000
-    assert calls["_slot_tail"] <= 70_000
+    assert calls["_slot_tail"] <= 12_000
+    assert calls["_next_check"] <= 3_000
     assert calls["Random"] == 58_057
     assert report.overhead_invocations == n_slots
     assert abs(residual(log)) < 1e-9
@@ -656,8 +659,11 @@ def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeyp
 def test_la_hold_ends_on_the_first_slot_whose_noise_band_reaches_alpha(dt, end, alpha, err,
                                                                         frac):
     """_next_check's LA hold from a slot i inside a reported attack: on every
-    slot before the one it returns the report settles LA without a draw, and
-    on that slot the band's bottom is at or below alpha."""
+    slot before the hold's end the report settles LA without a draw, and on
+    that slot the band's bottom is at or below alpha.  The hold ends at the
+    slot returned or, where the band already straddles alpha on slot i + 1,
+    there; the check then comes on the first slot whose band top is at most
+    alpha, and the band straddles alpha on every slot before it."""
     config = one_task_config(
         dt=dt, horizon=60.0, attacks=[AttackScenario(start=0.0, duration=end)],
         detector=DetectorConfig(remaining_time_error=err),
@@ -667,12 +673,16 @@ def test_la_hold_ends_on_the_first_slot_whose_noise_band_reaches_alpha(dt, end, 
     sim.sched.profile = Profile.LA
     i = int(frac * (end / dt - 1))
     info = detect(i * dt, config.attacks, config.detector)
-    j = engine._next_check(sim, i, info, None, [], (0.0,), None, end)
+    j, settle = engine._next_check(sim, i, info, None, [], (0.0,), None, end)
     assert i < j <= sim.n_slots
+    hold = i + 1 if settle else j
     with mock.patch.object(random, "Random", side_effect=AssertionError("noise drawn")):
-        for s in range(i + 1, j):
+        for s in range(i + 1, hold):
             assert detect(s * dt, config.attacks, config.detector).remaining_exceeds(alpha)
-    assert j == sim.n_slots or AttackInfo.band_bottom(end - j * dt, err) <= alpha
+        for s in range(hold, j):
+            assert not detect(s * dt, config.attacks, config.detector).never_exceeds(alpha)
+    assert hold == sim.n_slots or AttackInfo.band_bottom(end - hold * dt, err) <= alpha
+    assert not settle or j == sim.n_slots or AttackInfo.band_top(end - j * dt, err) <= alpha
 
 
 @pytest.mark.parametrize("policy", ["eam", "fh"])
