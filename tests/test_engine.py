@@ -611,11 +611,11 @@ def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeyp
     noisy late detector over eight attacks and 22,728 SA/LA switches.  The
     policy runs on 3,528 of the 300,000 slots (33,502 when every profile
     switch and every slot with a running task was stepped).  The span reads
-    58,431 reports; on the 58,133 slots whose noise band straddles alpha
-    _charge settles the profile, so the span checks 2,287 times and steps
-    10,907 slots one at a time (59,882 and 68,736 when it stepped those
-    slots, 149,449 and 159,945 when every slot of a noisy report was
-    checked); the noise is drawn on the same 58,057 slots every way."""
+    58,431 reports.  The noise is drawn on the 58,057 slots whose band
+    straddles alpha, every way; _charge settles the profile on most of them,
+    so the span checks 2,287 times and steps 10,907 slots one at a time
+    (59,882 and 68,736 when it stepped those slots, 149,449 and 159,945 when
+    every slot of a noisy report was checked)."""
     config = build_sim_config(WORKLOADS.storm_config(5))
     calls = dict.fromkeys(("policy_step", "detect", "_slot_tail", "_next_check", "Random"), 0)
 
