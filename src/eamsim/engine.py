@@ -759,8 +759,8 @@ def _quiet_span(sim: SimState) -> None:
             if running is not None and sched.executing is None:
                 break  # the task finished or aborted: step the next slot
             continue
-        stop = max(i + 1, min(check, ends[r], short))
-        i, fixed = _charge(sim, i, stop, shares, attack if settle else None)
+        i, fixed = _charge(sim, i, max(i + 1, min(check, ends[r], short)), shares,
+                           attack if settle else None)
         if settle:  # _charge may have switched: check again where it stopped
             check, profile, waiting = i, sched.profile, released_tasks(sched, sim.queues)
             limit = min(limit, sched._next_fire)
@@ -887,10 +887,10 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
     fixed = False
     while i < stop:
         if i >= settle_from:  # select_profile reads no total under a trusted report
-            new = profile_fn(detect(i * dt, (attack,), detector), 0.0, params)
-            if new is not profile:
-                stop = min(stop, _short_of(_switch(sim, new, i * dt), sim.n_slots, dt))
-                profile, p = new, _PROFILE_INDEX[new]
+            picked = profile_fn(detect(i * dt, (attack,), detector), 0.0, params)
+            if picked is not profile:
+                stop = min(stop, _short_of(_switch(sim, picked, i * dt), sim.n_slots, dt))
+                profile, p = picked, _PROFILE_INDEX[picked]
         before, vs = vs, vs.copy()  # a row keeps its slot's list
         v = vs[0]
         energy = half0 * v * v
