@@ -20,11 +20,10 @@ Each slot of length dt advances the world in a fixed order:
 step() is the one-slot reference.  run() calls it only on slots where the
 policy's inputs can change; on quiet stretches in between (no task passing
 the readiness rule, no release, reset or detector window edge due, weights
-unchanged, no profile switch that changes more than the profile) it skips
-the policy and repeats the rest of the slot with the same float operations
-in the same order, so its output is that of step() on every slot.  A quiet
-stretch may hold a running task, which draws its energy each slot, and a
-profile switch that keeps the active set and readies no task.
+and profile unchanged) it skips the policy and repeats the rest of the slot
+with the same float operations in the same order, so its output is that of
+step() on every slot.  A quiet stretch may hold a running task, which draws
+its energy each slot; a profile switch ends it and step() applies it.
 
 Inside a stretch the readiness and profile checks run only where they could
 fail.  A buffer gains at most eta * share * dt per slot, so a waiting task's
@@ -36,12 +35,13 @@ bottom reaches alpha, SA to the window's end once its top has.  A task whose
 period the band no longer exceeds waits out the window.  Blind policies never
 change profile.  With no task running, the slots up to the next check run in
 one tight loop of the same float operations (_charge), the only copy of the
-slot physics beside step's, which settles SA/LA on each slot while the band
-straddles alpha.  Where a slot leaves every buffer voltage bit-identical, the
-slots after it under the same power repeat it, so run() only advances the
-ledger sums (addend by addend, as step() would), availability counts and
-timeline rows over them.  overhead_invocations still counts every slot, as the
-modelled device decides on each one.
+slot physics beside step's.  While the band straddles alpha it settles SA/LA
+on each slot, the one place a stretch switches profile.  Where a slot leaves
+every buffer voltage bit-identical, the slots after it under the same power
+repeat it, so run() only advances the ledger sums (addend by addend, as
+step() would), availability counts and timeline rows over them.
+overhead_invocations still counts every slot, as the modelled device decides
+on each one.
 
 The engine keeps an explicit energy ledger (charged, drained, withdrawn,
 spilled) so that tests can check conservation, and records every discrete
@@ -88,7 +88,6 @@ from .policy import (
     energy_profile_slots,
     fire_releases,
     init_scheduler,
-    only_profile_changes,
     policy_step,
     released_tasks,
     select_profile,
@@ -338,8 +337,9 @@ def _first_slots(x: np.ndarray, dt: float, n: int) -> np.ndarray:
 
     A ceil guess, then a step down or up by one where the float comparison a
     slot makes with its own t = i * dt disagrees; one step suffices while the
-    slot count is far below 2**52.  The times must not be NaN."""
-    i = np.clip(np.ceil(x / dt), 0, n).astype(np.int64)
+    slot count is far below 2**52.  Clipping x to [0, n * dt] first changes
+    no answer and keeps x / dt finite.  The times must not be NaN."""
+    i = np.clip(np.ceil(np.clip(x, 0.0, n * dt) / dt), 0, n).astype(np.int64)
     i -= (i > 0) & ((i - 1) * dt >= x)
     i += (i < n) & (i * dt < x)
     return i
@@ -671,22 +671,22 @@ def _quiet_span(sim: SimState) -> None:
     It stops before the first slot where one of these holds: a release is
     due, the equal-budget reset is due, a detector window opens or closes, a
     released task passes the readiness rule (policy.any_ready), the weights
-    would change, or the profile would change in a way
-    policy.only_profile_changes rejects.  A switch it accepts changes only
-    the profile; the span applies it (_switch) and lowers its limit to the
-    new next release.  It stops after the slot where the running task
-    completes or aborts.  Before a window's onset is logged every policy
-    stops at its first slot.  When a check stops the span inside a reported
-    attack, step gets that slot's report, so the slot draws its noise at
-    most once.  Every slot of a span still counts as a policy invocation.
+    would change, or the profile would change; step then applies the
+    switch.  It stops after the slot where the running task completes or
+    aborts.  Before a window's onset is logged every policy stops at its
+    first slot.  When a check stops the span inside a reported attack, step
+    gets that slot's report, so the slot draws its noise at most once.
+    Every slot of a span still counts as a policy invocation.
 
     The profile and readiness checks run only where they could fail.  After
     each check _next_check finds the next slot that could; the checks run
-    again there, on a power-run change and after a profile switch, which are
-    all their inputs but the bank and the clock.  Until then no task runs
-    readiness, the profile keeps its value, and eam reads no report.
+    again there, on a power-run change and where a stretch that settles the
+    profile stops, which are all their inputs but the bank and the clock.
+    Until then no task runs readiness, the profile keeps its value, and eam
+    reads no report.
 
-    With no task running, _charge runs the slots up to that point in one
+    While a task runs, the span steps one slot at a time, as its draw needs.
+    With no task running, _charge runs the slots up to the next check in one
     loop, settling the profile on each slot where _next_check asks it to
     (the span checks again where it stops).  Where a slot leaves every buffer
     voltage bit-identical, it stops: each later slot under the same power has
@@ -735,11 +735,7 @@ def _quiet_span(sim: SimState) -> None:
             else:
                 total = total_energy(bank)
                 new = profile_fn(info, total, params)
-            if new is not profile:
-                stop = not only_profile_changes(sched, new, t, waiting, bank, info)
-            else:
-                stop = waiting and any_ready(waiting, bank, info)
-            if stop:
+            if new is not profile or waiting and any_ready(waiting, bank, info):
                 if reported:
                     sim.report = info
                 break
@@ -747,16 +743,12 @@ def _quiet_span(sim: SimState) -> None:
                 weights, shares = allocate_fn(sched, app, bank, powers[r], params)
                 if weights != sim.prev_weights:
                     break
-            if new is not profile:
-                limit = min(limit, _switch(sim, new, t))
-                profile, waiting = new, released_tasks(sched, sim.queues)
-                short = _short_of(limit, n, dt)
             check, settle = _next_check(sim, i, info, total, waiting, shares, running, end)
-        if running is not None or (reported and check == i + 1):
+        if running is not None:
             sim.decision_drained += drain(caps[0], cost)
             _slot_tail(sim, i, t, shares, running)
             i += 1
-            if running is not None and sched.executing is None:
+            if sched.executing is None:
                 break  # the task finished or aborted: step the next slot
             continue
         i, fixed = _charge(sim, i, max(i + 1, min(check, ends[r], short)), shares,
@@ -769,14 +761,6 @@ def _quiet_span(sim: SimState) -> None:
             i = _hold(sim, i, min(ends[r], short, check if reported else n), shares)[0]
     sim.overhead_invocations += i - i0
     sim.i, sim.run = i, r
-
-
-def _switch(sim: SimState, profile: Profile, t: float) -> float:
-    """Apply and log a switch only_profile_changes accepts; return the next release."""
-    apply_profile(sim.sched, profile, t)
-    fire_releases(sim.sched, t)
-    sim.log.add(t, "profile", profile.value)
-    return sim.sched._next_fire
 
 
 def _short_of(limit: float, n: int, dt: float) -> int:
@@ -810,7 +794,14 @@ def _next_check(sim: SimState, i: int, info: AttackInfo, total, waiting: list, s
     noise band bottom is at most alpha, SA to the window's end once the top
     is.  Where the band straddles alpha on slot i + 1, no task runs and SA
     and LA share their active set, the flag returned is True: _charge settles
-    the profile on each slot up to the band top's slot or the energy bound."""
+    the profile on each slot up to the band top's slot or the energy bound.
+    A switch there changes nothing but the profile, so it is policy_step's
+    apply_profile alone: the active set stays, so no task is enabled or
+    excluded; nothing fires, as each staying task's next release,
+    min(next, now + period), is after now; no task turns Ready or starts,
+    as the bound reads readiness from the energy deficit alone, whatever
+    the period; and the weights stay, as allocate_harvest reads only the
+    active set and the task states."""
     params, dt, constants = sim.params, sim.dt, sim.buffer_constants
     k, settle = math.inf, False
     attack = attack_profiles(info, params)  # eam under a trusted report: SA or LA
@@ -860,7 +851,8 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
     returning True, and, while recovery watches are open, after a slot that
     lifts a buffer they still wait for to v_on, whose _watch it then runs.
     Given a reported attack, it settles SA/LA on each slot after the first
-    (_switch), stops short of the next release and not at fixed points.
+    (a switch changes only the profile, as _next_check shows), stops short
+    of the next release and not at fixed points.
     Returns the first slot not run and whether that slot is a fixed point."""
     caps, profile_fn, detector = sim.bank.capacitors, sim.profile_fn, sim.config.detector
     dt, cost, params = sim.dt, sim.params.decision_cost, sim.params
@@ -889,7 +881,10 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
         if i >= settle_from:  # select_profile reads no total under a trusted report
             picked = profile_fn(detect(i * dt, (attack,), detector), 0.0, params)
             if picked is not profile:
-                stop = min(stop, _short_of(_switch(sim, picked, i * dt), sim.n_slots, dt))
+                apply_profile(sim.sched, picked, i * dt)
+                fire_releases(sim.sched, i * dt)  # fires nothing; finds the next release
+                sim.log.add(i * dt, "profile", picked.value)
+                stop = min(stop, _short_of(sim.sched._next_fire, sim.n_slots, dt))
                 profile, p = picked, _PROFILE_INDEX[picked]
         before, vs = vs, vs.copy()  # a row keeps its slot's list
         v = vs[0]

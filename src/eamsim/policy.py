@@ -370,33 +370,6 @@ def apply_profile(state: SchedulerState, profile: Profile, now: float) -> None:
     state._next_fire = -math.inf
 
 
-def only_profile_changes(
-    state: SchedulerState,
-    profile: Profile,
-    now: float,
-    tasks: list,
-    bank: CapacitorBank,
-    info: AttackInfo,
-) -> bool:
-    """Whether switching to profile at now changes nothing but the profile.
-
-    The caller guarantees that no release is due (now < state._next_fire),
-    that every task but the running one is Blocked, and that tasks is
-    released_tasks(state, queues).  The switch must keep the active set, and
-    no released task may pass the readiness rule under the new periods.
-    policy_step at now is then apply_profile alone: no task is enabled or
-    excluded; nothing fires, because every staying task's next release,
-    min(next, now + period), is after now; no task changes state and none
-    starts, because set_task_states finds no task Ready; and the weights
-    stay the same, because allocate_harvest depends only on the active set
-    and the task states.
-    """
-    active, periods = state._profiles[profile]
-    return active == state.active and not any_ready(
-        [(tid, buf, cost, periods[tid]) for tid, buf, cost, _ in tasks], bank, info
-    )
-
-
 def policy_step(
     state: SchedulerState,
     spec: AppSpec,

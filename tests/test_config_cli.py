@@ -234,6 +234,10 @@ def test_initial_voltage_and_soc_are_exclusive():
          "needs a path"),
         (lambda d: d["trace"].pop("length_s"), "needs length_s"),
         (lambda d: d.update(app={"tasks": []}), "non-empty list"),
+        (lambda d: d.update(app={"sink": "T"}), "need a builtin name or a tasks list"),
+        (lambda d: d.update(app={"tasks": [{"id": "T", "energy_cost_uj": 1.0, "duration_ms": 1.0,
+                                            "buffer": 0, "rates_per_hour": {"nml": 30}}]}),
+         r"app.tasks\[0\]: missing component"),
         (lambda d: d["bank"].update(capacitors=[]), "non-empty list"),
         (lambda d: d["bank"]["capacitors"][0].pop("capacitance_uf"), "capacitance_uf"),
         (lambda d: d["bank"]["components"].update(mcu=5), "bad buffer index"),
@@ -392,6 +396,9 @@ def test_missing_config_fails_cleanly(tmp_path, capsys):
         ("detector.remaining_time_error=.inf", "remaining-time error must be finite"),
         ("detector.detection_delay_s=.nan", "detection delay must be finite"),
         ("detector.detection_delay_s=-1", "detection delay must be finite and >= 0"),
+        ("params.accuracy_threshold=.inf", "accuracy threshold must be finite"),
+        ("attacks=[{start_s: 100, duration_s: 60}, {start_s: 130, duration_s: 60}]",
+         "attack windows 'attack0' and 'attack1' overlap"),
     ],
 )
 def test_run_rejects_non_finite_values_cleanly(tmp_path, capsys, override, match):
@@ -410,12 +417,15 @@ def test_run_rejects_non_finite_values_cleanly(tmp_path, capsys, override, match
         (["trace.load_resistance_ohm=1e-320"], "harvested power V^2 / R must be finite"),
         (["sim.dt_ms=1e-9"], "3.6e+15 slots (1.8e+13 timeline rows) exceed the caps"),
         (["sim.dt_ms=0.1", "sim.timeline_stride=1"], "3.6e+07 slots (3.6e+07 timeline rows)"),
+        (["trace.kind=file", "trace.path=../tests/data/trace_bad_line.csv"],
+         "trace_bad_line.csv:3: cannot parse '1.0,two'"),
     ],
 )
 def test_run_rejects_runs_it_cannot_hold(tmp_path, capsys, overrides, match):
     """Harvested power whose V^2 / R overflows (it ran to exit 0 with an
-    infinite ledger) and runs past the caps on slots or timeline rows (the
-    timeline arrays ran numpy out of memory) stop with an error line."""
+    infinite ledger), runs past the caps on slots or timeline rows (the
+    timeline arrays ran numpy out of memory) and a trace file with a bad
+    line after its header stop with an error line."""
     argv = ["run", "--config", str(CONFIGS / "hvac_attack.yaml"), "--out", str(tmp_path)]
     for override in overrides:
         argv += ["--set", override]
@@ -483,6 +493,7 @@ SET_VALUES = st.one_of(
 @example(key="sim.dt_ms", value="1e-09", err=0.3)  # numpy ran out of memory
 @example(key="trace.sample_interval_s", value="5e-324", err=0.3)  # an OverflowError
 @example(key="trace.amplitude_v", value="1e300", err=0.0)  # ran with an infinite ledger
+@example(key="attacks.0.start_s", value="1e306", err=0.0)  # numpy warned of an overflow
 def test_run_with_any_set_value_ends_in_a_run_or_an_error_line(key, value, err):
     """One --set of a bad value on a 2 s attacked run, with an exact or a
     noisy detector: eamsim runs, or stops with exit 1 and an error line; it

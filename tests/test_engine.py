@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import eamsim.cli as cli
@@ -600,7 +600,7 @@ def test_run_skips_the_policy_inside_a_noisy_reported_attack(monkeypatch):
     n_slots = log.totals["n_slots"]
     assert n_slots == 120_000
     assert len(log.of_kind("profile")) == 980  # the estimates do cross alpha
-    # Switches that change only the profile run inside the span: 46 calls.
+    # A profile switch ends the span and step applies it: 47 calls.
     assert calls[0] <= 60
     assert 0 < draws[0] <= 4_000
     assert report.overhead_invocations == n_slots
@@ -609,13 +609,15 @@ def test_run_skips_the_policy_inside_a_noisy_reported_attack(monkeypatch):
 def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeypatch):
     """attack_storm variant 5: a four-task pipeline released every second, a
     noisy late detector over eight attacks and 22,728 SA/LA switches.  The
-    policy runs on 3,528 of the 300,000 slots (33,502 when every profile
-    switch and every slot with a running task was stepped).  The span reads
-    58,431 reports.  The noise is drawn on the 58,057 slots whose band
-    straddles alpha, every way; _charge settles the profile on most of them,
-    so the span checks 2,287 times and steps 10,907 slots one at a time
-    (59,882 and 68,736 when it stepped those slots, 149,449 and 159,945 when
-    every slot of a noisy report was checked)."""
+    policy runs on 3,759 of the 300,000 slots (33,502 when every profile
+    switch and every slot with a running task was stepped); _charge settles
+    nearly all of the switches, and a switch found by a span check goes to
+    step.  The span reads 58,431 reports.  The noise is drawn on the 58,057
+    slots whose band straddles alpha, every way.  The span checks 2,182
+    times, and _slot_tail runs 11,071 times: on step's slots and on the
+    span's slots with a task running (59,882 and 68,736 when the span
+    stepped the band-straddle slots, 149,449 and 159,945 when every slot of
+    a noisy report was checked)."""
     config = build_sim_config(WORKLOADS.storm_config(5))
     calls = dict.fromkeys(("policy_step", "detect", "_slot_tail", "_next_check", "Random"), 0)
 
@@ -656,6 +658,13 @@ def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeyp
     err=st.sampled_from([0.0, 0.35, 1.0, 1.5]) | st.floats(min_value=0.0, max_value=1.0),
     frac=st.floats(min_value=0.0, max_value=1.0),
 )
+# Slot 0, where _band_slot's ceil guess is one slot off and a correction loop
+# moves it: band bottom 368 -> 367 and 4766 -> 4767; band top 204 -> 203 and
+# 1033 -> 1034.
+@example(dt=0.005, end=49.61277777777778, alpha=43.0, err=0.1, frac=0.0)
+@example(dt=0.005, end=28.652222222222225, alpha=4.34, err=0.1, frac=0.0)
+@example(dt=0.01, end=29.30272727272727, alpha=30.0, err=0.1, frac=0.0)
+@example(dt=0.005, end=38.69501828259137, alpha=43.58902376736878, err=0.3, frac=0.0)
 def test_la_hold_ends_on_the_first_slot_whose_noise_band_reaches_alpha(dt, end, alpha, err,
                                                                         frac):
     """_next_check's LA hold from a slot i inside a reported attack: on every
