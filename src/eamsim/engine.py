@@ -38,8 +38,11 @@ one tight loop of the same float operations (_charge), the only copy of the
 slot physics beside step's.  While the band straddles alpha it settles SA/LA
 on each slot, the one place a stretch switches profile.  Where a slot leaves
 every buffer voltage bit-identical, the slots after it under the same power
-repeat it, so run() only advances the ledger sums (addend by addend, as
-step() would), availability counts and timeline rows over them.
+repeat it, so run() only advances the ledger sums, availability counts and
+timeline rows over them, however many they are.  Within a binade every sum
+is a whole number of ulps and each slot adds the same number, so the sums
+advance a binade at a time in closed form, bit for bit what adding each
+slot's terms in step()'s order gives.
 overhead_invocations still counts every slot, as the modelled device decides
 on each one.
 
@@ -420,7 +423,7 @@ def init_sim(config: SimConfig) -> SimState:
         dt=config.dt,
         profile_fn=profile_fn,
         allocate_fn=allocate_fn,
-        detector_blind=config.policy != "eam",
+        detector_blind=profile_fn is pin_nml,
         det_windows=det_windows,
         idle_info=idle_report(config.detector),
         buffer_constants=tuple(slot_constants(c) for c in bank.capacitors),
@@ -693,9 +696,9 @@ def _quiet_span(sim: SimState) -> None:
     the same inputs, so it repeats that slot's float operations and, outside
     a reported attack, passes the same checks, as the slot before it was
     proven to; open recovery watches, which saw these voltages, stay inert.
-    _hold replays such stretches, advancing only the sums, counts and
-    timeline; inside a reported attack, whose checks also read the clock,
-    only up to the next check.
+    _hold replays such stretches in one call, advancing only the sums (in
+    closed form, a binade at a time), counts and timeline; inside a reported
+    attack, whose checks also read the clock, only up to the next check.
     """
     sched = sim.sched
     running = sched.executing
@@ -933,41 +936,96 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
 
 
 def _hold(sim: SimState, i: int, end: int, shares: tuple) -> int:
-    """Replay slots i, i + 1, ... as repeats of slot i - 1, which left every
-    buffer as it found it: short of end, which the caller keeps inside slot
-    i - 1's power run and inside the span, for at most 1024 slots (bounding
-    the arrays).  Returns the first slot not replayed and the count."""
-    k = max(min(end, i + 1024) - i, 0)
+    """Replay slots i, i + 1, ... short of end as repeats of slot i - 1, which
+    left every buffer as it found it; the caller keeps end inside slot i - 1's
+    power run and inside the span.  No cap bounds the count: _repeat_add
+    advances each ledger sum over all the slots a binade at a time.  Returns
+    the first slot not replayed and the count."""
+    k = max(end - i, 0)
     if k == 0:
         return i, 0
-    dt = sim.dt
-    # One slot's addends come from the energy functions run on copies of
-    # the buffers with zero ledgers (0.0 + x is exact).  Rows: charged,
-    # sigma drain and spilled per buffer, then the decision drain padded
-    # with zeros (adding 0.0 leaves these non-negative sums as they are).
-    # The k slots add them one float at a time, in order: np.cumsum adds
-    # sequentially, where np.sum would add pairwise.
+    # Slot i repeats slot i - 1, so running it on the bank leaves every
+    # voltage as it is and gives the terms each replayed slot adds to the
+    # ledger sums, buffer by buffer in step's order (0.0 + x is exact; a 0.0
+    # term for an unclipped buffer leaves a sum >= +0.0 as it is).
     caps = sim.bank.capacitors
-    twins = [copy.copy(cap) for cap in caps]
-    taken = drain(twins[0], sim.params.decision_cost)
+    taken = drain(caps[0], sim.params.decision_cost)
     parts = [[0.0, 0.0, 0.0] for _ in caps]
-    for twin, constants, share, part in zip(twins, sim.buffer_constants, shares, parts):
-        slot_update((twin,), (constants,), (share,), dt, part)
-    sums = np.empty((4, k * len(caps) + 1))
-    sums[:, 0] = [*sim.ledger, sim.decision_drained]
-    sums[:, 1:] = np.tile([*zip(*parts), [taken] + [0.0] * (len(caps) - 1)], k)
-    *ledger, sim.decision_drained = np.cumsum(sums, axis=1)[:, -1].tolist()
-    sim.ledger[:] = ledger
+    for cap, constants, share, part in zip(caps, sim.buffer_constants, shares, parts):
+        slot_update((cap,), (constants,), (share,), sim.dt, part)
+    sim.ledger[:] = [_repeat_add(s, terms, k) for s, terms in zip(sim.ledger, zip(*parts))]
+    sim.decision_drained = _repeat_add(sim.decision_drained, (taken,), k)
     for b, cap in enumerate(caps):
         if cap.voltage >= cap.v_on:
             sim.avail_counts[b] += k
     stride = sim.config.timeline_stride
-    if stride > 0:
-        r0, r1 = -(-i // stride), -(-(i + k) // stride)
+    r0, r1 = (-(-i // stride), -(-(i + k) // stride)) if stride > 0 else (0, 0)
+    if r0 < r1:  # the rows of the slots replayed
         sim.log.timeline_v[r0:r1] = [cap.voltage for cap in caps]
         sim.log.timeline_profile[r0:r1] = _PROFILE_INDEX[sim.sched.profile]
         sim.log.timeline_running[r0:r1] = -1
     return i + k, k
+
+
+_BINADE_TOP = 2**53 - 1  # the last float of a binade, in ulps of the binade
+
+
+def _repeat_add(s: float, addends, k: int) -> float:
+    """What `for _ in range(k): for a in addends: s += a` leaves, bit for bit,
+    for s and addends >= 0.
+
+    Every float of the binade of s is a multiple of u = ulp(s), and so is
+    the next binade's first (for a subnormal s or +0.0, u is the subnormal
+    spacing, which the first normal binade shares).  While the sums stay
+    below that, adding a rounds the sum to that grid: a adds its whole count
+    of ulps rounded to nearest or, halfway between two, as many as make the
+    sum's last bit even.  So a round's ulps depend on the parity of the sum
+    it starts from alone, and a round with a halfway addend ends on a parity
+    its addends fix: every round after the first adds the same n ulps.  The
+    first round and the m after it that keep the sums inside the binade are
+    added in exact integer arithmetic; the round after them, and any round
+    from -0.0 or with an addend that is negative or above s, adds float by
+    float."""
+    while k > 0:
+        grid = _ulps_of(s, addends)
+        if grid is not None:
+            u = math.ulp(s)
+            first = _add_ulps(int(s / u), grid)
+            if first <= _BINADE_TOP:
+                n = _add_ulps(first, grid) - first
+                m = k - 1 if n == 0 else min(k - 1, (_BINADE_TOP - first) // n)
+                s, k = (first + m * n) * u, k - 1 - m
+        if k > 0:
+            for a in addends:
+                s += a
+            k -= 1
+    return s
+
+
+def _ulps_of(s: float, addends) -> list | None:
+    """Each addend in ulps of s, as (ulps rounded to nearest, or down where
+    it lies halfway, and whether it does), or None where _repeat_add must
+    add float by float."""
+    if not 0.0 <= s < math.inf or math.copysign(1.0, s) < 0.0:
+        return None
+    u, grid = math.ulp(s), []
+    for a in addends:
+        if not 0.0 <= a <= s:
+            return None
+        q = a / u  # exact, or far below a half: u is a power of two and q < 2**53
+        whole = int(q)
+        grid.append((whole + (q - whole > 0.5), q - whole == 0.5))
+    return grid
+
+
+def _add_ulps(units: int, grid: list) -> int:
+    """A sum of units ulps after one round of the addends in grid, while it
+    stays inside its binade: a halfway addend rounds it to even."""
+    for whole, halfway in grid:
+        units += whole
+        if halfway:
+            units += units & 1
+    return units
 
 
 def _finalize(sim: SimState) -> tuple[MetricsReport, EventLog]:

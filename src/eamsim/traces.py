@@ -50,7 +50,7 @@ class EnergyTrace:
             raise TraceError("trace must contain at least one sample")
         if not np.all(np.isfinite(times)):
             raise TraceError("sample times must be finite")
-        if np.any(np.diff(times) <= 0):
+        if np.any(times[1:] <= times[:-1]):  # compares without subtracting, so no overflow
             raise TraceError("sample times must be strictly increasing")
         if not np.all((volts >= 0) & (volts < np.inf)):  # NaN fails both
             raise TraceError("voltages must be finite and non-negative")

@@ -23,7 +23,7 @@ from eamsim.energy import (
     total_energy,
     voltage_of,
 )
-from eamsim.engine import run
+from eamsim.engine import init_sim, run
 from eamsim.policy import PolicyParams, TaskState, init_scheduler, split_power
 from conftest import CONFIGS
 
@@ -174,3 +174,15 @@ def test_baselines_never_react_to_attacks(policy):
     init = log.of_kind("init")[0]
     assert init[2] == policy
     assert report.completions > 0
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_the_engine_is_blind_to_reports_exactly_under_a_pinned_profile(policy):
+    """The engine withholds the detector's report from the policies whose
+    profile is pinned to NML, as such a profile reads none: fh and central,
+    not eam."""
+    cfg = load_config(CONFIGS / "compare_constant_300s.yaml")
+    cfg["policy"] = policy
+    sim = init_sim(build_sim_config(cfg))
+    assert (sim.profile_fn is pin_nml) is (policy != "eam")
+    assert sim.detector_blind is (sim.profile_fn is pin_nml)

@@ -6,6 +6,7 @@ import io
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -433,6 +434,20 @@ def test_run_rejects_runs_it_cannot_hold(tmp_path, capsys, overrides, match):
     err = capsys.readouterr().err
     assert err.startswith("error:") and match in err
     assert not any(tmp_path.iterdir())
+
+
+def test_run_with_a_trace_file_spanning_the_float_range(tmp_path, capsys):
+    """Samples at -1.5e308 and 1.5e308, whose difference overflows, pass the
+    trace's order check with no warning and the run ends with exit 0."""
+    trace = tmp_path / "wide.csv"
+    trace.write_text("-1.5e308,1.0\n1.5e308,2.0\n")
+    argv = ["run", "--config", str(CONFIGS / "twotask_short_attack.yaml"),
+            "--out", str(tmp_path / "out"), "--set", "trace.kind=file",
+            "--set", f"trace.path={trace}", "--set", "sim.horizon_s=2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -694,6 +694,51 @@ def test_la_hold_ends_on_the_first_slot_whose_noise_band_reaches_alpha(dt, end, 
     assert not settle or j == sim.n_slots or AttackInfo.band_top(end - j * dt, err) <= alpha
 
 
+def plain_sum(s, addends, k):
+    for _ in range(k):
+        for a in addends:
+            s += a
+    return s
+
+
+@st.composite
+def repeated_sums(draw):
+    """(s, addends, k) for engine._repeat_add: a normal or subnormal sum, one
+    to three addends of any size, a fraction of s (so that the sums cross
+    binades within k rounds) or a count of half ulps of s (so that many lie
+    halfway between two floats), and up to 12,000 rounds."""
+    s = draw(st.floats(0.0, 1e300) | st.floats(0.0, 1e-300))
+    half_ulp = math.ulp(s) / 2
+    addend = (
+        st.floats(0.0, 1e300)
+        | st.builds(lambda r, j: r * s * 2.0**-j, st.floats(0.0, 2.0), st.integers(0, 60))
+        | st.builds(lambda w: w * half_ulp, st.integers(0, 2**20))
+    )
+    return s, tuple(draw(st.lists(addend, min_size=1, max_size=3))), draw(st.integers(1, 12_000))
+
+
+@given(repeated_sums())
+@example((1.0, (3 * 2.0**-53,), 10_000))  # 1.5 ulps: halfway, the sum's last bit decides
+@example((1.0 + 2.0**-52, (2.0**-53, 2.0**-50), 10_000))  # halfway from an odd sum
+@example((2.0 - 2.0**-52, (2.0**-52,), 10_000))  # one ulp below a power of two
+@example((2.0 - 2.0**-52, (2.0**-52, 3 * 2.0**-52), 5))
+@example((0.0, (0.0,), 10_000))
+@example((0.0, (1e-3, 2e-3), 10_000))
+@example((-0.0, (0.0,), 3))
+@example((-0.0, (-0.0,), 3))
+@example((5e-324, (5e-324,), 10_000))  # subnormal, into the first normal binade
+@example((1e-310, (3e-311, 0.0), 10_000))
+@example((1.0, (3.0,), 10_000))  # an addend larger than s
+@example((1.0, (0.0, 0.0), 10_000))  # all-zero addends
+@example((1.0, (0.0, 0.1), 10_000))
+@example((1.0, (0.1,), 1))  # a single round
+def test_repeat_add_equals_adding_float_by_float(drawn):
+    """engine._repeat_add, which _hold advances the ledger sums with, leaves
+    the very float that adding the addends k times in turn leaves."""
+    s, addends, k = drawn
+    assert engine._repeat_add(s, addends, k).hex() == plain_sum(s, addends, k).hex()
+
+
 @pytest.mark.parametrize("policy", ["eam", "fh"])
 def test_run_batches_the_attack_and_recharge_of_a_sweep_cell(monkeypatch, tmp_path, policy):
     """The 300 s attack cell of policy_sweep variant 3 (120,000 slots): the

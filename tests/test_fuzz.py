@@ -245,6 +245,41 @@ def test_run_matches_stepping_through_exact_fixed_points(monkeypatch):
         assert 3 * sum(runs) >= 2 * len(runs), (kind, sum(runs), len(runs))
 
 
+@pytest.mark.parametrize("policy", ["eam", "fh", "central"])
+def test_a_bank_held_full_for_many_slots_is_replayed_in_one_hold(monkeypatch, policy):
+    """A full bank under one constant power, with no task ever released,
+    spills back to its ceiling on every slot: run replays slots 2 to 19,998
+    of its 20,000 in a single engine._hold call, with no cap on the slots
+    one call covers, and still gives what stepping every slot gives."""
+    counts = []
+    hold = engine._hold
+
+    def counted(sim, i, *args):
+        out = hold(sim, i, *args)
+        counts.append((i, out[0]))
+        return out
+
+    monkeypatch.setattr(engine, "_hold", counted)
+    task = TaskSpec(id="T0", energy_cost=1e-6, duration=0.01, buffer=0,
+                    rates={p: 0.0 for p in Profile})
+    config = SimConfig(
+        trace=synthesize_trace("constant", amplitude=3.0, length=200.0, interval=1.0),
+        app=AppSpec(name="idle", tasks=(task,), sink_task="T0"),
+        bank=CapacitorBank(
+            capacitors=[Capacitor(capacitance=100e-6, drain_fraction=1e-7, voltage=3.0)],
+            component_map={0: (Component.MCU,)},
+        ),
+        params=PolicyParams(),
+        policy=policy,
+        dt=DT,
+        horizon=200.0,
+        timeline_stride=7,
+    )
+    run(config)
+    assert [(i, j) for i, j in counts if j > i] == [(2, 19_999)]
+    assert_run_matches_steps(config)
+
+
 @st.composite
 def charging_configs(draw):
     """sim_configs with buffers that start low and charge slowly from a weak

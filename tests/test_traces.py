@@ -1,5 +1,7 @@
 """Voltage traces: synthesis, file I/O, attack injection."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -197,6 +199,21 @@ def test_load_trace_errors(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(TraceError, match="no samples"):
         load_trace(empty, load_resistance=30e3)
+
+
+def test_load_trace_orders_samples_across_the_float_range(tmp_path):
+    """Neighbouring sample times are compared, not subtracted: samples at
+    -1.5e308 and 1.5e308, whose difference overflows, load with no warning,
+    and the same samples out of order are still rejected."""
+    wide = tmp_path / "wide.csv"
+    wide.write_text("-1.5e308,1.0\n1.5e308,2.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = load_trace(wide, load_resistance=30e3)
+    assert tr.times.tolist() == [-1.5e308, 1.5e308]
+    wide.write_text("1.5e308,1.0\n-1.5e308,2.0\n")
+    with pytest.raises(TraceError, match="strictly increasing"):
+        load_trace(wide, load_resistance=30e3)
 
 
 # ---------------------------------------------------------------- injection
