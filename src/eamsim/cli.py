@@ -61,16 +61,19 @@ def _write_atomic(path: Path, lines) -> None:
 
 
 def _timeline_lines(log, app):
-    v = log.timeline_v
-    header = ["time_s"] + [f"v{b}_volts" for b in range(v.shape[1])] + ["profile", "running"]
+    m = len(log.timeline_v) // len(log.timeline_profile)  # voltages per row
+    header = ["time_s"] + [f"v{b}_volts" for b in range(m)] + ["profile", "running"]
     yield ",".join(header)
     profiles = [p.value for p in PROFILE_ORDER]
     task_ids = [task.id for task in app.tasks] + [""]  # running -1: no task
-    columns = (log.timeline_t, v, log.timeline_profile, log.timeline_running)
-    for lo in range(0, len(v), 1024):  # rows to Python values a block at a time
-        block = (column[lo : lo + 1024].tolist() for column in columns)
-        for t, volts, prof, k in zip(*block):
-            yield ",".join([repr(t), *map(repr, volts), profiles[prof], task_ids[k]])
+    t, v = log.timeline_t, log.timeline_v
+    for lo in range(0, len(t), 1024):  # rows to Python values a block at a time
+        hi = lo + 1024
+        volts = zip(*[iter(v[lo * m : hi * m].tolist())] * m)  # the block's rows
+        block = (t[lo:hi].tolist(), volts, log.timeline_profile[lo:hi].tolist(),
+                 log.timeline_running[lo:hi].tolist())
+        for ts, row, prof, k in zip(*block):
+            yield ",".join([repr(ts), *map(repr, row), profiles[prof], task_ids[k]])
 
 
 def _metrics_lines(report: MetricsReport):
@@ -171,10 +174,7 @@ def cmd_inject(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["# time_s,voltage_v"]
-    lines += [
-        f"{repr(float(t))},{repr(float(v))}"
-        for t, v in zip(attacked.times, attacked.voltages)
-    ]
+    lines += [f"{t!r},{v!r}" for t, v in zip(attacked.times, attacked.voltages)]
     _write_atomic(out, lines)
     print(f"wrote {out} ({len(attacked.times)} samples)")
     return 0

@@ -55,9 +55,9 @@ from __future__ import annotations
 
 import copy
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .apps import AppSpec, DataQueue, Profile, Token, validate
 from .baselines import (
@@ -190,17 +190,27 @@ class EventLog:
     Events are (t, kind, *fields) tuples with non-decreasing t.  The totals
     dict carries the engine's raw accumulators (energy ledger, availability
     counts, release bookkeeping) from which metrics are derived.  The timeline
-    arrays, one row per timeline_stride slots, are allocated by init_sim, which
-    fills timeline_t, and the rest are filled as the run advances; they stay
-    None when the timeline is off.
+    has one row per timeline_stride slots.  init_sim allocates its columns as
+    flat arrays (float64 voltages, row-major with one per buffer; int8
+    profile index; int16 running-task index, -1 for none), which the run
+    fills; they stay None when the timeline is off.
     """
 
     events: list[tuple] = field(default_factory=list)
     totals: dict = field(default_factory=dict)
-    timeline_t: np.ndarray | None = None
-    timeline_v: np.ndarray | None = None
-    timeline_profile: np.ndarray | None = None
-    timeline_running: np.ndarray | None = None
+    timeline_v: array | None = None
+    timeline_profile: array | None = None
+    timeline_running: array | None = None
+    timeline_stride: int = 0
+    dt: float = 0.0  # s per slot
+
+    @property
+    def timeline_t(self) -> array | None:
+        """Row r's t, (r * stride) * dt: bit for bit the i * dt of its slot."""
+        if self.timeline_profile is None:
+            return None
+        stride, dt = self.timeline_stride, self.dt
+        return array("d", [i * dt for i in range(0, len(self.timeline_profile) * stride, stride)])
 
     def add(self, t: float, kind: str, *fields) -> None:
         self.events.append((t, kind, *fields))
@@ -335,16 +345,18 @@ class SimState:
     task_index: dict = field(default_factory=dict)  # task id -> timeline "running" code
 
 
-def _first_slots(x: np.ndarray, dt: float, n: int) -> np.ndarray:
-    """Per time in x, the first slot i in [0, n] whose start i * dt is >= it.
+def _first_slot(x: float, dt: float, n: int) -> int:
+    """The first slot i in [0, n] whose start i * dt is >= x.
 
     A ceil guess, then a step down or up by one where the float comparison a
     slot makes with its own t = i * dt disagrees; one step suffices while the
     slot count is far below 2**52.  Clipping x to [0, n * dt] first changes
-    no answer and keeps x / dt finite.  The times must not be NaN."""
-    i = np.clip(np.ceil(np.clip(x, 0.0, n * dt) / dt), 0, n).astype(np.int64)
-    i -= (i > 0) & ((i - 1) * dt >= x)
-    i += (i < n) & (i * dt < x)
+    no answer and keeps x / dt finite.  x must not be NaN."""
+    i = min(math.ceil(min(x, n * dt) / dt), n) if x > 0.0 else 0
+    if i > 0 and (i - 1) * dt >= x:
+        i -= 1
+    if i < n and i * dt < x:
+        i += 1
     return i
 
 
@@ -356,35 +368,39 @@ def _slot_powers(config: SimConfig, n_slots: int) -> tuple[list, list]:
     an attack window [start, end) holds t.  Its power can change only at the
     first slot whose t reaches a sample time or an attack edge, so those
     slots cut the horizon into stretches and V^2 / R is computed once per
-    stretch.  _first_slots makes the comparison t >= x that each slot would,
+    stretch.  _first_slot makes the comparison t >= x that each slot would,
     so the runs are those of sampling every slot, bit for bit, at a cost in
     trace samples and attacks, not in slots."""
-    dt, trace = config.dt, config.trace
+    dt, trace, n = config.dt, config.trace, n_slots
+    times, volts, load = trace.times, trace.voltages, trace.load_resistance
     # The samples some slot holds: the last at or before t = 0 (validation
     # puts one there) and every later one up to the last slot's t.
-    lo = int(np.searchsorted(trace.times, 0.0, side="right")) - 1
-    hi = int(np.searchsorted(trace.times, (n_slots - 1) * dt, side="right"))
-    held = _first_slots(trace.times[lo:hi], dt, n_slots)  # non-decreasing, held[0] == 0
-    # Attack windows are disjoint, so their edges in start order are sorted.
+    lo = bisect_right(times, 0.0) - 1
+    hi = bisect_right(times, (n - 1) * dt)
+    held = [_first_slot(x, dt, n) for x in times[lo:hi]]  # non-decreasing, held[0] == 0
+    # Attack windows are disjoint, so their edges in start order are sorted;
+    # a slot lies in a window while an odd count of edges is at or before it.
     attacks = sorted(config.attacks, key=lambda sc: sc.start)
-    edges = _first_slots(np.array([x for sc in attacks for x in (sc.start, sc.end)]), dt, n_slots)
-    # Merge the two sorted lists by position: a value's index is its own
-    # index plus the count of the other list's values before it (a sample
-    # goes before an equal edge).  np.sort or np.unique would page in sorting
-    # code that stays resident; that alone raised attack_storm's peak RSS,
-    # which the timeline export sets, not init.
-    starts = np.empty(held.size + edges.size, dtype=np.int64)
-    starts[np.arange(held.size) + np.searchsorted(edges, held)] = held
-    starts[np.arange(edges.size) + np.searchsorted(held, edges, side="right")] = edges
-    ends = np.append(starts[1:], n_slots)
-    nonempty = starts < ends
-    starts, ends = starts[nonempty], ends[nonempty]
-    v = trace.voltages[lo + np.searchsorted(held, starts, side="right") - 1]
-    for first, after in edges.reshape(-1, 2).tolist():  # [first, after-last) slot
-        v[(starts >= first) & (starts < after)] = 0.0
-    power = v * v / trace.load_resistance
-    last = np.append(power[1:] != power[:-1], True)  # the last stretch of each run
-    return ends[last].tolist(), power[last].tolist()
+    edges = [_first_slot(x, dt, n) for sc in attacks for x in (sc.start, sc.end)]
+    # Merge the two sorted lists by position: each stretch starts at the next
+    # slot either list reaches and takes every sample and edge up to it.
+    held.append(n)
+    edges.append(n)  # sentinels: no slot reaches n
+    starts, powers, last = [], [], None
+    j = e = start = 0
+    while start < n:
+        while held[j] <= start:
+            j += 1
+        while edges[e] <= start:
+            e += 1
+        v = 0.0 if e & 1 else volts[lo + j - 1]
+        power = v * v / load
+        if power != last:  # else the stretch extends the run
+            starts.append(start)
+            powers.append(power)
+            last = power
+        start = held[j] if held[j] < edges[e] else edges[e]
+    return starts[1:] + [n], powers
 
 
 def init_sim(config: SimConfig) -> SimState:
@@ -446,13 +462,11 @@ def init_sim(config: SimConfig) -> SimState:
     if config.equal_budget and config.attacks:
         sim.reset_at = min(sc.start for sc in config.attacks)
     if rows:
-        # Row r's t is (r * stride) * dt, bit for bit the i * dt of its slot.
-        sim.log.timeline_t = np.arange(rows, dtype=np.float64)
-        sim.log.timeline_t *= stride
-        sim.log.timeline_t *= config.dt
-        sim.log.timeline_v = np.empty((rows, m))
-        sim.log.timeline_profile = np.empty(rows, dtype=np.int8)
-        sim.log.timeline_running = np.empty(rows, dtype=np.int16)
+        log = sim.log
+        log.timeline_stride, log.dt = stride, config.dt
+        log.timeline_v = array("d", [0.0]) * (rows * m)
+        log.timeline_profile = array("b", [0]) * rows
+        log.timeline_running = array("h", [0]) * rows
     sim.log.add(0.0, "init", config.policy, app.name, initial_profile.value)
     return sim
 
@@ -647,7 +661,7 @@ def _watch(sim: SimState, t: float) -> None:
 
 def _tally(sim: SimState, i: int, running: int) -> None:
     """Count the buffers at or above v_on in slot i and, on every
-    timeline_stride-th slot, write its timeline row (init_sim set its t)."""
+    timeline_stride-th slot, write its timeline row."""
     caps = sim.bank.capacitors
     avail = sim.avail_counts
     for b, cap in enumerate(caps):
@@ -657,8 +671,9 @@ def _tally(sim: SimState, i: int, running: int) -> None:
     if stride > 0 and i % stride == 0:
         log = sim.log
         r = i // stride
+        v, base = log.timeline_v, r * len(caps)
         for b, cap in enumerate(caps):
-            log.timeline_v[r, b] = cap.voltage
+            v[base + b] = cap.voltage
         log.timeline_profile[r] = _PROFILE_INDEX[sim.sched.profile]
         log.timeline_running[r] = running
 
@@ -761,7 +776,9 @@ def _quiet_span(sim: SimState) -> None:
             limit = min(limit, sched._next_fire)
             short = _short_of(limit, n, dt)
         elif fixed:
-            i = _hold(sim, i, min(ends[r], short, check if reported else n), shares)[0]
+            stop = min(ends[r], short, check if reported else n)
+            if stop > i:
+                i = _hold(sim, i, stop, shares)[0]
     sim.overhead_invocations += i - i0
     sim.i, sim.run = i, r
 
@@ -878,7 +895,7 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
     avail = sim.avail_counts
     stride = sim.config.timeline_stride
     row0 = -(-i // stride) if stride > 0 else 0  # the first row written
-    rows, profs = [], []
+    rows, profs = array("d"), array("b")  # the rows' voltages, flat, and profiles
     fixed = False
     while i < stop:
         if i >= settle_from:  # select_profile reads no total under a trusted report
@@ -889,7 +906,7 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
                 sim.log.add(i * dt, "profile", picked.value)
                 stop = min(stop, _short_of(sim.sched._next_fire, sim.n_slots, dt))
                 profile, p = picked, _PROFILE_INDEX[picked]
-        before, vs = vs, vs.copy()  # a row keeps its slot's list
+        before, vs = vs, vs.copy()
         v = vs[0]
         energy = half0 * v * v
         taken = cost if cost < energy else energy
@@ -912,7 +929,7 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
             if v >= v_on:
                 avail[b] += 1
         if stride > 0 and i % stride == 0:
-            rows.append(vs)
+            rows.extend(vs)
             profs.append(p)
         i += 1
         if vs == before and attack is None:
@@ -925,25 +942,23 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
             break
     for cap, v in zip(caps, vs):
         cap.voltage = v
-    if rows:
-        log, block = sim.log, slice(row0, row0 + len(rows))
-        log.timeline_v[block] = rows
-        log.timeline_profile[block] = profs
-        log.timeline_running[block] = -1
+    if profs:
+        log, row1 = sim.log, row0 + len(profs)
+        log.timeline_v[row0 * len(vs) : row1 * len(vs)] = rows
+        log.timeline_profile[row0:row1] = profs
+        log.timeline_running[row0:row1] = array("h", [-1]) * len(profs)
     sim.ledger[:] = charged, sigma_drain, spilled
     sim.decision_drained = drained
     return i, fixed
 
 
-def _hold(sim: SimState, i: int, end: int, shares: tuple) -> int:
+def _hold(sim: SimState, i: int, end: int, shares: tuple) -> tuple[int, int]:
     """Replay slots i, i + 1, ... short of end as repeats of slot i - 1, which
-    left every buffer as it found it; the caller keeps end inside slot i - 1's
-    power run and inside the span.  No cap bounds the count: _repeat_add
-    advances each ledger sum over all the slots a binade at a time.  Returns
-    the first slot not replayed and the count."""
-    k = max(end - i, 0)
-    if k == 0:
-        return i, 0
+    left every buffer as it found it; the caller keeps end past i, inside
+    slot i - 1's power run and inside the span.  No cap bounds the count:
+    _repeat_add advances each ledger sum over all the slots a binade at a
+    time.  Returns the first slot not replayed and the count."""
+    k = end - i
     # Slot i repeats slot i - 1, so running it on the bank leaves every
     # voltage as it is and gives the terms each replayed slot adds to the
     # ledger sums, buffer by buffer in step's order (0.0 + x is exact; a 0.0
@@ -961,9 +976,10 @@ def _hold(sim: SimState, i: int, end: int, shares: tuple) -> int:
     stride = sim.config.timeline_stride
     r0, r1 = (-(-i // stride), -(-(i + k) // stride)) if stride > 0 else (0, 0)
     if r0 < r1:  # the rows of the slots replayed
-        sim.log.timeline_v[r0:r1] = [cap.voltage for cap in caps]
-        sim.log.timeline_profile[r0:r1] = _PROFILE_INDEX[sim.sched.profile]
-        sim.log.timeline_running[r0:r1] = -1
+        log, m = sim.log, len(caps)
+        log.timeline_v[r0 * m : r1 * m] = array("d", [cap.voltage for cap in caps]) * (r1 - r0)
+        log.timeline_profile[r0:r1] = array("b", [_PROFILE_INDEX[sim.sched.profile]]) * (r1 - r0)
+        log.timeline_running[r0:r1] = array("h", [-1]) * (r1 - r0)
     return i + k, k
 
 

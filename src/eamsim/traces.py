@@ -16,12 +16,17 @@ the window start and restores the pre-attack level at the window end.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from operator import lt
 
 ATTACK_KINDS = ("short", "long")
 LOAD_RESISTANCE = 30e3  # ohm, default resistor a trace was measured across
+# A synthesized trace is built a sample at a time, at about 80 bytes per sample
+# while it is built, so its length / interval is capped before anything is
+# allocated: a count memory cannot hold would otherwise hang, not fail.  A day
+# sampled every 10 ms is 8.64 M samples.
+MAX_TRACE_SAMPLES = 10**7
 
 
 class TraceError(ValueError):
@@ -33,49 +38,49 @@ class EnergyTrace:
     """Voltage-over-time record of a harvesting source.
 
     Immutable once constructed; operations that transform a trace return a
-    new instance.  The sample arrays are locked against in-place writes.
+    new instance.  The samples are held as tuples of floats.
     """
 
-    times: np.ndarray  # s, finite, strictly increasing
-    voltages: np.ndarray  # V, finite, >= 0
+    times: tuple  # s, finite, strictly increasing
+    voltages: tuple  # V, finite, >= 0
     load_resistance: float  # ohm, resistor the voltage was measured across
     name: str = "trace"
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        volts = np.asarray(self.voltages, dtype=float)
-        if times.ndim != 1 or volts.ndim != 1 or times.size != volts.size:
-            raise TraceError("times and voltages must be 1-D arrays of equal length")
-        if times.size == 0:
+        try:
+            times = tuple(map(float, self.times))
+            volts = tuple(map(float, self.voltages))
+        except (TypeError, ValueError) as exc:
+            raise TraceError(f"times and voltages must be sequences of numbers: {exc}") from None
+        if len(times) != len(volts):
+            raise TraceError("times and voltages must have equal length")
+        if not times:
             raise TraceError("trace must contain at least one sample")
-        if not np.all(np.isfinite(times)):
+        if not all(map(math.isfinite, times)):
             raise TraceError("sample times must be finite")
-        if np.any(times[1:] <= times[:-1]):  # compares without subtracting, so no overflow
+        if not all(map(lt, times, times[1:])):  # no subtraction, so no overflow
             raise TraceError("sample times must be strictly increasing")
-        if not np.all((volts >= 0) & (volts < np.inf)):  # NaN fails both
+        if not all(map(math.isfinite, volts)) or min(volts) < 0:
             raise TraceError("voltages must be finite and non-negative")
         if not 0 < self.load_resistance < math.inf:
             raise TraceError("load resistance must be positive and finite")
-        peak = float(volts.max())
+        peak = max(volts)
         if not math.isfinite(peak * peak / self.load_resistance):
             raise TraceError("harvested power V^2 / R must be finite")
-        times.flags.writeable = False
-        volts.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "voltages", volts)
 
     @property
     def span(self) -> tuple[float, float]:
         """(first, last) sample time in seconds."""
-        return float(self.times[0]), float(self.times[-1])
+        return self.times[0], self.times[-1]
 
     def voltage_at(self, t: float) -> float:
         """Zero-order-hold voltage at time t (must lie within the span)."""
         lo, hi = self.span
         if t < lo or t > hi:
             raise TraceError(f"t={t} outside trace span [{lo}, {hi}]")
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return float(self.voltages[idx])
+        return self.voltages[bisect_right(self.times, t) - 1]
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,7 @@ def load_trace(
     if not times:
         raise TraceError(f"{path}: no samples found")
     trace_name = name if name is not None else str(path)
-    return EnergyTrace(np.array(times), np.array(volts), load_resistance, trace_name)
+    return EnergyTrace(times, volts, load_resistance, trace_name)
 
 
 def synthesize_trace(
@@ -162,26 +167,30 @@ def synthesize_trace(
       sinusoid  -- rectified sine, V(t) = A * |sin(2*pi*t / period)|
       step      -- 0 V for the first half of the trace, amplitude after
 
-    Samples are laid on a regular grid of the given interval; the trace has
-    ceil(length / interval) + 1 samples so both endpoints are covered.
+    Samples are laid on a regular grid of the given interval, sample i at
+    i * interval; the trace has ceil(length / interval) + 1 samples so both
+    endpoints are covered.  length / interval must be below MAX_TRACE_SAMPLES.
     """
     if amplitude < 0:
         raise TraceError("amplitude must be non-negative")
     if not 0 < length < math.inf or not 0 < interval < math.inf:
         raise TraceError("length and interval must be positive and finite")
-    try:
-        n = math.ceil(length / interval) + 1
-        times = np.arange(n) * interval
-    except (ValueError, MemoryError, OverflowError) as exc:  # more than memory holds
-        raise TraceError(f"{length / interval:.3g} trace samples cannot be held: {exc}") from None
+    if not length / interval < MAX_TRACE_SAMPLES:  # inf included
+        raise TraceError(f"{length / interval:.3g} trace samples exceed the cap of "
+                         f"{MAX_TRACE_SAMPLES:.0e}")
+    n = math.ceil(length / interval) + 1
+    times = [i * interval for i in range(n)]
+    amplitude = float(amplitude)
     if kind == "constant":
-        volts = np.full(n, float(amplitude))
+        volts = [amplitude] * n
     elif kind == "sinusoid":
         if period is None or not period > 0:
             raise TraceError("sinusoid needs a positive period")
-        volts = amplitude * np.abs(np.sin(2.0 * np.pi * times / period))
+        w, sin = 2.0 * math.pi, math.sin
+        volts = [amplitude * abs(sin(w * t / period)) for t in times]
     elif kind == "step":
-        volts = np.where(times >= length / 2.0, float(amplitude), 0.0)
+        half = length / 2.0
+        volts = [amplitude if t >= half else 0.0 for t in times]
     else:
         raise TraceError(f"unknown trace kind {kind!r}")
     return EnergyTrace(times, volts, load_resistance, name or kind)
@@ -201,19 +210,16 @@ def inject_attack(trace: EnergyTrace, scenario: AttackScenario) -> EnergyTrace:
         raise TraceError(
             f"attack window [{start}, {end}) does not intersect trace span [{lo}, {hi}]"
         )
-    times = trace.times.copy()
-    volts = trace.voltages.copy()
+    times, volts = list(trace.times), list(trace.voltages)
     # Boundary sample at the window start so the hold drops to zero exactly there.
-    if start > lo and start not in times:
-        i = int(np.searchsorted(times, start))
-        times = np.insert(times, i, start)
-        volts = np.insert(volts, i, 0.0)
+    i = bisect_left(times, start)
+    if start > lo and times[i] != start:
+        times.insert(i, start)
+        volts.insert(i, 0.0)
     # Boundary sample at the window end restores the pre-attack hold level.
-    if end <= hi and end not in times:
-        level = trace.voltage_at(end)
-        i = int(np.searchsorted(times, end))
-        times = np.insert(times, i, end)
-        volts = np.insert(volts, i, level)
-    mask = (times >= start) & (times < end)
-    volts[mask] = 0.0
+    k = bisect_left(times, end)
+    if end <= hi and times[k] != end:
+        times.insert(k, end)
+        volts.insert(k, trace.voltage_at(end))
+    volts[i:k] = [0.0] * (k - i)  # the samples with start <= t < end
     return EnergyTrace(times, volts, trace.load_resistance, trace.name)

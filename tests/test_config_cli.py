@@ -4,7 +4,10 @@ import contextlib
 import dataclasses
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -418,6 +421,7 @@ def test_run_rejects_non_finite_values_cleanly(tmp_path, capsys, override, match
         (["trace.load_resistance_ohm=1e-320"], "harvested power V^2 / R must be finite"),
         (["sim.dt_ms=1e-9"], "3.6e+15 slots (1.8e+13 timeline rows) exceed the caps"),
         (["sim.dt_ms=0.1", "sim.timeline_stride=1"], "3.6e+07 slots (3.6e+07 timeline rows)"),
+        (["trace.length_s=10000001"], "1e+07 trace samples exceed the cap of 1e+07"),
         (["trace.kind=file", "trace.path=../tests/data/trace_bad_line.csv"],
          "trace_bad_line.csv:3: cannot parse '1.0,two'"),
     ],
@@ -425,8 +429,9 @@ def test_run_rejects_non_finite_values_cleanly(tmp_path, capsys, override, match
 def test_run_rejects_runs_it_cannot_hold(tmp_path, capsys, overrides, match):
     """Harvested power whose V^2 / R overflows (it ran to exit 0 with an
     infinite ledger), runs past the caps on slots or timeline rows (the
-    timeline arrays ran numpy out of memory) and a trace file with a bad
-    line after its header stop with an error line."""
+    timeline arrays ran numpy out of memory), a synthesized trace just past
+    its sample cap (built a sample at a time, it would run for minutes) and a
+    trace file with a bad line after its header stop with an error line."""
     argv = ["run", "--config", str(CONFIGS / "hvac_attack.yaml"), "--out", str(tmp_path)]
     for override in overrides:
         argv += ["--set", override]
@@ -434,6 +439,22 @@ def test_run_rejects_runs_it_cannot_hold(tmp_path, capsys, overrides, match):
     err = capsys.readouterr().err
     assert err.startswith("error:") and match in err
     assert not any(tmp_path.iterdir())
+
+
+def test_a_run_does_not_import_numpy(tmp_path):
+    """eamsim runs on the standard library and PyYAML: after importing
+    eamsim.cli and a 2 s attacked twotask run, numpy is not loaded."""
+    argv = ["run", "--config", str(CONFIGS / "twotask_short_attack.yaml"), "--out", str(tmp_path),
+            "--set", "sim.horizon_s=2", "--set", "attacks.0.start_s=0.5",
+            "--set", "attacks.0.duration_s=1"]
+    code = ("import sys, eamsim.cli\n"
+            f"assert eamsim.cli.main({argv!r}) == 0\n"
+            "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "timeline.csv").is_file()
 
 
 def test_run_with_a_trace_file_spanning_the_float_range(tmp_path, capsys):

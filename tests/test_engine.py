@@ -352,10 +352,11 @@ def test_timeline_stride_downsamples():
         n = log.totals["n_slots"]
         assert n == 4000
         rows = (n + stride - 1) // stride
-        assert log.timeline_t.shape == (rows,)
-        assert log.timeline_v.shape == (rows, 1)
-        assert log.timeline_profile.shape == (rows,)
-        assert log.timeline_running.shape == (rows,)
+        # Flat columns of float64, int8 and int16, the voltages row-major.
+        assert (log.timeline_t.typecode, len(log.timeline_t)) == ("d", rows)
+        assert (log.timeline_v.typecode, len(log.timeline_v)) == ("d", rows * 1)
+        assert (log.timeline_profile.typecode, len(log.timeline_profile)) == ("b", rows)
+        assert (log.timeline_running.typecode, len(log.timeline_running)) == ("h", rows)
         # Row r is slot i = r * stride, at the t = i * dt that slot computes.
         assert log.timeline_t.tolist() == [(r * stride) * 0.005 for r in range(rows)]
         assert log.timeline_t.tolist() == [i * 0.005 for i in range(0, n, stride)]
@@ -394,8 +395,7 @@ def test_engine_buffer_integration_matches_buffer_step():
     for _ in range(2000):
         buffer_step(twin, power, 0.05)
         expected.append(twin.voltage)
-    assert log.timeline_v.shape == (2000, 1)
-    assert np.array_equal(log.timeline_v[:, 0], np.array(expected))
+    assert log.timeline_v.tolist() == expected  # one buffer: a row is one voltage
     assert abs(residual(log)) < 1e-9
 
 
@@ -409,7 +409,7 @@ def per_slot_powers(config, n_slots):
     """Harvested power sampled slot by slot, as step's order describes it:
     the trace voltage held since the last sample at or before i * dt, zero
     inside any attack window, then V^2 / R."""
-    times, volts = config.trace.times.tolist(), config.trace.voltages.tolist()
+    times, volts = config.trace.times, config.trace.voltages
     powers = []
     for i in range(n_slots):
         t = i * config.dt
@@ -509,7 +509,49 @@ def sampled_power_configs(draw):
                            dt=dt, horizon=horizon)
 
 
+def tie_config(times, volts, attacks, dt=0.003, n_slots=40):
+    """A one-task config of given samples and (start, duration) attacks on a
+    horizon of n_slots slots of dt."""
+    return one_task_config(
+        trace=EnergyTrace(times, volts, 30e3),
+        attacks=[AttackScenario(start, length, "short", f"a{k}")
+                 for k, (start, length) in enumerate(attacks)],
+        dt=dt, horizon=n_slots * dt)
+
+
+DT = 0.003
+BELOW, ABOVE = -math.inf, math.inf
+
+
+def ulp(x, toward):
+    return math.nextafter(x, toward)
+
+
+# Samples at an attack's start and end, both on a slot's own t = k * dt: the
+# sample goes before the equal edge.
+EDGE = AttackScenario(7 * DT, 9 * DT)
+SAMPLE_ON_EDGE = tie_config([0.0, EDGE.start, EDGE.end, 0.09, 0.2], [1.5, 2.0, 3.3, 2.0, 1.5],
+                            [(EDGE.start, EDGE.duration)])
+# Samples and attack starts on a slot's own t = k * dt and one ulp either side
+# of it.  With dt = 0.003, x / dt rounds up past 12 and 24 at x = 12 * dt and
+# 24 * dt, and down to 9 and 20 one ulp above 9 * dt and 20 * dt, so only the
+# step down or up of _first_slot finds their first slots.
+SLOT_TIES = tie_config(
+    [0.0, ulp(12 * DT, BELOW), 12 * DT, ulp(12 * DT, ABOVE), ulp(20 * DT, ABOVE), 0.2],
+    [1.5, 2.0, 3.3, 2.0, 3.3, 1.5],
+    [(ulp(3 * DT, BELOW), 2 * DT), (ulp(9 * DT, ABOVE), DT), (24 * DT, 5 * DT)])
+# Attack edges at t = 0 and past the horizon, and an attack that starts at the
+# horizon itself.
+OUTER_EDGES = tie_config([0.0, 0.05, 0.2], [2.0, 3.3, 1.5],
+                         [(0.0, 2 * DT), (37 * DT, 10 * DT)])
+AT_HORIZON = tie_config([-0.5, 0.05, 0.2], [2.0, 3.3, 1.5], [(0.0, 20 * DT), (40 * DT, 1.0)])
+
+
 @given(sampled_power_configs())
+@example(SAMPLE_ON_EDGE)
+@example(SLOT_TIES)
+@example(OUTER_EDGES)
+@example(AT_HORIZON)
 def test_power_runs_equal_sampling_every_slot(config):
     assert validate_config(config) == []
     assert_runs_match_sampling(config)
@@ -574,6 +616,25 @@ def test_run_replays_the_slots_that_leave_the_bank_unchanged(monkeypatch):
     assert calls["_tally"] <= 0.2 * n_slots
     assert report.overhead_invocations == n_slots
     assert abs(residual(log)) < 1e-9
+
+
+def test_every_hold_replays_at_least_one_slot(monkeypatch):
+    """_quiet_span calls _hold only where a slot is left to replay.  Before,
+    18 of 3,228 calls on the one-hour hvac run and 19 of 52 on attack_storm
+    variant 5 replayed nothing; now there are 3,210 and 33, each replaying
+    one slot or more."""
+    lengths = []
+    hold = engine._hold
+
+    def counted(sim, i, end, shares):
+        lengths.append(end - i)
+        return hold(sim, i, end, shares)
+
+    monkeypatch.setattr(engine, "_hold", counted)
+    for doc in (load_config(CONFIGS / "hvac_attack.yaml"), WORKLOADS.storm_config(5)):
+        lengths.clear()
+        run(build_sim_config(doc))
+        assert lengths and min(lengths) >= 1
 
 
 def test_run_skips_the_policy_inside_a_noisy_reported_attack(monkeypatch):
@@ -813,7 +874,9 @@ def test_metrics_derive_from_the_event_log():
     # Availability equals the fraction of timeline rows at or above v_on.
     for comp, buf in log.totals["component_buffers"].items():
         von = cfg.bank.capacitors[buf].v_on
-        frac = np.count_nonzero(log.timeline_v[:, buf] >= von) / log.totals["n_slots"]
+        column = log.timeline_v[buf :: len(cfg.bank)]  # row-major, a voltage per buffer
+        assert len(column) == log.totals["n_slots"]
+        frac = sum(v >= von for v in column) / log.totals["n_slots"]
         assert report.availability[comp] == frac
 
     # Completion counters against the raw finish events.
