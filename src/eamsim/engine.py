@@ -895,7 +895,7 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
     avail = sim.avail_counts
     stride = sim.config.timeline_stride
     row0 = -(-i // stride) if stride > 0 else 0  # the first row written
-    rows, profs = array("d"), array("b")  # the rows' voltages, flat, and profiles
+    rows, profs = [], []  # the rows' voltages, flat, and profiles
     fixed = False
     while i < stop:
         if i >= settle_from:  # select_profile reads no total under a trusted report
@@ -944,8 +944,8 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
         cap.voltage = v
     if profs:
         log, row1 = sim.log, row0 + len(profs)
-        log.timeline_v[row0 * len(vs) : row1 * len(vs)] = rows
-        log.timeline_profile[row0:row1] = profs
+        log.timeline_v[row0 * len(vs) : row1 * len(vs)] = array("d", rows)
+        log.timeline_profile[row0:row1] = array("b", profs)
         log.timeline_running[row0:row1] = array("h", [-1]) * len(profs)
     sim.ledger[:] = charged, sigma_drain, spilled
     sim.decision_drained = drained
