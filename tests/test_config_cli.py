@@ -421,9 +421,9 @@ def test_run_rejects_non_finite_values_cleanly(tmp_path, capsys, override, match
         (["trace.load_resistance_ohm=1e-320"], "harvested power V^2 / R must be finite"),
         (["sim.dt_ms=1e-9"], "3.6e+15 slots (1.8e+13 timeline rows) exceed the caps"),
         (["sim.dt_ms=0.1", "sim.timeline_stride=1"], "3.6e+07 slots (3.6e+07 timeline rows)"),
-        (["trace.length_s=10000001"], "1e+07 trace samples exceed the cap of 1e+07"),
         (["trace.kind=file", "trace.path=../tests/data/trace_bad_line.csv"],
          "trace_bad_line.csv:3: cannot parse '1.0,two'"),
+        (["trace.length_s=10000001"], "1e+07 trace samples exceed the cap of 1e+07"),
     ],
 )
 def test_run_rejects_runs_it_cannot_hold(tmp_path, capsys, overrides, match):
