@@ -58,7 +58,6 @@ def central_bank(bank: CapacitorBank) -> CapacitorBank:
     merged_c = sum(c.capacitance for c in bank.capacitors)
     merged = Capacitor(
         capacitance=merged_c,
-        parallel_resistance=first.parallel_resistance,
         efficiency=first.efficiency,
         drain_fraction=first.drain_fraction,
         v_on=first.v_on,

@@ -22,6 +22,7 @@ The default output directory comes from $EAMSIM_OUT, falling back to ./out.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import random
 import sys
@@ -130,23 +131,18 @@ def cmd_compare(args) -> int:
     durations = [float(d) for d in args.attack_durations.split(",") if d.strip()]
     if not policies or not durations:
         raise ConfigError("compare needs at least one policy and one duration")
-    doc = _load(args)
-    base_config = build_sim_config(doc)  # validates shared parts early
-    seed = base_config.rng_seed
-    usable = min(base_config.trace.span[1], base_config.horizon)
+    config = build_sim_config(_load(args))
+    usable = min(config.trace.span[1], config.horizon)
     rows: list[dict] = []
     header: list[str] | None = None
     for duration in durations:
-        start = _draw_start(seed, duration, usable)
+        start = _draw_start(config.rng_seed, duration, usable)
+        kind = "long" if duration > 60.0 else "short"
+        attacks = [AttackScenario(start, duration, kind, "sweep")]
         for policy in policies:
-            cell = dict(doc)  # shallow: cells only replace top-level keys
-            cell["policy"] = policy
-            kind = "long" if duration > 60.0 else "short"
-            cell["attacks"] = [
-                {"start_s": start, "duration_s": duration, "kind": kind, "id": "sweep"}
-            ]
-            config = build_sim_config(cell)
-            report, _ = run(config)
+            # Cells share one config: init_sim copies the bank, and run mutates
+            # nothing else it reads.
+            report, _ = run(dataclasses.replace(config, policy=policy, attacks=attacks))
             row = {"attack_duration_s": repr(duration), "attack_start_s": repr(start)}
             row.update(dict(report.to_rows()))
             rows.append(row)

@@ -98,7 +98,6 @@ _PARAMS = {
 }
 _CAPACITOR = {
     "capacitance_uf": ("capacitance", _scaled(1e-6)),
-    "parallel_resistance_ohm": ("parallel_resistance", float),
     "efficiency": ("efficiency", float),
     "drain_fraction_per_slot": ("drain_fraction", float),
     "v_on": ("v_on", float),

@@ -1,24 +1,16 @@
 """Capacitor-bank energy model for federated storage.
 
-Each energy buffer is a capacitor charged by a harvester through a parallel
-resistance R_p.  Two complementary views of the same hardware are used:
+Each energy buffer is a capacitor, and the simulation advances every buffer by
+one slot at a time with a single law.  With stored energy E, per-slot drain
+fraction sigma, charging efficiency eta and an allotted input power P over a
+slot of length t:
 
-* Continuous charging curve, for a capacitor held at constant input power P
-  starting from voltage V0:
+    E' = (1 - sigma) * E + eta * P * t
 
-      V(dt) = sqrt(P * R_p - exp(-2 * dt / (C * R_p)) * (P * R_p - V0^2))
-
-  The curve saturates at sqrt(P * R_p); with P = 0 it reduces to the familiar
-  RC decay V0 * exp(-dt / (C * R_p)).
-
-* Discrete per-slot bookkeeping used by the simulation loop.  With stored
-  energy E, per-slot drain fraction sigma, charging efficiency eta and an
-  allotted input power P over a slot of length t:
-
-      E' = (1 - sigma) * E + eta * P * t
-
-  capped at the capacity 0.5 * C * v_max^2.  Energy and voltage are linked by
-  E = 0.5 * C * V^2 throughout.
+capped at the capacity 0.5 * C * v_max^2.  Under a constant P and sigma > 0 a
+buffer therefore settles at min(eta * P * t / sigma, capacity), and with no
+input it keeps a fraction (1 - sigma)^k of its energy after k slots.  Energy and voltage
+are linked by E = 0.5 * C * V^2 throughout.
 
 Withdrawals model task execution: energy may only be taken if the buffer
 stays at or above the power-off threshold v_off afterwards, otherwise nothing
@@ -49,7 +41,6 @@ class Capacitor:
     """One energy buffer with its charging characteristics and thresholds."""
 
     capacitance: float  # F
-    parallel_resistance: float = 30e3  # ohm, harvester-side parallel resistance
     efficiency: float = 0.9  # fraction of allotted input energy actually stored
     drain_fraction: float = 0.001  # fraction of stored energy lost per slot
     v_on: float = 2.4  # V, device powers on at or above this
@@ -60,8 +51,6 @@ class Capacitor:
     def __post_init__(self) -> None:
         if not 0 < self.capacitance < math.inf:
             raise EnergyModelError("capacitance must be positive and finite")
-        if not 0 < self.parallel_resistance < math.inf:
-            raise EnergyModelError("parallel resistance must be positive and finite")
         if not 0 < self.efficiency <= 1:
             raise EnergyModelError("efficiency must be in (0, 1]")
         if not 0 <= self.drain_fraction < 1:
@@ -92,23 +81,6 @@ def energy_at(cap: Capacitor, volts: float) -> float:
 def capacity_of(cap: Capacitor) -> float:
     """Maximum storable energy, at v_max."""
     return energy_at(cap, cap.v_max)
-
-
-def charge_voltage(cap: Capacitor, power: float, dt: float) -> float:
-    """Voltage after charging at constant input power for dt seconds.
-
-    Pure function of the capacitor's current voltage; the capacitor is not
-    modified.  The result is clamped to [0, v_max].
-    """
-    if power < 0:
-        raise EnergyModelError("power must be non-negative")
-    if dt < 0:
-        raise EnergyModelError("dt must be non-negative")
-    pr = power * cap.parallel_resistance
-    decay = math.exp(-2.0 * dt / (cap.capacitance * cap.parallel_resistance))
-    v_sq = pr - decay * (pr - cap.voltage * cap.voltage)
-    v = math.sqrt(max(v_sq, 0.0))
-    return min(max(v, 0.0), cap.v_max)
 
 
 def slot_constants(cap: Capacitor) -> tuple[float, ...]:
@@ -153,15 +125,6 @@ def slot_update(caps, constants, shares, dt: float, ledger: list) -> float:
         total += new
     ledger[0], ledger[1], ledger[2] = charged, drained, spilled
     return total
-
-
-def buffer_step(cap: Capacitor, allotted_power: float, dt: float) -> float:
-    """Advance one buffer by one slot (see slot_update) and return E'."""
-    if allotted_power < 0:
-        raise EnergyModelError("allotted power must be non-negative")
-    if not dt > 0:
-        raise EnergyModelError("dt must be positive")
-    return slot_update((cap,), (slot_constants(cap),), (allotted_power,), dt, [0.0, 0.0, 0.0])
 
 
 def drain(cap: Capacitor, amount: float) -> float:

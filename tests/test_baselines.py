@@ -126,7 +126,6 @@ def test_central_bank_merges_capacitance_and_energy():
     assert merged.v_max == first.v_max
     assert merged.efficiency == first.efficiency
     assert merged.drain_fraction == first.drain_fraction
-    assert merged.parallel_resistance == first.parallel_resistance
     # Stored energy carries over exactly (within the v_max ceiling).
     assert energy_of(merged) == pytest.approx(e_total, rel=1e-12)
     assert merged.voltage == pytest.approx(voltage_of(e_total, merged), rel=1e-12)

@@ -67,6 +67,22 @@ def test_every_readme_yaml_block_builds_clean():
         assert validate_config(config) == []
 
 
+def test_readme_yaml_block_names_exactly_the_accepted_keys():
+    """README's YAML block names every key of config.py's section tables, and
+    each underscore identifier in it, comments included, is an accepted key."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"^```yaml\n(.*?)^```", text, flags=re.M | re.S)
+    tables = (config_tables._TRACE, config_tables._ATTACK, config_tables._TASK,
+              config_tables._PARAMS, config_tables._CAPACITOR, config_tables._DETECTOR,
+              config_tables._SIM)
+    keys = set().union(*tables)
+    assert sorted(k for k in keys if not re.search(rf"\b{k}\b", block)) == []
+    accepted = keys.union(config_tables._TOP_KEYS, config_tables._APP_KEYS,
+                          config_tables._BANK_KEYS, config_tables._PROFILES)
+    named = set(re.findall(r"\b[A-Za-z][A-Za-z0-9]*_\w*\b", block))
+    assert sorted(named - accepted) == []
+
+
 def test_load_config_records_the_config_directory(tmp_path):
     p = tmp_path / "a.yaml"
     p.write_text("sim:\n  horizon_s: 1\n")
@@ -189,7 +205,6 @@ def test_build_sim_config_converts_units():
 def test_capacitor_defaults():
     doc = minimal_doc()
     cap = build_sim_config(doc).bank.capacitors[0]
-    assert cap.parallel_resistance == 30e3
     assert cap.efficiency == 0.9
     assert cap.drain_fraction == 0.001
     assert (cap.v_on, cap.v_off, cap.v_max) == (2.4, 1.8, 3.0)
@@ -492,6 +507,24 @@ def test_run_rejects_values_a_field_cannot_take(tmp_path, capsys, override):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "bank.capacitors.0.parallel_resistance_ohm=1000",  # removed with the RC charge curve
+        "params.omega0_fraction=0.2",
+    ],
+)
+def test_run_rejects_unknown_keys(tmp_path, capsys, override):
+    """A key no section table holds stops with an error line naming it."""
+    rc = cli.main(["run", "--config", str(CONFIGS / "compare_sine_30s.yaml"),
+                   "--out", str(tmp_path), "--set", override])
+    assert rc == 1
+    err = capsys.readouterr().err
+    key = override.partition("=")[0].rpartition(".")[2]
+    assert err.startswith("error:") and f"unknown key(s) {key}" in err
+    assert not any(tmp_path.iterdir())
+
+
 # Every key of every section table, addressed in twotask_short_attack.yaml
 # (the first attack, task and capacitor stand for the others).
 SET_KEYS = [
@@ -608,34 +641,60 @@ def test_compare_sweeps_policies_and_durations(tmp_path):
     assert rows[0]["attack_start_s"] != rows[2]["attack_start_s"]
 
 
-def test_compare_cell_equals_a_plain_run(tmp_path):
-    """One sweep cell must reproduce `run` on the same drawn attack."""
-    cfg = str(CONFIGS / "compare_sine_30s.yaml")
-    out_cmp = tmp_path / "cmp"
-    assert cli.main(
-        [
-            "compare",
-            "--config", cfg,
-            "--policies", "eam",
-            "--attack-durations", "45",
-            "--out", str(out_cmp),
-        ]
-    ) == 0
-    lines = (out_cmp / "compare.csv").read_text().splitlines()
-    header = lines[0].split(",")
-    (row,) = [dict(zip(header, line.split(","))) for line in lines[1:]]
+SWEEP_CONFIG = str(CONFIGS / "compare_sine_30s.yaml")
+SWEEP_POLICIES = ("eam", "fh", "central")
+SWEEP_DURATIONS = (45.0, 90.0)
 
-    config = build_sim_config(load_config(cfg))
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    """compare over SWEEP_POLICIES x SWEEP_DURATIONS: its rows by (policy,
+    duration) and the number of traces it synthesized."""
+    out = tmp_path_factory.mktemp("sweep")
+    synthesized = []
+    synthesize = config_tables.synthesize_trace
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(config_tables, "synthesize_trace",
+                   lambda *a, **kw: synthesized.append(a) or synthesize(*a, **kw))
+        assert cli.main(
+            [
+                "compare",
+                "--config", SWEEP_CONFIG,
+                "--policies", ",".join(SWEEP_POLICIES),
+                "--attack-durations", ",".join(map(str, SWEEP_DURATIONS)),
+                "--out", str(out),
+            ]
+        ) == 0
+    lines = (out / "compare.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert len(rows) == len(SWEEP_POLICIES) * len(SWEEP_DURATIONS)
+    return {(r["policy"], float(r["attack_duration_s"])): r for r in rows}, len(synthesized)
+
+
+def test_compare_builds_its_config_once(sweep):
+    """The cells share one built config, so the trace is synthesized once."""
+    _, synthesized = sweep
+    assert synthesized == 1
+
+
+@pytest.mark.parametrize("policy", SWEEP_POLICIES)
+@pytest.mark.parametrize("duration", SWEEP_DURATIONS)
+def test_compare_cell_equals_a_plain_run(tmp_path, sweep, policy, duration):
+    """Every sweep cell reproduces `run` on the same drawn attack, so no cell
+    changes the config the later cells share."""
+    rows, _ = sweep
+    row = rows[policy, duration]
+    config = build_sim_config(load_config(SWEEP_CONFIG))
     usable = min(config.trace.span[1], config.horizon)
-    start = cli._draw_start(config.rng_seed, 45.0, usable)
+    start = cli._draw_start(config.rng_seed, duration, usable)
     assert row["attack_start_s"] == repr(start)
 
-    out_run = tmp_path / "run"
-    attack = f"[{{start_s: {start!r}, duration_s: 45.0, kind: short, id: sweep}}]"
-    assert cli.main(
-        ["run", "--config", cfg, "--out", str(out_run), "--set", f"attacks={attack}"]
-    ) == 0
-    metrics = read_metrics(out_run / "metrics.csv")
+    kind = "long" if duration > 60.0 else "short"
+    attack = f"[{{start_s: {start!r}, duration_s: {duration!r}, kind: {kind}, id: sweep}}]"
+    assert cli.main(["run", "--config", SWEEP_CONFIG, "--out", str(tmp_path),
+                     "--set", f"attacks={attack}", "--set", f"policy={policy}"]) == 0
+    metrics = read_metrics(tmp_path / "metrics.csv")
     for key, value in metrics.items():
         assert row[key] == value, key
 

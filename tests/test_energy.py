@@ -1,4 +1,4 @@
-"""Energy-buffer model: analytic charge curve, slot update, withdrawals."""
+"""Energy-buffer model: the slot update (the one charge and leak law), withdrawals."""
 
 import math
 import random
@@ -12,12 +12,12 @@ from eamsim.energy import (
     CapacitorBank,
     Component,
     EnergyModelError,
-    buffer_step,
     capacity_of,
-    charge_voltage,
     default_bank,
     energy_at,
     energy_of,
+    slot_constants,
+    slot_update,
     total_capacity,
     total_energy,
     voltage_of,
@@ -29,6 +29,11 @@ def make_cap(c=100e-6, v=0.0, **kw):
     return Capacitor(capacitance=c, voltage=v, **kw)
 
 
+def step(cap, power, dt):
+    """One slot of slot_update on a one-buffer bank; returns E'."""
+    return slot_update((cap,), (slot_constants(cap),), (power,), dt, [0.0, 0.0, 0.0])
+
+
 # ---------------------------------------------------------------- validation
 
 
@@ -37,7 +42,7 @@ def make_cap(c=100e-6, v=0.0, **kw):
     [
         dict(capacitance=0.0),
         dict(capacitance=-1e-6),
-        dict(capacitance=1e-6, parallel_resistance=0.0),
+        dict(capacitance=math.inf),
         dict(capacitance=1e-6, efficiency=0.0),
         dict(capacitance=1e-6, efficiency=1.1),
         dict(capacitance=1e-6, drain_fraction=-0.1),
@@ -68,83 +73,21 @@ def test_voltage_energy_roundtrip(v):
     assert voltage_of(energy_of(cap), cap) == pytest.approx(v, rel=1e-12, abs=1e-12)
 
 
-# ---------------------------------------------------- analytic charge curve
-
-
-def test_charge_voltage_known_point():
-    # C=100 uF, R_p=10 kOhm, P=1 mW, dt=1 s from empty:
-    # v = sqrt(P*R*(1 - exp(-2 dt / (C R)))) = sqrt(10*(1 - e^-2))
-    cap = make_cap(v=0.0, parallel_resistance=10e3)
-    v = charge_voltage(cap, power=1e-3, dt=1.0)
-    assert v == pytest.approx(2.9405181801229987, abs=1e-12)
-    assert v == pytest.approx(math.sqrt(10.0 * (1.0 - math.exp(-2.0))), abs=1e-15)
-
-
-def test_charge_voltage_steady_state():
-    # After many time constants the curve settles at sqrt(P * R_p).
-    for c, r, p in [(100e-6, 10e3, 0.5e-3), (33e-6, 30e3, 0.2e-3), (220e-6, 5e3, 1e-3)]:
-        cap = Capacitor(capacitance=c, parallel_resistance=r, voltage=1.0)
-        v = charge_voltage(cap, power=p, dt=10.0 * c * r)
-        assert v == pytest.approx(math.sqrt(p * r), rel=1e-6)
-
-
-def test_charge_voltage_zero_power_decay():
-    # With no input the voltage decays exponentially: one R_p*C gives V0/e.
-    rng = random.Random(20240814)
-    for _ in range(1000):
-        c = rng.uniform(1e-6, 1e-3)
-        r = rng.uniform(1e3, 1e6)
-        v0 = rng.uniform(0.05, 3.0)
-        cap = Capacitor(capacitance=c, parallel_resistance=r, voltage=v0)
-        v = charge_voltage(cap, power=0.0, dt=c * r)
-        assert v == pytest.approx(v0 / math.e, rel=1e-9)
-
-
-def test_charge_voltage_clamps_at_vmax():
-    cap = make_cap(v=1.0)
-    assert charge_voltage(cap, power=1.0, dt=10.0) == cap.v_max
-
-
-def test_charge_voltage_does_not_mutate():
-    cap = make_cap(v=1.5)
-    charge_voltage(cap, power=1e-3, dt=1.0)
-    assert cap.voltage == 1.5
-
-
-@given(
-    st.floats(min_value=0.01, max_value=0.2),
-    st.floats(min_value=0.0, max_value=2.0),
-)
-def test_charge_voltage_monotone_in_time(dt, v0):
-    # Below steady state the charge curve is non-decreasing in time.
-    cap = make_cap(v=v0, parallel_resistance=30e3)
-    p = 0.3e-3  # steady state sqrt(P R) = 3.0 = v_max
-    assert charge_voltage(cap, p, 2 * dt) >= charge_voltage(cap, p, dt) - 1e-15
-
-
-def test_charge_voltage_rejects_negative_arguments():
-    cap = make_cap()
-    with pytest.raises(EnergyModelError):
-        charge_voltage(cap, power=-1e-3, dt=1.0)
-    with pytest.raises(EnergyModelError):
-        charge_voltage(cap, power=1e-3, dt=-1.0)
-
-
 # ------------------------------------------------------------- slot update
 
 
-def test_buffer_step_hand_example():
+def test_slot_update_hand_example():
     # E' = (1 - sigma) E + eta P dt with sigma=0.1, eta=0.8, E=10 mJ,
     # P=5 mW, dt=1 s  ->  0.9*10 + 0.8*5 = 13 mJ.
     cap = Capacitor(capacitance=3e-3, efficiency=0.8, drain_fraction=0.1)
     cap.voltage = voltage_of(10e-3, cap)
     e_in = energy_of(cap)
-    e_out = buffer_step(cap, allotted_power=5e-3, dt=1.0)
+    e_out = step(cap, 5e-3, 1.0)
     assert e_out == (1.0 - 0.1) * e_in + 0.8 * 5e-3 * 1.0  # bit-for-bit
     assert e_out == pytest.approx(13e-3, rel=1e-12)
 
 
-def test_buffer_step_oracle_bitwise():
+def test_slot_update_oracle_bitwise():
     # Independent one-line evaluation of the slot update, clamp-free region.
     rng = random.Random(99)
     for _ in range(1000):
@@ -157,24 +100,16 @@ def test_buffer_step_oracle_bitwise():
         cap = Capacitor(capacitance=c, efficiency=eta, drain_fraction=sigma, voltage=v)
         expected = (1.0 - sigma) * (0.5 * c * v * v) + eta * p * dt
         assert expected <= capacity_of(cap)  # stay clamp-free
-        got = buffer_step(cap, p, dt)
+        got = step(cap, p, dt)
         assert got == expected
         assert cap.voltage == min(math.sqrt(2.0 * expected / c), cap.v_max)
 
 
-def test_buffer_step_ceiling_clip():
+def test_slot_update_ceiling_clip():
     cap = make_cap(v=2.9)
-    e = buffer_step(cap, allotted_power=1.0, dt=1.0)
+    e = step(cap, 1.0, 1.0)
     assert e == capacity_of(cap)
     assert cap.voltage == cap.v_max
-
-
-def test_buffer_step_rejects_bad_arguments():
-    cap = make_cap()
-    with pytest.raises(EnergyModelError):
-        buffer_step(cap, allotted_power=-1.0, dt=1.0)
-    with pytest.raises(EnergyModelError):
-        buffer_step(cap, allotted_power=1.0, dt=0.0)
 
 
 # -------------------------------------------------------------- withdrawals

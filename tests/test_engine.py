@@ -22,8 +22,9 @@ from eamsim.energy import (
     Capacitor,
     CapacitorBank,
     Component,
-    buffer_step,
     energy_at,
+    slot_constants,
+    slot_update,
     total_capacity,
 )
 from eamsim.engine import (
@@ -370,7 +371,7 @@ def test_timeline_stride_zero_disables_sampling():
 # --------------------------------------------- engine mirrors the buffer law
 
 
-def test_engine_buffer_integration_matches_buffer_step():
+def test_engine_buffer_integration_matches_slot_update():
     # A task too expensive to ever start leaves the buffer untouched by
     # withdrawals, so the recorded voltages must replay the charge law alone.
     task = TaskSpec(id="T", energy_cost=1.0, duration=2.0, buffer=0,
@@ -391,9 +392,10 @@ def test_engine_buffer_integration_matches_buffer_step():
     twin = Capacitor(capacitance=100e-6, drain_fraction=0.01, voltage=2.0)
     v = cfg.trace.voltage_at(0.0)
     power = v * v / cfg.trace.load_resistance
+    constants, ledger = (slot_constants(twin),), [0.0, 0.0, 0.0]
     expected = []
     for _ in range(2000):
-        buffer_step(twin, power, 0.05)
+        slot_update((twin,), constants, (power,), 0.05, ledger)
         expected.append(twin.voltage)
     assert log.timeline_v.tolist() == expected  # one buffer: a row is one voltage
     assert abs(residual(log)) < 1e-9
