@@ -9,8 +9,8 @@ slot of length t:
 
 capped at the capacity 0.5 * C * v_max^2.  Under a constant P and sigma > 0 a
 buffer therefore settles at min(eta * P * t / sigma, capacity), and with no
-input it keeps a fraction (1 - sigma)^k of its energy after k slots.  Energy and voltage
-are linked by E = 0.5 * C * V^2 throughout.
+input it keeps a fraction (1 - sigma)^k of its energy after k slots.  Energy
+and voltage are linked by E = 0.5 * C * V^2 throughout.
 
 Withdrawals model task execution: energy may only be taken if the buffer
 stays at or above the power-off threshold v_off afterwards, otherwise nothing
