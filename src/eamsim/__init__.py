@@ -28,7 +28,7 @@ from .policy import (
     policy_step,
     select_profile,
 )
-from .traces import AttackScenario, EnergyTrace, inject_attack, load_trace, synthesize_trace
+from .traces import AttackScenario, EnergyTrace, load_trace, synthesize_trace
 
 __all__ = [
     "AppSpec",
@@ -58,7 +58,6 @@ __all__ = [
     "detect",
     "init_scheduler",
     "init_sim",
-    "inject_attack",
     "load_trace",
     "policy_step",
     "run",

@@ -1,18 +1,18 @@
 """Command-line front-end.
 
-Three subcommands cover the whole workflow:
+Two subcommands cover the whole workflow:
 
     eamsim run     --config cfg.yaml [--out DIR] [--set k=v ...]
     eamsim compare --config cfg.yaml --policies eam,fh,central \\
                    --attack-durations 30,60,120 [--equal-budget]
-    eamsim inject  --trace in.csv --start 600 --duration 60 --out attacked.csv
 
 `run` simulates one configuration and writes metrics.csv (flat key,value),
 timeline.csv (sampled buffer voltages / profile / running task) and
 events.log.  `compare` sweeps policies x attack durations, drawing one attack
 start per duration (seeded, uniform over the middle 80% of the usable trace)
 that is shared by every policy so cells differ only in the policy itself.
-`inject` rewrites a voltage trace with an attack window zeroed out.
+A measured trace is attacked by naming it (trace.kind: file) next to an
+attacks: list in the config; a run zeroes the harvester inside each window.
 
 All file output is deterministic for a given configuration: floats are
 rendered with repr() and files are written atomically (temp file + rename).
@@ -34,7 +34,7 @@ from .detector import DetectorError
 from .energy import EnergyModelError
 from .engine import PROFILE_ORDER, EngineError, MetricsReport, run
 from .policy import PolicyError
-from .traces import AttackScenario, TraceError, inject_attack, load_trace
+from .traces import AttackScenario, TraceError
 
 _ERRORS = (
     ConfigError,
@@ -159,23 +159,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_inject(args) -> int:
-    if not args.duration > 0:
-        raise ConfigError("attack duration must be positive")
-    trace = load_trace(args.trace)
-    window = AttackScenario(
-        start=args.start, duration=args.duration, kind="short", id="injected"
-    )
-    attacked = inject_attack(trace, window)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["# time_s,voltage_v"]
-    lines += [f"{t!r},{v!r}" for t, v in zip(attacked.times, attacked.voltages)]
-    _write_atomic(out, lines)
-    print(f"wrote {out} ({len(attacked.times)} samples)")
-    return 0
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eamsim",
@@ -214,13 +197,6 @@ def _parser() -> argparse.ArgumentParser:
         help="comma-separated attack durations in seconds",
     )
     p_cmp.set_defaults(fn=cmd_compare)
-
-    p_inj = sub.add_parser("inject", help="zero an attack window in a trace file")
-    p_inj.add_argument("--trace", required=True, help="input trace (time_s,voltage_v)")
-    p_inj.add_argument("--start", type=float, required=True, help="attack start, s")
-    p_inj.add_argument("--duration", type=float, required=True, help="attack length, s")
-    p_inj.add_argument("--out", required=True, help="output trace path")
-    p_inj.set_defaults(fn=cmd_inject)
     return parser
 
 

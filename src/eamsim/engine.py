@@ -732,17 +732,15 @@ def _quiet_span(sim: SimState) -> None:
     waiting = released_tasks(sched, sim.queues)
     i0 = i = check = sim.i
     n, dt, r = sim.n_slots, sim.dt, sim.run
-    short = _short_of(limit, n, dt)
+    stop = _first_slot(limit, dt, n)
     ends, powers = sim.run_ends, sim.run_powers
     app, bank, params, info = sim.app, sim.bank, sim.params, sim.idle_info
     caps, blind = bank.capacitors, sim.detector_blind
     profile_fn, allocate_fn, profile = sim.profile_fn, sim.allocate_fn, sched.profile
     cost = params.decision_cost
     shares = total = None
-    while i < n:
+    while i < stop:
         t = i * dt
-        if t >= limit:
-            break
         if i == ends[r]:
             r, check, shares = r + 1, i, None
         if i >= check:
@@ -769,24 +767,16 @@ def _quiet_span(sim: SimState) -> None:
             if sched.executing is None:
                 break  # the task finished or aborted: step the next slot
             continue
-        i, fixed = _charge(sim, i, max(i + 1, min(check, ends[r], short)), shares,
-                           attack if settle else None)
+        i, fixed = _charge(sim, i, min(check, ends[r], stop), shares, attack if settle else None)
         if settle:  # _charge may have switched: check again where it stopped
             check, profile, waiting = i, sched.profile, released_tasks(sched, sim.queues)
-            limit = min(limit, sched._next_fire)
-            short = _short_of(limit, n, dt)
+            stop = min(stop, _first_slot(sched._next_fire, dt, n))
         elif fixed:
-            stop = min(ends[r], short, check if reported else n)
-            if stop > i:
-                i = _hold(sim, i, stop, shares)[0]
+            end_hold = min(ends[r], stop, check if reported else n)
+            if end_hold > i:
+                i = _hold(sim, i, end_hold, shares)[0]
     sim.overhead_invocations += i - i0
     sim.i, sim.run = i, r
-
-
-def _short_of(limit: float, n: int, dt: float) -> int:
-    """A slot bound a slot or two short of the first slot whose t reaches
-    limit (or of the horizon): every slot before it is known to be inside."""
-    return int(min(limit, n * dt) / dt) - 1
 
 
 # Relative slack per slot on the energy bounds of _next_check, far above the
@@ -863,7 +853,7 @@ def _band_slot(sim: SimState, i: int, end: float, edge, err: float, alpha: float
 
 def _charge(sim: SimState, i: int, stop: int, shares: tuple,
             attack: AttackScenario | None = None) -> tuple[int, bool]:
-    """Run slots i, i + 1, ... short of stop with no task running and no check
+    """Run slots i, i + 1, ... before stop with no task running and no check
     due: the decision drain (energy.drain) and energy.slot_update's float
     operations in the same order, adding straight into the ledger sums, then
     availability counting and timeline rows (_tally's, written as one block).
@@ -871,8 +861,8 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
     returning True, and, while recovery watches are open, after a slot that
     lifts a buffer they still wait for to v_on, whose _watch it then runs.
     Given a reported attack, it settles SA/LA on each slot after the first
-    (a switch changes only the profile, as _next_check shows), stops short
-    of the next release and not at fixed points.
+    (a switch changes only the profile, as _next_check shows), stops at the
+    first slot whose t reaches the next release and not at fixed points.
     Returns the first slot not run and whether that slot is a fixed point."""
     caps, profile_fn, detector = sim.bank.capacitors, sim.profile_fn, sim.config.detector
     dt, cost, params = sim.dt, sim.params.decision_cost, sim.params
@@ -904,7 +894,7 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
                 apply_profile(sim.sched, picked, i * dt)
                 fire_releases(sim.sched, i * dt)  # fires nothing; finds the next release
                 sim.log.add(i * dt, "profile", picked.value)
-                stop = min(stop, _short_of(sim.sched._next_fire, sim.n_slots, dt))
+                stop = min(stop, _first_slot(sim.sched._next_fire, dt, sim.n_slots))
                 profile, p = picked, _PROFILE_INDEX[picked]
         before, vs = vs, vs.copy()
         v = vs[0]
@@ -953,7 +943,7 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
 
 
 def _hold(sim: SimState, i: int, end: int, shares: tuple) -> tuple[int, int]:
-    """Replay slots i, i + 1, ... short of end as repeats of slot i - 1, which
+    """Replay slots i, i + 1, ... before end as repeats of slot i - 1, which
     left every buffer as it found it; the caller keeps end past i, inside
     slot i - 1's power run and inside the span.  No cap bounds the count:
     _repeat_add advances each ledger sum over all the slots a binade at a

@@ -1,4 +1,4 @@
-"""Harvester voltage traces and energy-attack injection.
+"""Harvester voltage traces and energy-attack windows.
 
 A trace is a time series of open-circuit voltage measurements taken across a
 known load resistor.  The instantaneous harvesting power seen by the device is
@@ -7,16 +7,13 @@ recovered as P = V^2 / R_load.  Between samples the voltage is held constant
 the measured level until the next reading.
 
 An energy attack is a window of time during which the harvester produces no
-energy at all.  Injecting an attack into a trace zeroes every sample inside
-the window.  To keep the zero-order-hold reconstruction exact for windows that
-do not line up with the sampling grid, injection also inserts a zero sample at
-the window start and restores the pre-attack level at the window end.
+energy at all.  A trace is never rewritten for one: a run applies its attack
+windows to the held samples slot by slot (engine._slot_powers).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import lt
 
@@ -30,15 +27,14 @@ MAX_TRACE_SAMPLES = 10**7
 
 
 class TraceError(ValueError):
-    """Malformed trace data or an out-of-span query."""
+    """Malformed trace data, or an invalid trace or attack parameter."""
 
 
 @dataclass(frozen=True)
 class EnergyTrace:
     """Voltage-over-time record of a harvesting source.
 
-    Immutable once constructed; operations that transform a trace return a
-    new instance.  The samples are held as tuples of floats.
+    Immutable once constructed.  The samples are held as tuples of floats.
     """
 
     times: tuple  # s, finite, strictly increasing
@@ -74,13 +70,6 @@ class EnergyTrace:
     def span(self) -> tuple[float, float]:
         """(first, last) sample time in seconds."""
         return self.times[0], self.times[-1]
-
-    def voltage_at(self, t: float) -> float:
-        """Zero-order-hold voltage at time t (must lie within the span)."""
-        lo, hi = self.span
-        if t < lo or t > hi:
-            raise TraceError(f"t={t} outside trace span [{lo}, {hi}]")
-        return self.voltages[bisect_right(self.times, t) - 1]
 
 
 @dataclass(frozen=True)
@@ -195,31 +184,3 @@ def synthesize_trace(
         raise TraceError(f"unknown trace kind {kind!r}")
     return EnergyTrace(times, volts, load_resistance, name or kind)
 
-
-def inject_attack(trace: EnergyTrace, scenario: AttackScenario) -> EnergyTrace:
-    """Return a copy of the trace with the attack window zeroed.
-
-    All samples with start <= t < end drop to 0 V.  Where the window edges
-    fall between samples, boundary samples are inserted so the zero-order-hold
-    reconstruction is exactly zero inside the window and untouched outside.
-    The input trace is not modified; injection is idempotent.
-    """
-    lo, hi = trace.span
-    start, end = scenario.start, scenario.end
-    if start > hi or end <= lo:
-        raise TraceError(
-            f"attack window [{start}, {end}) does not intersect trace span [{lo}, {hi}]"
-        )
-    times, volts = list(trace.times), list(trace.voltages)
-    # Boundary sample at the window start so the hold drops to zero exactly there.
-    i = bisect_left(times, start)
-    if start > lo and times[i] != start:
-        times.insert(i, start)
-        volts.insert(i, 0.0)
-    # Boundary sample at the window end restores the pre-attack hold level.
-    k = bisect_left(times, end)
-    if end <= hi and times[k] != end:
-        times.insert(k, end)
-        volts.insert(k, trace.voltage_at(end))
-    volts[i:k] = [0.0] * (k - i)  # the samples with start <= t < end
-    return EnergyTrace(times, volts, trace.load_resistance, trace.name)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 
+from eamsim.engine import _finalize, init_sim, run, step
+
 # The bundled run configurations, found from this file so that the suite runs
 # from any working directory.
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -27,6 +29,25 @@ NOISY_HVAC = (
     "detector.remaining_time_error=0.35",
     "sim.timeline_stride=1",
 )
+
+
+def assert_run_matches_steps(config):
+    """engine.run gives the events, totals and timeline of calling
+    engine.step on every slot, bit for bit."""
+    _, fast = run(config)
+    sim = init_sim(config)
+    while sim.i < sim.n_slots:
+        step(sim)
+    _, slow = _finalize(sim)
+
+    assert fast.events == slow.events
+    assert repr(fast.totals) == repr(slow.totals)
+    for name in ("timeline_t", "timeline_v", "timeline_profile", "timeline_running"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.tobytes() == b.tobytes(), name
+
 
 settings.register_profile(
     "sim",

@@ -29,7 +29,6 @@ from eamsim.config import (
 )
 from eamsim.energy import Component
 from eamsim.engine import validate_config
-from eamsim.traces import load_trace
 from conftest import CONFIGS
 
 CONFIG_FILES = sorted(CONFIGS.glob("*.yaml"))
@@ -712,61 +711,24 @@ def test_compare_rejects_empty_sweeps(capsys):
     assert "at least one policy" in capsys.readouterr().err
 
 
-# ------------------------------------------------------------------- inject
+# --------------------------------------------------------------------- docs
 
 
-def write_trace(path: Path, n=30):
-    lines = ["# time_s,voltage_v"] + [f"{float(t)!r},2.0" for t in range(n)]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def test_inject_zeroes_the_window(tmp_path, capsys):
-    src = tmp_path / "clean.csv"
-    write_trace(src)
-    out = tmp_path / "attacked" / "hit.csv"
-    rc = cli.main(
-        [
-            "inject",
-            "--trace", str(src),
-            "--start", "10",
-            "--duration", "5",
-            "--out", str(out),
-        ]
-    )
-    assert rc == 0
-    assert "30 samples" in capsys.readouterr().out
-    attacked = load_trace(out, load_resistance=30e3)
-    for t, v in zip(attacked.times, attacked.voltages):
-        assert v == (0.0 if 10.0 <= t < 15.0 else 2.0), t
-
-
-def test_inject_rejects_windows_outside_the_trace(tmp_path, capsys):
-    src = tmp_path / "clean.csv"
-    write_trace(src)
-    rc = cli.main(
-        [
-            "inject",
-            "--trace", str(src),
-            "--start", "200",
-            "--duration", "5",
-            "--out", str(tmp_path / "x.csv"),
-        ]
-    )
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
-
-
-def test_inject_rejects_nonpositive_duration(tmp_path, capsys):
-    src = tmp_path / "clean.csv"
-    write_trace(src)
-    rc = cli.main(
-        [
-            "inject",
-            "--trace", str(src),
-            "--start", "5",
-            "--duration", "0",
-            "--out", str(tmp_path / "x.csv"),
-        ]
-    )
-    assert rc == 1
-    assert "duration" in capsys.readouterr().err
+def test_readme_commands_are_the_registered_subcommands(capsys):
+    """Every `eamsim <cmd>` line in README's shell blocks names a subcommand
+    the parser registers, and every registered one is shown there; a name
+    the parser does not know, such as the removed `inject`, stops with
+    argparse's usage error."""
+    readme = (CONFIGS.parent / "README.md").read_text()
+    shown = {
+        name
+        for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+        for name in re.findall(r"^eamsim (\w+)", block, re.M)
+    }
+    (subparsers,) = [a for a in cli._parser()._actions if a.dest == "command"]
+    assert shown == set(subparsers.choices)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["inject", "--trace", "in.csv", "--start", "1", "--duration", "1",
+                  "--out", "out.csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'inject'" in capsys.readouterr().err

@@ -38,7 +38,7 @@ from eamsim.engine import (
 from eamsim.engine import SimConfig
 from eamsim.policy import PolicyParams
 from eamsim.traces import AttackScenario, EnergyTrace, synthesize_trace
-from conftest import CONFIGS, NOISY_HVAC, WORKLOADS
+from conftest import CONFIGS, NOISY_HVAC, WORKLOADS, assert_run_matches_steps
 
 ALL_RATES = {p: 30.0 for p in Profile}
 
@@ -390,7 +390,7 @@ def test_engine_buffer_integration_matches_slot_update():
     _, log = run(cfg)
 
     twin = Capacitor(capacitance=100e-6, drain_fraction=0.01, voltage=2.0)
-    v = cfg.trace.voltage_at(0.0)
+    v = cfg.trace.voltages[0]  # a constant trace: every sample is 2.5 V
     power = v * v / cfg.trace.load_resistance
     constants, ledger = (slot_constants(twin),), [0.0, 0.0, 0.0]
     expected = []
@@ -557,6 +557,8 @@ AT_HORIZON = tie_config([-0.5, 0.05, 0.2], [2.0, 3.3, 1.5], [(0.0, 20 * DT), (40
 def test_power_runs_equal_sampling_every_slot(config):
     assert validate_config(config) == []
     assert_runs_match_sampling(config)
+    # _first_slot alone places a span's end on an attack edge or a release.
+    assert_run_matches_steps(config)
 
 
 def test_init_sim_memory_does_not_grow_with_the_slot_count():
@@ -672,17 +674,20 @@ def test_run_skips_the_policy_inside_a_noisy_reported_attack(monkeypatch):
 def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeypatch):
     """attack_storm variant 5: a four-task pipeline released every second, a
     noisy late detector over eight attacks and 22,728 SA/LA switches.  The
-    policy runs on 3,759 of the 300,000 slots (33,502 when every profile
+    policy runs on 3,718 of the 300,000 slots (33,502 when every profile
     switch and every slot with a running task was stepped); _charge settles
     nearly all of the switches, and a switch found by a span check goes to
     step.  The span reads 58,431 reports.  The noise is drawn on the 58,057
-    slots whose band straddles alpha, every way.  The span checks 2,182
-    times, and _slot_tail runs 11,071 times: on step's slots and on the
+    slots whose band straddles alpha, every way.  The span checks 2,110
+    times, and _slot_tail runs 11,030 times: on step's slots and on the
     span's slots with a task running (59,882 and 68,736 when the span
     stepped the band-straddle slots, 149,449 and 159,945 when every slot of
-    a noisy report was checked)."""
+    a noisy report was checked).  _charge runs 1,481 times (2,023 when a
+    span's end was bounded a slot or two short of its limit and each slot
+    up to the limit went through _charge on its own)."""
     config = build_sim_config(WORKLOADS.storm_config(5))
-    calls = dict.fromkeys(("policy_step", "detect", "_slot_tail", "_next_check", "Random"), 0)
+    counted_names = ("policy_step", "detect", "_slot_tail", "_next_check", "_charge")
+    calls = dict.fromkeys((*counted_names, "Random"), 0)
 
     def counting(name):
         inner = getattr(engine, name)
@@ -698,7 +703,7 @@ def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeyp
             calls["Random"] += 1
             super().__init__(*args)
 
-    for name in ("policy_step", "detect", "_slot_tail", "_next_check"):
+    for name in counted_names:
         monkeypatch.setattr(engine, name, counting(name))
     monkeypatch.setattr(random, "Random", CountedRandom)
     report, log = run(config)
@@ -709,6 +714,7 @@ def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeyp
     assert calls["detect"] <= 60_000
     assert calls["_slot_tail"] <= 12_000
     assert calls["_next_check"] <= 3_000
+    assert calls["_charge"] <= 1_600
     assert calls["Random"] == 58_057
     assert report.overhead_invocations == n_slots
     assert abs(residual(log)) < 1e-9

@@ -17,6 +17,7 @@ import eamsim.engine as engine
 from eamsim.engine import SimConfig, _finalize, init_sim, run, step, validate_config
 from eamsim.policy import PolicyParams
 from eamsim.traces import AttackScenario, synthesize_trace
+from conftest import assert_run_matches_steps
 
 HORIZON = 20.0  # s
 DT = 0.01  # s
@@ -147,22 +148,6 @@ def test_random_valid_configs_balance_and_schedule_soundly(config):
             running = None
 
 
-def assert_run_matches_steps(config):
-    _, fast = run(config)
-    sim = init_sim(config)
-    while sim.i < sim.n_slots:
-        step(sim)
-    _, slow = _finalize(sim)
-
-    assert fast.events == slow.events
-    assert repr(fast.totals) == repr(slow.totals)
-    for name in ("timeline_t", "timeline_v", "timeline_profile", "timeline_running"):
-        a, b = getattr(fast, name), getattr(slow, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            assert a.tobytes() == b.tobytes(), name
-
-
 @given(sim_configs(), st.sampled_from([0, 1, 7]))
 def test_run_matches_stepping_every_slot(config, stride):
     assert_run_matches_steps(dataclasses.replace(config, timeline_stride=stride))
@@ -248,9 +233,10 @@ def test_run_matches_stepping_through_exact_fixed_points(monkeypatch):
 @pytest.mark.parametrize("policy", ["eam", "fh", "central"])
 def test_a_bank_held_full_for_many_slots_is_replayed_in_one_hold(monkeypatch, policy):
     """A full bank under one constant power, with no task ever released,
-    spills back to its ceiling on every slot: run replays slots 2 to 19,998
-    of its 20,000 in a single engine._hold call, with no cap on the slots
-    one call covers, and still gives what stepping every slot gives."""
+    spills back to its ceiling on every slot: run replays slots 2 to 19,999,
+    the last of its 20,000, in a single engine._hold call, with no cap on
+    the slots one call covers, and still gives what stepping every slot
+    gives."""
     counts = []
     hold = engine._hold
 
@@ -276,7 +262,7 @@ def test_a_bank_held_full_for_many_slots_is_replayed_in_one_hold(monkeypatch, po
         timeline_stride=7,
     )
     run(config)
-    assert [(i, j) for i, j in counts if j > i] == [(2, 19_999)]
+    assert [(i, j) for i, j in counts if j > i] == [(2, 20_000)]
     assert_run_matches_steps(config)
 
 

@@ -1,18 +1,15 @@
-"""Voltage traces: synthesis, file I/O, attack injection."""
+"""Voltage traces: synthesis, file I/O, attack windows."""
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from eamsim.traces import (
     ATTACK_KINDS,
     AttackScenario,
     EnergyTrace,
     TraceError,
-    inject_attack,
     load_trace,
     synthesize_trace,
     validate_scenarios,
@@ -112,15 +109,9 @@ def test_trace_is_immutable():
 
 
 def test_voltage_at_zero_order_hold():
+    # Array samples are held as tuples of floats; a run holds each sample up
+    # to the next (engine._slot_powers, tested against sampling every slot).
     tr = EnergyTrace(np.array([0.0, 10.0, 20.0]), np.array([1.0, 2.0, 3.0]), 30e3)
-    assert tr.voltage_at(0.0) == 1.0
-    assert tr.voltage_at(9.999) == 1.0  # holds the previous sample
-    assert tr.voltage_at(10.0) == 2.0
-    assert tr.voltage_at(20.0) == 3.0
-    with pytest.raises(TraceError):
-        tr.voltage_at(-0.1)
-    with pytest.raises(TraceError):
-        tr.voltage_at(20.1)
     assert tr.times == (0.0, 10.0, 20.0)
     assert tr.voltages == (1.0, 2.0, 3.0)
 
@@ -128,7 +119,7 @@ def test_voltage_at_zero_order_hold():
 def test_power_from_voltage():
     # Harvested power is V(t)^2 / R_load over the zero-order-hold voltage.
     tr = synthesize_trace("constant", 3.0, length=5.0, interval=1.0, load_resistance=30e3)
-    v = tr.voltage_at(2.5)
+    v = tr.voltages[2]  # held over [2, 3), so at t = 2.5
     assert v == 3.0
     assert v * v / tr.load_resistance == 9.0 / 30e3
 
@@ -216,44 +207,3 @@ def test_load_trace_orders_samples_across_the_float_range(tmp_path):
     wide.write_text("1.5e308,1.0\n-1.5e308,2.0\n")
     with pytest.raises(TraceError, match="strictly increasing"):
         load_trace(wide, load_resistance=30e3)
-
-
-# ---------------------------------------------------------------- injection
-
-
-def test_inject_attack_zeroes_window_and_keeps_rest():
-    tr = synthesize_trace("constant", 2.0, length=100.0, interval=10.0)
-    sc = AttackScenario(start=25.0, duration=30.0)  # [25, 55), off-grid edges
-    out = inject_attack(tr, sc)
-    assert tr.voltages == (2.0,) * 11  # input untouched
-    assert 25.0 in out.times and 55.0 in out.times  # boundary samples added
-    for t in (25.0, 30.0, 54.999):
-        assert out.voltage_at(t) == 0.0
-    for t in (0.0, 24.999, 55.0, 100.0):
-        assert out.voltage_at(t) == 2.0
-
-
-def test_inject_attack_idempotent():
-    tr = synthesize_trace("sinusoid", 2.0, length=60.0, interval=1.0, period=30.0)
-    sc = AttackScenario(start=10.5, duration=20.0)
-    once = inject_attack(tr, sc)
-    twice = inject_attack(once, sc)
-    assert once.times == twice.times
-    assert once.voltages == twice.voltages
-
-
-def test_inject_attack_outside_span():
-    tr = synthesize_trace("constant", 2.0, length=10.0, interval=1.0)
-    with pytest.raises(TraceError, match="does not intersect"):
-        inject_attack(tr, AttackScenario(start=100.0, duration=5.0))
-
-
-@given(st.floats(min_value=0.0, max_value=99.9))
-def test_inject_attack_power_is_zero_inside(t):
-    tr = synthesize_trace("constant", 2.0, length=100.0, interval=7.0)
-    out = inject_attack(tr, AttackScenario(start=33.0, duration=41.0))
-    inside = 33.0 <= t < 74.0
-    if inside:
-        assert out.voltage_at(t) == 0.0
-    else:
-        assert out.voltage_at(t) == tr.voltage_at(t)
