@@ -28,7 +28,7 @@ from eamsim.config import (
     parse_override,
 )
 from eamsim.energy import Component
-from eamsim.engine import validate_config
+from eamsim.engine import init_sim, validate_config
 from conftest import CONFIGS
 
 CONFIG_FILES = sorted(CONFIGS.glob("*.yaml"))
@@ -314,6 +314,8 @@ def test_app_accepts_builtin_names():
 
 
 def test_file_trace_resolves_relative_to_the_config(tmp_path, monkeypatch):
+    # A measured trace is attacked by the config's attacks: list, here over
+    # slot 1 of four 0.5 s slots.
     (tmp_path / "readings.csv").write_text(
         "# time_s,voltage_v\n0.0,2.0\n1.0,2.0\n2.0,2.0\n"
     )
@@ -325,12 +327,15 @@ def test_file_trace_resolves_relative_to_the_config(tmp_path, monkeypatch):
         "app:\n  tasks:\n    - {id: T, energy_cost_uj: 1.0, duration_ms: 1.0,"
         " buffer: 0, component: mcu, rates_per_hour: {nml: 30}}\n"
         "sim:\n  horizon_s: 2.0\n  dt_ms: 500.0\n"
+        "attacks:\n  - {start_s: 0.5, duration_s: 0.5}\n"
     )
     monkeypatch.chdir(tmp_path.parent)  # anywhere but the config directory
     config = build_sim_config(load_config(cfg))
     assert config.trace.name == "readings"
     assert config.trace.span == (0.0, 2.0)
     assert validate_config(config) == []
+    sim = init_sim(config)
+    assert (sim.run_ends, sim.run_powers) == ([1, 2, 4], [4.0 / 30e3, 0.0, 4.0 / 30e3])
 
 
 # ---------------------------------------------------------------------- CLI
