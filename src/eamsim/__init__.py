@@ -2,13 +2,7 @@
 
 from .apps import AppSpec, DataQueue, Profile, TaskSpec, Token, builtin_app, validate
 from .detector import NO_ATTACK, AttackInfo, DetectorConfig, detect
-from .energy import (
-    Capacitor,
-    CapacitorBank,
-    Component,
-    default_bank,
-    withdraw,
-)
+from .energy import Capacitor, CapacitorBank, Component, withdraw
 from .engine import (
     EventLog,
     MetricsReport,
@@ -54,7 +48,6 @@ __all__ = [
     "allocate_harvest",
     "builtin_app",
     "compute_metrics",
-    "default_bank",
     "detect",
     "init_scheduler",
     "init_sim",

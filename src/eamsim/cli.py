@@ -61,20 +61,26 @@ def _write_atomic(path: Path, lines) -> None:
     os.replace(tmp, path)
 
 
+TIMELINE_BLOCK = 4096  # timeline rows rendered at a time
+
+
 def _timeline_lines(log, app):
-    m = len(log.timeline_v) // len(log.timeline_profile)  # voltages per row
+    """timeline.csv's header, then one string per block of rows, column by
+    column, so export memory is bounded by a block."""
+    n = len(log.timeline_profile)
+    m = len(log.timeline_v) // n  # voltages per row
     header = ["time_s"] + [f"v{b}_volts" for b in range(m)] + ["profile", "running"]
     yield ",".join(header)
     profiles = [p.value for p in PROFILE_ORDER]
     task_ids = [task.id for task in app.tasks] + [""]  # running -1: no task
-    t, v = log.timeline_t, log.timeline_v
-    for lo in range(0, len(t), 1024):  # rows to Python values a block at a time
-        hi = lo + 1024
-        volts = zip(*[iter(v[lo * m : hi * m].tolist())] * m)  # the block's rows
-        block = (t[lo:hi].tolist(), volts, log.timeline_profile[lo:hi].tolist(),
-                 log.timeline_running[lo:hi].tolist())
-        for ts, row, prof, k in zip(*block):
-            yield ",".join([repr(ts), *map(repr, row), profiles[prof], task_ids[k]])
+    for lo in range(0, n, TIMELINE_BLOCK):
+        hi = min(lo + TIMELINE_BLOCK, n)
+        volts = log.timeline_v[lo * m : hi * m]
+        columns = [map(repr, log.timeline_times(lo, hi))]
+        columns += [map(repr, volts[b::m]) for b in range(m)]
+        columns.append(map(profiles.__getitem__, log.timeline_profile[lo:hi]))
+        columns.append(map(task_ids.__getitem__, log.timeline_running[lo:hi]))
+        yield "\n".join(map(",".join, zip(*columns)))
 
 
 def _metrics_lines(report: MetricsReport):

@@ -200,22 +200,3 @@ def total_energy(bank: CapacitorBank) -> float:
 def total_capacity(bank: CapacitorBank) -> float:
     return sum(capacity_of(c) for c in bank.capacitors)
 
-
-def default_bank(initial_soc: float = 1.0) -> CapacitorBank:
-    """Two-buffer reference bank: 33 uF for MCU+sensing, 220 uF for actuation.
-
-    initial_soc is the starting energy as a fraction of capacity, applied to
-    every buffer.
-    """
-    if not 0 <= initial_soc <= 1:
-        raise EnergyModelError("initial_soc must be in [0, 1]")
-    caps = [Capacitor(capacitance=33e-6), Capacitor(capacitance=220e-6)]
-    for cap in caps:
-        set_soc(cap, initial_soc)
-    return CapacitorBank(
-        capacitors=caps,
-        component_map={
-            0: (Component.MCU, Component.SENSING),
-            1: (Component.ACTUATION,),
-        },
-    )

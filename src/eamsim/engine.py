@@ -193,7 +193,8 @@ class EventLog:
     has one row per timeline_stride slots.  init_sim allocates its columns as
     flat arrays (float64 voltages, row-major with one per buffer; int8
     profile index; int16 running-task index, -1 for none), which the run
-    fills; they stay None when the timeline is off.
+    fills; they stay None when the timeline is off.  Row times are not
+    stored: timeline_times computes them for a range of rows.
     """
 
     events: list[tuple] = field(default_factory=list)
@@ -204,13 +205,10 @@ class EventLog:
     timeline_stride: int = 0
     dt: float = 0.0  # s per slot
 
-    @property
-    def timeline_t(self) -> array | None:
-        """Row r's t, (r * stride) * dt: bit for bit the i * dt of its slot."""
-        if self.timeline_profile is None:
-            return None
+    def timeline_times(self, lo: int, hi: int) -> list[float]:
+        """Rows lo..hi-1's t: row r is slot i = r * stride, at its i * dt."""
         stride, dt = self.timeline_stride, self.dt
-        return array("d", [i * dt for i in range(0, len(self.timeline_profile) * stride, stride)])
+        return [i * dt for i in range(lo * stride, hi * stride, stride)]
 
     def add(self, t: float, kind: str, *fields) -> None:
         self.events.append((t, kind, *fields))
@@ -896,15 +894,16 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
                 sim.log.add(i * dt, "profile", picked.value)
                 stop = min(stop, _first_slot(sim.sched._next_fire, dt, sim.n_slots))
                 profile, p = picked, _PROFILE_INDEX[picked]
-        before, vs = vs, vs.copy()
-        v = vs[0]
+        v = v0 = vs[0]
         energy = half0 * v * v
         taken = cost if cost < energy else energy
         if taken > 0.0:
             vs[0] = math.sqrt(2.0 * (energy - taken) / c0)
         drained += taken
+        moved = False
         for b, half_c, keep, sigma, gain, ceiling, c, v_max, v_on in bufs:
             v = vs[b]
+            old = v if b else v0  # buffer 0: its voltage before the drain
             energy = half_c * v * v
             new = keep * energy + gain
             charged += gain
@@ -915,6 +914,8 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
             v = math.sqrt(2.0 * new / c)
             if not v < v_max:
                 v = v_max
+            if v != old:
+                moved = True
             vs[b] = v
             if v >= v_on:
                 avail[b] += 1
@@ -922,7 +923,7 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
             rows.extend(vs)
             profs.append(p)
         i += 1
-        if vs == before and attack is None:
+        if not moved and attack is None:
             fixed = True
             break
         if watched and any(vs[b] >= v_on for b, v_on in watched):

@@ -42,11 +42,13 @@ def assert_run_matches_steps(config):
 
     assert fast.events == slow.events
     assert repr(fast.totals) == repr(slow.totals)
-    for name in ("timeline_t", "timeline_v", "timeline_profile", "timeline_running"):
+    for name in ("timeline_v", "timeline_profile", "timeline_running"):
         a, b = getattr(fast, name), getattr(slow, name)
         assert (a is None) == (b is None), name
         if a is not None:
             assert a.tobytes() == b.tobytes(), name
+    # Row times are computed from these alone (EventLog.timeline_times).
+    assert (fast.timeline_stride, repr(fast.dt)) == (slow.timeline_stride, repr(slow.dt))
 
 
 settings.register_profile(

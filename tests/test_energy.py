@@ -13,9 +13,9 @@ from eamsim.energy import (
     Component,
     EnergyModelError,
     capacity_of,
-    default_bank,
     energy_at,
     energy_of,
+    set_soc,
     slot_constants,
     slot_update,
     total_capacity,
@@ -23,6 +23,23 @@ from eamsim.energy import (
     voltage_of,
     withdraw,
 )
+
+
+def default_bank(initial_soc: float = 1.0) -> CapacitorBank:
+    """Two-buffer reference bank: 33 uF for MCU+sensing, 220 uF for actuation,
+    every buffer at initial_soc of its capacity."""
+    if not 0 <= initial_soc <= 1:
+        raise EnergyModelError("initial_soc must be in [0, 1]")
+    caps = [Capacitor(capacitance=33e-6), Capacitor(capacitance=220e-6)]
+    for cap in caps:
+        set_soc(cap, initial_soc)
+    return CapacitorBank(
+        capacitors=caps,
+        component_map={
+            0: (Component.MCU, Component.SENSING),
+            1: (Component.ACTUATION,),
+        },
+    )
 
 
 def make_cap(c=100e-6, v=0.0, **kw):

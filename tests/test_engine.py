@@ -28,6 +28,7 @@ from eamsim.energy import (
     total_capacity,
 )
 from eamsim.engine import (
+    PROFILE_ORDER,
     EngineError,
     compute_metrics,
     init_sim,
@@ -354,18 +355,107 @@ def test_timeline_stride_downsamples():
         assert n == 4000
         rows = (n + stride - 1) // stride
         # Flat columns of float64, int8 and int16, the voltages row-major.
-        assert (log.timeline_t.typecode, len(log.timeline_t)) == ("d", rows)
         assert (log.timeline_v.typecode, len(log.timeline_v)) == ("d", rows * 1)
         assert (log.timeline_profile.typecode, len(log.timeline_profile)) == ("b", rows)
         assert (log.timeline_running.typecode, len(log.timeline_running)) == ("h", rows)
         # Row r is slot i = r * stride, at the t = i * dt that slot computes.
-        assert log.timeline_t.tolist() == [(r * stride) * 0.005 for r in range(rows)]
-        assert log.timeline_t.tolist() == [i * 0.005 for i in range(0, n, stride)]
+        times = list(map(float.hex, log.timeline_times(0, rows)))
+        assert times == [((r * stride) * 0.005).hex() for r in range(rows)]
+        assert times == [(i * 0.005).hex() for i in range(0, n, stride)]
+        assert list(map(float.hex, log.timeline_times(5, 9))) == times[5:9]
 
 
 def test_timeline_stride_zero_disables_sampling():
     _, log = run(one_task_config(horizon=1.0, timeline_stride=0))
-    assert log.timeline_t is None and log.timeline_v is None
+    assert log.timeline_profile is None and log.timeline_v is None
+    assert log.timeline_running is None
+
+
+def timeline_config(buffers, stride, rows):
+    """A chain of one task per buffer under a sine harvest that a reported
+    attack cuts, giving exactly `rows` timeline rows at `stride`.  One buffer
+    is central's merge of two; two and three buffers run eam."""
+    dt, n_slots = 0.01, stride * (rows - 1) + 1
+    horizon = n_slots * dt
+    caps = [Capacitor(capacitance=c, voltage=2.0) for c in (33e-6, 220e-6, 100e-6)]
+    caps = caps[: max(buffers, 2)]
+    bank = CapacitorBank(capacitors=caps,
+                         component_map={b: (c,) for b, c in zip(range(len(caps)), Component)})
+    tasks = tuple(
+        TaskSpec(id=f"T{b}", energy_cost=20e-6, duration=0.05, buffer=b,
+                 rates={p: 720.0 for p in Profile}, predecessors=(f"T{b - 1}",) if b else ())
+        for b in range(len(caps))
+    )
+    return SimConfig(
+        trace=synthesize_trace("sinusoid", 3.0, horizon + 1.0, 0.1, 20.0),
+        app=AppSpec(name="chain", tasks=tasks, sink_task=tasks[-1].id),
+        bank=bank,
+        params=PolicyParams(decision_cost=1e-9),
+        attacks=[AttackScenario(0.3 * horizon, 0.3 * horizon)],
+        policy="central" if buffers == 1 else "eam",
+        dt=dt,
+        horizon=horizon,
+        timeline_stride=stride,
+    )
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("buffers", [1, 2, 3])
+def test_timeline_csv_round_trips(tmp_path, buffers, stride):
+    """timeline.csv, written a block of rows at a time, holds every row of
+    the run's columns: times as repr(i * dt), voltages that parse back to
+    their array values bit for bit, and the profile and running names."""
+    block = cli.TIMELINE_BLOCK
+    seen = set()
+    for rows in (block - 1, block, block + 1, 2 * block + 1):
+        config = timeline_config(buffers, stride, rows)
+        _, log = run(config)
+        path = tmp_path / "timeline.csv"
+        cli._write_atomic(path, cli._timeline_lines(log, config.app))
+        lines = path.read_text().split("\n")
+        assert lines.pop() == ""  # every line ends with a newline
+        volts = [f"v{b}_volts" for b in range(buffers)]
+        assert lines[0] == ",".join(["time_s", *volts, "profile", "running"])
+        assert len(lines) == 1 + rows
+        ids = [task.id for task in config.app.tasks]
+        for r, line in enumerate(lines[1:]):
+            t, *vs, profile, running = line.split(",")
+            assert t == repr((r * stride) * config.dt)
+            assert len(vs) == buffers
+            for b, s in enumerate(vs):
+                assert repr(float(s)) == s
+                assert float(s).hex() == log.timeline_v[r * buffers + b].hex()
+            assert profile == PROFILE_ORDER[log.timeline_profile[r]].value
+            k = log.timeline_running[r]
+            assert running == (ids[k] if k >= 0 else "")
+            seen.add((profile, running))
+    # Not vacuous: tasks ran and, under eam, the attack changed the profile.
+    assert {running for _, running in seen} == {"", *ids}
+    assert (len({profile for profile, _ in seen}) > 1) == (buffers > 1)
+
+
+def test_timeline_export_memory_does_not_grow_with_the_row_count():
+    """The exporter renders a block of rows at a time, so the traced peak of
+    draining _timeline_lines stays under a bound fixed in advance (2 MB) at
+    100,000 rows and is the same at 10,000.  A full-length time column alone
+    would take 3.2 MB at 100,000 rows."""
+    peaks = []
+    for rows in (10_000, 100_000):
+        horizon = rows * 0.02
+        config = one_task_config(horizon=horizon, timeline_stride=1,
+                                 trace=synthesize_trace("sinusoid", 3.0, horizon + 1.0, 1.0, 60.0))
+        _, log = run(config)
+        assert len(log.timeline_profile) == rows
+        tracemalloc.start()
+        try:
+            for _ in cli._timeline_lines(log, config.app):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < 2_000_000
+    assert peaks[1] < 1.05 * peaks[0]
 
 
 # --------------------------------------------- engine mirrors the buffer law
