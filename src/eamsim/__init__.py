@@ -2,12 +2,11 @@
 
 from .apps import AppSpec, DataQueue, Profile, TaskSpec, Token, builtin_app, validate
 from .detector import NO_ATTACK, AttackInfo, DetectorConfig, detect
-from .energy import Capacitor, CapacitorBank, Component, withdraw
+from .energy import Capacitor, CapacitorBank, Component
 from .engine import (
     EventLog,
     MetricsReport,
     SimConfig,
-    compute_metrics,
     init_sim,
     run,
     step,
@@ -47,7 +46,6 @@ __all__ = [
     "Token",
     "allocate_harvest",
     "builtin_app",
-    "compute_metrics",
     "detect",
     "init_scheduler",
     "init_sim",
@@ -58,7 +56,6 @@ __all__ = [
     "step",
     "synthesize_trace",
     "validate",
-    "withdraw",
 ]
 
 __version__ = "0.1.0"

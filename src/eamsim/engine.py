@@ -39,7 +39,11 @@ slot physics beside step's.  While the band straddles alpha it settles SA/LA
 on each slot, the one place a stretch switches profile.  Where a slot leaves
 every buffer voltage bit-identical, the slots after it under the same power
 repeat it, so run() only advances the ledger sums, availability counts and
-timeline rows over them, however many they are.  Within a binade every sum
+timeline rows over them, however many they are.  Outside a reported attack
+this carries on across changes of power: where the weights stay and a trial
+of the new power's first slot leaves the bank as it is, the trial's terms
+are the new power's, and the checks skipped there would pass as the last
+did, as they read the bank, which has not moved.  Within a binade every sum
 is a whole number of ulps and each slot adds the same number, so the sums
 advance a binade at a time in closed form, bit for bit what adding each
 slot's terms in step()'s order gives.
@@ -212,9 +216,6 @@ class EventLog:
 
     def add(self, t: float, kind: str, *fields) -> None:
         self.events.append((t, kind, *fields))
-
-    def of_kind(self, kind: str) -> list[tuple]:
-        return [e for e in self.events if e[1] == kind]
 
     def export_lines(self):
         """Render events as delimited text lines: sets sorted, sequences in order."""
@@ -711,7 +712,14 @@ def _quiet_span(sim: SimState) -> None:
     proven to; open recovery watches, which saw these voltages, stay inert.
     _hold replays such stretches in one call, advancing only the sums (in
     closed form, a binade at a time), counts and timeline; inside a reported
-    attack, whose checks also read the clock, only up to the next check.
+    attack, whose checks also read the clock, only up to the next check and
+    the end of the power run.  Outside one it carries on into each next power
+    run whose weights are unchanged and whose first slot, run as a trial,
+    leaves every voltage as it is: the checks skipped there would pass as
+    the last one did, as they read the bank, the idle report and the waiting
+    tasks, which no release, reset or window edge changes before stop.
+    Where a trial moves the bank, the hold returns at that run's first slot,
+    which the span checks.
     """
     sched = sim.sched
     running = sched.executing
@@ -770,9 +778,7 @@ def _quiet_span(sim: SimState) -> None:
             check, profile, waiting = i, sched.profile, released_tasks(sched, sim.queues)
             stop = min(stop, _first_slot(sched._next_fire, dt, n))
         elif fixed:
-            end_hold = min(ends[r], stop, check if reported else n)
-            if end_hold > i:
-                i = _hold(sim, i, end_hold, shares)[0]
+            i, r, shares = _hold(sim, i, r, stop, check if reported else None, shares)
     sim.overhead_invocations += i - i0
     sim.i, sim.run = i, r
 
@@ -943,35 +949,68 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
     return i, fixed
 
 
-def _hold(sim: SimState, i: int, end: int, shares: tuple) -> tuple[int, int]:
-    """Replay slots i, i + 1, ... before end as repeats of slot i - 1, which
-    left every buffer as it found it; the caller keeps end past i, inside
-    slot i - 1's power run and inside the span.  No cap bounds the count:
+def _hold(sim: SimState, i: int, r: int, stop: int, check: int | None,
+          shares: tuple) -> tuple[int, int, tuple]:
+    """Replay slots i, i + 1, ... as repeats of slot i - 1, which left every
+    buffer as it found it with no task running, under power run r's shares:
+    to the end of run r or the span's stop and, under a reported attack, to
+    the next check, whose checks read the clock.  No cap bounds the count:
     _repeat_add advances each ledger sum over all the slots a binade at a
-    time.  Returns the first slot not replayed and the count."""
-    k = end - i
-    # Slot i repeats slot i - 1, so running it on the bank leaves every
-    # voltage as it is and gives the terms each replayed slot adds to the
-    # ledger sums, buffer by buffer in step's order (0.0 + x is exact; a 0.0
-    # term for an unclipped buffer leaves a sum >= +0.0 as it is).
-    caps = sim.bank.capacitors
-    taken = drain(caps[0], sim.params.decision_cost)
-    parts = [[0.0, 0.0, 0.0] for _ in caps]
-    for cap, constants, share, part in zip(caps, sim.buffer_constants, shares, parts):
-        slot_update((cap,), (constants,), (share,), sim.dt, part)
-    sim.ledger[:] = [_repeat_add(s, terms, k) for s, terms in zip(sim.ledger, zip(*parts))]
-    sim.decision_drained = _repeat_add(sim.decision_drained, (taken,), k)
-    for b, cap in enumerate(caps):
-        if cap.voltage >= cap.v_on:
-            sim.avail_counts[b] += k
-    stride = sim.config.timeline_stride
-    r0, r1 = (-(-i // stride), -(-(i + k) // stride)) if stride > 0 else (0, 0)
-    if r0 < r1:  # the rows of the slots replayed
-        log, m = sim.log, len(caps)
-        log.timeline_v[r0 * m : r1 * m] = array("d", [cap.voltage for cap in caps]) * (r1 - r0)
-        log.timeline_profile[r0:r1] = array("b", [_PROFILE_INDEX[sim.sched.profile]]) * (r1 - r0)
-        log.timeline_running[r0:r1] = array("h", [-1]) * (r1 - r0)
-    return i + k, k
+    time.
+
+    Outside a reported attack (check None) the hold then goes on into each
+    next run that starts before stop, where allocate_fn at the run's power
+    gives sim.prev_weights and a trial of the run's first slot on the bank,
+    energy.drain and slot_update under the run's shares, leaves every
+    voltage bit-identical; the trial's terms are the run's.  Where the
+    trial moves a voltage, every voltage is restored and the hold returns
+    at the run's first slot for _quiet_span to check.  A check there would
+    pass as the last one did: the profile and readiness checks read the
+    bank, which has not moved, and the idle report; the waiting tasks
+    cannot change, as no release, reset or window edge falls before stop;
+    the weights are compared here on every run; and open recovery watches
+    saw these voltages already.  Returns the first slot not replayed, its
+    run and that run's shares."""
+    caps, ends, log = sim.bank.capacitors, sim.run_ends, sim.log
+    saved, m, stride = [cap.voltage for cap in caps], len(caps), sim.config.timeline_stride
+    trial_r, trial_shares = r, shares
+    end = min(ends[r], stop) if check is None else min(ends[r], stop, check)
+    while True:
+        if i < end:
+            # Running slot i on the bank gives the terms each replayed slot
+            # adds to the ledger sums, buffer by buffer in step's order (0.0
+            # + x is exact; a 0.0 term for an unclipped buffer leaves a sum
+            # >= +0.0 as it is).  Only a trial can move a voltage.
+            taken = drain(caps[0], sim.params.decision_cost)
+            parts = [[0.0, 0.0, 0.0] for _ in caps]
+            for cap, constants, share, part in zip(caps, sim.buffer_constants, trial_shares,
+                                                   parts):
+                slot_update((cap,), (constants,), (share,), sim.dt, part)
+            if any(cap.voltage != v for cap, v in zip(caps, saved)):
+                for cap, v in zip(caps, saved):
+                    cap.voltage = v
+                break
+            k = end - i
+            sim.ledger[:] = [_repeat_add(s, terms, k) for s, terms in zip(sim.ledger, zip(*parts))]
+            sim.decision_drained = _repeat_add(sim.decision_drained, (taken,), k)
+            for b, cap in enumerate(caps):
+                if cap.voltage >= cap.v_on:
+                    sim.avail_counts[b] += k
+            r0, r1 = (-(-i // stride), -(-end // stride)) if stride > 0 else (0, 0)
+            if r0 < r1:  # the rows of the slots replayed
+                rows = r1 - r0
+                log.timeline_v[r0 * m : r1 * m] = array("d", saved) * rows
+                log.timeline_profile[r0:r1] = array("b", [_PROFILE_INDEX[sim.sched.profile]]) * rows
+                log.timeline_running[r0:r1] = array("h", [-1]) * rows
+            i, r, shares = end, trial_r, trial_shares
+        if check is not None or i != ends[r] or i >= stop:
+            break
+        weights, trial_shares = sim.allocate_fn(sim.sched, sim.app, sim.bank,
+                                                sim.run_powers[r + 1], sim.params)
+        if weights != sim.prev_weights:
+            break
+        trial_r, end = r + 1, min(ends[r + 1], stop)
+    return i, r, shares
 
 
 _BINADE_TOP = 2**53 - 1  # the last float of a binade, in ulps of the binade

@@ -5,7 +5,10 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 
-from eamsim.engine import _finalize, init_sim, run, step
+from eamsim.apps import AppSpec, Profile, TaskSpec
+from eamsim.energy import Capacitor, CapacitorBank, Component
+from eamsim.engine import SimConfig, _finalize, init_sim, run, step
+from eamsim.policy import PolicyParams
 
 # The bundled run configurations, found from this file so that the suite runs
 # from any working directory.
@@ -29,6 +32,36 @@ NOISY_HVAC = (
     "detector.remaining_time_error=0.35",
     "sim.timeline_stride=1",
 )
+
+
+def full_bank_config(policy, trace, n_buffers=1):
+    """A bank of full buffers that leak little, fed by trace for 200 s of
+    0.01 s slots, with a chain of one task per buffer that is never
+    released, under policy."""
+    tasks = tuple(
+        TaskSpec(id=f"T{k}", energy_cost=1e-6, duration=0.01, buffer=k,
+                 rates={p: 0.0 for p in Profile}, predecessors=(f"T{k - 1}",) if k else ())
+        for k in range(n_buffers)
+    )
+    return SimConfig(
+        trace=trace,
+        app=AppSpec(name="idle", tasks=tasks, sink_task=tasks[-1].id),
+        bank=CapacitorBank(
+            capacitors=[Capacitor(capacitance=c, drain_fraction=1e-7, voltage=3.0)
+                        for c in (100e-6, 47e-6)[:n_buffers]],
+            component_map={b: (c,) for b, c in zip(range(n_buffers), Component)},
+        ),
+        params=PolicyParams(),
+        policy=policy,
+        dt=0.01,
+        horizon=200.0,
+        timeline_stride=7,
+    )
+
+
+def of_kind(log, kind):
+    """The events of one kind in a run's EventLog, in order."""
+    return [e for e in log.events if e[1] == kind]
 
 
 def assert_run_matches_steps(config):

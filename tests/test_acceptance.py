@@ -18,7 +18,7 @@ from eamsim.detector import NO_ATTACK, AttackInfo
 from eamsim.energy import Capacitor, energy_at, slot_constants, slot_update
 from eamsim.engine import run
 from eamsim.policy import PolicyParams, select_profile
-from conftest import CONFIGS
+from conftest import CONFIGS, of_kind
 
 COMPARE_CONFIGS = (
     CONFIGS / "compare_constant_30s.yaml",
@@ -167,7 +167,7 @@ def test_c05_scheduler_safety_over_an_attacked_hour():
 
     # At most one task Running in any slot, tracked over state transitions.
     running: set = set()
-    for ev in log.of_kind("state"):
+    for ev in of_kind(log, "state"):
         _, _, tid, old, new = ev
         if new == "running":
             running.add(tid)
@@ -182,16 +182,16 @@ def test_c05_scheduler_safety_over_an_attacked_hour():
         b: energy_at(cap, cap.v_off) for b, cap in enumerate(config.bank.capacitors)
     }
     buffer_of = {t.id: t.buffer for t in config.app.tasks}
-    for t, _, tid, energy, cost in log.of_kind("start"):
+    for t, _, tid, energy, cost in of_kind(log, "start"):
         assert energy - floor[buffer_of[tid]] >= cost - 1e-8, (tid, t)
 
     # Nothing becomes Ready mid-attack unless a full period fits into the
     # remaining attack time.  Replay the profile so periods are current.
-    profile = Profile(log.of_kind("init")[0][4])
-    changes = iter(log.of_kind("profile") + [(math.inf, "profile", None)])
+    profile = Profile(of_kind(log, "init")[0][4])
+    changes = iter(of_kind(log, "profile") + [(math.inf, "profile", None)])
     change = next(changes)
     violations = []
-    for ev in log.of_kind("state"):
+    for ev in of_kind(log, "state"):
         while ev[0] >= change[0]:
             profile = Profile(change[2])
             change = next(changes)
@@ -203,11 +203,11 @@ def test_c05_scheduler_safety_over_an_attacked_hour():
     assert violations == []
     # For this workload the periods exceed any credible outage, so the
     # mitigation admits nothing at all inside the window.
-    assert [e for e in log.of_kind("state")
+    assert [e for e in of_kind(log, "state")
             if e[4] == "ready" and window.start <= e[0] < window.end] == []
 
     # Aborts are transactional: no queue traffic at the abort instant.
-    for t, _, tid, _, _ in log.of_kind("abort"):
+    for t, _, tid, _, _ in of_kind(log, "abort"):
         assert [e for e in log.events
                 if e[0] == t and e[1] in ("push", "pop", "drop") and e[2] == tid] == []
 
@@ -220,29 +220,29 @@ def test_c06_short_attack_storyboard_on_the_two_task_pipeline():
     report, log = run(build_sim_config(load_config(CONFIGS / "twotask_short_attack.yaml")))
     begin, end = 180.0, 220.0
 
-    assert log.of_kind("attack_seen") == [
+    assert of_kind(log, "attack_seen") == [
         (begin, "attack_seen", "begin"),
         (end, "attack_seen", "end"),
     ]
-    assert log.of_kind("profile") == [
+    assert of_kind(log, "profile") == [
         (begin, "profile", "SA"),
         (end, "profile", "NML"),
     ]
 
     # First allocation on or after the onset favours T1's buffer 0.
-    alloc = next(e for e in log.of_kind("alloc") if e[0] >= begin)
+    alloc = next(e for e in of_kind(log, "alloc") if e[0] >= begin)
     assert alloc[2] > alloc[3], alloc
 
-    t2_starts = [e[0] for e in log.of_kind("start") if e[2] == "T2"]
+    t2_starts = [e[0] for e in of_kind(log, "start") if e[2] == "T2"]
     assert [t for t in t2_starts if begin <= t < end] == []
 
-    t1_finishes = [e[0] for e in log.of_kind("finish")
+    t1_finishes = [e[0] for e in of_kind(log, "finish")
                    if e[2] == "T1" and begin <= e[0] < end]
     assert len(t1_finishes) >= 1  # the light task keeps running mid-attack
 
     resumed = [t for t in t2_starts if t >= end]
     assert resumed and resumed[0] < end + 1.0  # prompt resumption
-    t2_finishes = [e[0] for e in log.of_kind("finish")
+    t2_finishes = [e[0] for e in of_kind(log, "finish")
                    if e[2] == "T2" and e[0] >= end]
     assert len(t2_finishes) >= 2  # periodic execution re-established
 

@@ -25,7 +25,7 @@ from eamsim.energy import (
 )
 from eamsim.engine import init_sim, run
 from eamsim.policy import PolicyParams, TaskState, init_scheduler, split_power
-from conftest import CONFIGS
+from conftest import CONFIGS, of_kind
 
 
 def make_bank():
@@ -169,8 +169,8 @@ def test_baselines_never_react_to_attacks(policy):
     report, log = run(build_sim_config(cfg))
     assert report.policy == policy
     # An attack window is in force, yet no profile change is ever logged.
-    assert log.of_kind("profile") == []
-    init = log.of_kind("init")[0]
+    assert of_kind(log, "profile") == []
+    init = of_kind(log, "init")[0]
     assert init[2] == policy
     assert report.completions > 0
 

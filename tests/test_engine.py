@@ -39,7 +39,14 @@ from eamsim.engine import (
 from eamsim.engine import SimConfig
 from eamsim.policy import PolicyParams
 from eamsim.traces import AttackScenario, EnergyTrace, synthesize_trace
-from conftest import CONFIGS, NOISY_HVAC, WORKLOADS, assert_run_matches_steps
+from conftest import (
+    CONFIGS,
+    NOISY_HVAC,
+    WORKLOADS,
+    assert_run_matches_steps,
+    full_bank_config,
+    of_kind,
+)
 
 ALL_RATES = {p: 30.0 for p in Profile}
 
@@ -216,7 +223,7 @@ def test_equal_weights_equal_capacitance_reduces_to_fh():
 
 def test_execution_aborts_on_failed_withdrawal():
     report, log = run(one_task_config(sigma=0.01))
-    aborts = log.of_kind("abort")
+    aborts = of_kind(log, "abort")
     assert len(aborts) == 1
     t, _, tid, drawn, reason = aborts[0]
     assert tid == "T" and reason == "withdrawal"
@@ -228,14 +235,14 @@ def test_execution_aborts_on_failed_withdrawal():
     assert report.wasted_energy == drawn  # whole partial draw is lost
     assert report.completions == 0
     assert log.totals["completions"] == []
-    state_kinds = [(e[3], e[4]) for e in log.of_kind("state") if e[2] == "T"]
+    state_kinds = [(e[3], e[4]) for e in of_kind(log, "state") if e[2] == "T"]
     assert ("running", "suspended") in state_kinds
     assert abs(residual(log)) < 1e-9
 
 
 def test_execution_aborts_on_brownout():
     report, log = run(one_task_config(sigma=0.2, horizon=10.0))
-    aborts = log.of_kind("abort")
+    aborts = of_kind(log, "abort")
     assert len(aborts) == 1
     t, _, tid, drawn, reason = aborts[0]
     assert tid == "T" and reason == "brownout"
@@ -278,7 +285,7 @@ def budget_config(**over):
 
 def test_equal_budget_resets_to_the_requested_soc():
     report, log = run(budget_config())
-    resets = log.of_kind("budget_reset")
+    resets = of_kind(log, "budget_reset")
     assert len(resets) == 1
     t, _, energies = resets[0]
     assert t == 50.0  # first slot of the first attack
@@ -290,7 +297,7 @@ def test_equal_budget_resets_to_the_requested_soc():
 
 def test_equal_budget_without_soc_restores_initial_energies():
     _, log = run(budget_config(budget_soc=None))
-    (reset,) = log.of_kind("budget_reset")
+    (reset,) = of_kind(log, "budget_reset")
     initial = energy_at(Capacitor(capacitance=100e-6), 2.2)
     assert reset[2] == pytest.approx([initial, initial], rel=1e-12)
 
@@ -299,7 +306,7 @@ def test_budget_reset_logs_energies_in_buffer_order():
     config = budget_config(budget_soc=None)
     config.bank.capacitors[0].capacitance = 1000e-6  # buffer 0 now holds the most
     _, log = run(config)
-    (reset,) = log.of_kind("budget_reset")
+    (reset,) = of_kind(log, "budget_reset")
     energies = reset[2]
     assert energies[0] > energies[1]
     (line,) = [ln for ln in log.export_lines() if ",budget_reset," in ln]
@@ -308,13 +315,13 @@ def test_budget_reset_logs_energies_in_buffer_order():
 
 def test_equal_budget_is_inert_without_attacks():
     _, log = run(budget_config(attacks=[]))
-    assert log.of_kind("budget_reset") == []
+    assert of_kind(log, "budget_reset") == []
     assert log.totals["reset_delta"] == 0.0
 
 
 def test_no_reset_when_flag_is_off():
     _, log = run(budget_config(equal_budget=False))
-    assert log.of_kind("budget_reset") == []
+    assert of_kind(log, "budget_reset") == []
 
 
 # ----------------------------------------------- detector/profile integration
@@ -334,12 +341,12 @@ def test_attack_window_drives_profile_changes():
         timeline_stride=0,
     )
     _, log = run(cfg)
-    assert log.of_kind("attack_seen") == [
+    assert of_kind(log, "attack_seen") == [
         (103.0, "attack_seen", "begin"),  # onset surfaces after the delay
         (140.0, "attack_seen", "end"),
     ]
     # 37 s of attack left at detection: below alpha, so the short profile.
-    assert log.of_kind("profile") == [
+    assert of_kind(log, "profile") == [
         (103.0, "profile", "SA"),
         (140.0, "profile", "NML"),
     ]
@@ -713,22 +720,78 @@ def test_run_replays_the_slots_that_leave_the_bank_unchanged(monkeypatch):
 
 
 def test_every_hold_replays_at_least_one_slot(monkeypatch):
-    """_quiet_span calls _hold only where a slot is left to replay.  Before,
-    18 of 3,228 calls on the one-hour hvac run and 19 of 52 on attack_storm
-    variant 5 replayed nothing; now there are 3,210 and 33, each replaying
-    one slot or more."""
+    """_quiet_span calls _hold after each slot that leaves the bank as it
+    found it, and each call replays one slot or more: the rest of its power
+    run or, from a run's last slot, the runs it carries into.  There are 73
+    calls on the one-hour hvac run and 20 on attack_storm variant 5.  When a
+    hold stopped at its run's end there were 3,210 and 33, and before
+    _quiet_span skipped the calls with no slot left in the run, 18 of 3,228
+    and 19 of 52 replayed nothing."""
     lengths = []
     hold = engine._hold
 
-    def counted(sim, i, end, shares):
-        lengths.append(end - i)
-        return hold(sim, i, end, shares)
+    def counted(sim, i, r, stop, check, shares):
+        out = hold(sim, i, r, stop, check, shares)
+        lengths.append(out[0] - i)
+        return out
 
     monkeypatch.setattr(engine, "_hold", counted)
-    for doc in (load_config(CONFIGS / "hvac_attack.yaml"), WORKLOADS.storm_config(5)):
+    for doc, calls in ((load_config(CONFIGS / "hvac_attack.yaml"), 73),
+                       (WORKLOADS.storm_config(5), 20)):
         lengths.clear()
         run(build_sim_config(doc))
-        assert lengths and min(lengths) >= 1
+        assert len(lengths) == calls and min(lengths) >= 1
+
+
+def test_holds_carry_the_hvac_run_across_its_power_runs(monkeypatch):
+    """The one-hour hvac run has 3,541 power runs.  Its bank sits at a fixed
+    point through most of them, and a hold carries on from run to run while
+    the allocation's weights stay and a trial of each run's first slot
+    leaves the bank as it is, so the span checks and charges only where the
+    bank moves.  When each hold stopped at its run's end, _charge ran 3,564
+    times (3,139 of them for one slot), _next_check 3,626 times and _hold
+    3,210 times."""
+    counted_names = ("_charge", "_next_check", "_hold")
+    calls = dict.fromkeys(counted_names, 0)
+
+    def counting(name):
+        inner = getattr(engine, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return counted
+
+    for name in counted_names:
+        monkeypatch.setattr(engine, name, counting(name))
+    config = build_sim_config(load_config(CONFIGS / "hvac_attack.yaml"))
+    assert len(init_sim(config).run_ends) == 3_541
+    report, log = run(config)
+    assert calls == {"_charge": 427, "_next_check": 489, "_hold": 73}
+    assert report.overhead_invocations == log.totals["n_slots"]
+    assert abs(residual(log)) < 1e-9
+
+
+def test_a_hold_under_a_report_stops_at_its_check_and_its_run():
+    """Under a reported attack the span's checks read the clock, so _hold
+    replays only to the next check and the end of its power run, and never
+    carries into the next run.  Today a report falls inside one zero-power
+    run, so only a direct call reaches a run's end under a report; this pins
+    the rule for attacks that leave some power.  Here a full bank stays at
+    its ceiling from slot 1 on under a power that changes every second, and
+    outside a report the same hold carries across all 200 runs to the
+    span's stop."""
+    config = full_bank_config("eam", EnergyTrace([float(k) for k in range(201)],
+                                                 [3.0 + 0.01 * (k % 7) for k in range(201)],
+                                                 30e3))
+    for check, expected in ((50, (50, 0)), (5_000, (100, 0)), (None, (20_000, 199))):
+        sim = init_sim(config)
+        step(sim)
+        step(sim)  # slot 1 leaves the full bank as it found it
+        shares = sim.allocate_fn(sim.sched, sim.app, sim.bank, sim.run_powers[0], sim.params)[1]
+        assert engine._hold(sim, 2, 0, 20_000, check, shares)[:2] == expected
+        assert sim.bank.capacitors[0].voltage == 3.0
 
 
 def test_run_skips_the_policy_inside_a_noisy_reported_attack(monkeypatch):
@@ -754,7 +817,7 @@ def test_run_skips_the_policy_inside_a_noisy_reported_attack(monkeypatch):
     report, log = run(config)
     n_slots = log.totals["n_slots"]
     assert n_slots == 120_000
-    assert len(log.of_kind("profile")) == 980  # the estimates do cross alpha
+    assert len(of_kind(log, "profile")) == 980  # the estimates do cross alpha
     # A profile switch ends the span and step applies it: 47 calls.
     assert calls[0] <= 60
     assert 0 < draws[0] <= 4_000
@@ -768,13 +831,15 @@ def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeyp
     switch and every slot with a running task was stepped); _charge settles
     nearly all of the switches, and a switch found by a span check goes to
     step.  The span reads 58,431 reports.  The noise is drawn on the 58,057
-    slots whose band straddles alpha, every way.  The span checks 2,110
-    times, and _slot_tail runs 11,030 times: on step's slots and on the
-    span's slots with a task running (59,882 and 68,736 when the span
-    stepped the band-straddle slots, 149,449 and 159,945 when every slot of
-    a noisy report was checked).  _charge runs 1,481 times (2,023 when a
-    span's end was bounded a slot or two short of its limit and each slot
-    up to the limit went through _charge on its own)."""
+    slots whose band straddles alpha, every way.  The span checks 2,097
+    times (2,110 when each hold stopped at its power run's end), and
+    _slot_tail runs 11,030 times: on step's slots and on the span's slots
+    with a task running (59,882 and 68,736 when the span stepped the
+    band-straddle slots, 149,449 and 159,945 when every slot of a noisy
+    report was checked).  _charge runs 1,468 times (1,481 when each hold
+    stopped at its power run's end, 2,023 when a span's end was bounded a
+    slot or two short of its limit and each slot up to the limit went
+    through _charge on its own)."""
     config = build_sim_config(WORKLOADS.storm_config(5))
     counted_names = ("policy_step", "detect", "_slot_tail", "_next_check", "_charge")
     calls = dict.fromkeys((*counted_names, "Random"), 0)
@@ -799,7 +864,7 @@ def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeyp
     report, log = run(config)
     n_slots = log.totals["n_slots"]
     assert n_slots == 300_000
-    assert len(log.of_kind("profile")) == 22_728
+    assert len(of_kind(log, "profile")) == 22_728
     assert calls["policy_step"] <= 4_000
     assert calls["detect"] <= 60_000
     assert calls["_slot_tail"] <= 12_000
@@ -905,7 +970,8 @@ def test_run_batches_the_attack_and_recharge_of_a_sweep_cell(monkeypatch, tmp_pa
     recharge after it, so _charge runs nearly every slot the policy does not.
     eam reads 5 reports where it read one per reported slot (60,000); the
     span steps 48 (eam) and 62 (fh) slots one at a time and calls _charge
-    324 times."""
+    58 and 100 times, as a hold carries across the cell's power runs (317
+    and 315 times when each hold stopped at its run's end)."""
     calls = dict.fromkeys(("detect", "policy_step", "_slot_tail", "_charge"), 0)
 
     def counting(name):
@@ -926,7 +992,7 @@ def test_run_batches_the_attack_and_recharge_of_a_sweep_cell(monkeypatch, tmp_pa
         assert cli.main(argv) == 0
     assert calls["detect"] <= 20
     assert calls["_slot_tail"] - calls["policy_step"] <= 100
-    assert calls["_charge"] <= 400
+    assert calls["_charge"] <= 120
 
 
 # --------------------------------------------------------------- determinism
@@ -967,7 +1033,7 @@ def test_metrics_derive_from_the_event_log():
 
     assert report.schedulability == derived_schedulability(log)
     for tid, n in log.totals["releases_total"].items():
-        assert n == len([e for e in log.of_kind("release") if e[2] == tid])
+        assert n == len([e for e in of_kind(log, "release") if e[2] == tid])
 
     # Availability equals the fraction of timeline rows at or above v_on.
     for comp, buf in log.totals["component_buffers"].items():
@@ -978,7 +1044,7 @@ def test_metrics_derive_from_the_event_log():
         assert report.availability[comp] == frac
 
     # Completion counters against the raw finish events.
-    sinks = [e for e in log.of_kind("finish") if e[3] == 1]
+    sinks = [e for e in of_kind(log, "finish") if e[3] == 1]
     assert report.completions == len(sinks)
     stamps = log.totals["completions"]
     assert stamps == [e[0] for e in sinks]

@@ -16,8 +16,8 @@ from eamsim.energy import Capacitor, CapacitorBank, Component, energy_at
 import eamsim.engine as engine
 from eamsim.engine import SimConfig, _finalize, init_sim, run, step, validate_config
 from eamsim.policy import PolicyParams
-from eamsim.traces import AttackScenario, synthesize_trace
-from conftest import assert_run_matches_steps
+from eamsim.traces import LOAD_RESISTANCE, AttackScenario, EnergyTrace, synthesize_trace
+from conftest import assert_run_matches_steps, full_bank_config, of_kind
 
 HORIZON = 20.0  # s
 DT = 0.01  # s
@@ -205,14 +205,15 @@ def fixed_point_configs(draw):
 
 def test_run_matches_stepping_through_exact_fixed_points(monkeypatch):
     """At least two in three runs of each kind reach a slot that leaves the
-    bank bit-identical, and run replays slots after it; run still gives
-    what stepping every slot gives."""
+    bank bit-identical, and run replays slots after it (82 of the 89 "full"
+    runs drawn and all 61 "empty" ones); run still gives what stepping every
+    slot gives."""
     reached = {"full": [], "empty": []}
     replayed = [0]
     hold = engine._hold
 
-    def counted(sim, i, *args):
-        out = hold(sim, i, *args)
+    def counted(sim, i, r, stop, check, shares):
+        out = hold(sim, i, r, stop, check, shares)
         replayed[0] += out[0] - i
         return out
 
@@ -230,39 +231,55 @@ def test_run_matches_stepping_through_exact_fixed_points(monkeypatch):
         assert 3 * sum(runs) >= 2 * len(runs), (kind, sum(runs), len(runs))
 
 
+def counting_holds(monkeypatch):
+    """Wrap engine._hold; the list returned gets (i, r, first slot not
+    replayed, its run) per call."""
+    calls = []
+    hold = engine._hold
+
+    def counted(sim, i, r, stop, check, shares):
+        out = hold(sim, i, r, stop, check, shares)
+        calls.append((i, r, out[0], out[1]))
+        return out
+
+    monkeypatch.setattr(engine, "_hold", counted)
+    return calls
+
+
 @pytest.mark.parametrize("policy", ["eam", "fh", "central"])
 def test_a_bank_held_full_for_many_slots_is_replayed_in_one_hold(monkeypatch, policy):
     """A full bank under one constant power, with no task ever released,
     spills back to its ceiling on every slot: run replays slots 2 to 19,999,
-    the last of its 20,000, in a single engine._hold call, with no cap on
-    the slots one call covers, and still gives what stepping every slot
+    the last of its 20,000, in its one engine._hold call, with no cap on the
+    slots one call covers, and still gives what stepping every slot
     gives."""
-    counts = []
-    hold = engine._hold
-
-    def counted(sim, i, *args):
-        out = hold(sim, i, *args)
-        counts.append((i, out[0]))
-        return out
-
-    monkeypatch.setattr(engine, "_hold", counted)
-    task = TaskSpec(id="T0", energy_cost=1e-6, duration=0.01, buffer=0,
-                    rates={p: 0.0 for p in Profile})
-    config = SimConfig(
-        trace=synthesize_trace("constant", amplitude=3.0, length=200.0, interval=1.0),
-        app=AppSpec(name="idle", tasks=(task,), sink_task="T0"),
-        bank=CapacitorBank(
-            capacitors=[Capacitor(capacitance=100e-6, drain_fraction=1e-7, voltage=3.0)],
-            component_map={0: (Component.MCU,)},
-        ),
-        params=PolicyParams(),
-        policy=policy,
-        dt=DT,
-        horizon=200.0,
-        timeline_stride=7,
-    )
+    holds = counting_holds(monkeypatch)
+    config = full_bank_config(
+        policy, synthesize_trace("constant", amplitude=3.0, length=200.0, interval=1.0))
     run(config)
-    assert [(i, j) for i, j in counts if j > i] == [(2, 20_000)]
+    assert holds == [(2, 0, 20_000, 0)]
+    assert_run_matches_steps(config)
+
+
+@pytest.mark.parametrize("policy", ["eam", "fh", "central"])
+def test_a_full_bank_is_held_across_power_runs_until_a_trial_slot_moves(monkeypatch, policy):
+    """Two full buffers harvest a trace whose power changes every second,
+    so each second is a power run, and goes dark for 3 s at t = 100 s.
+    Every run while the power lasts keeps the bank at its ceiling, so one
+    engine._hold call carries across runs 0 to 99, from slot 2; on slot
+    10,000, the first dark slot, its trial slot moves the voltages, so it
+    restores them and stops there, and the span checks and charges the dark
+    run.  The bank is full again after slot 10,300, and a second call
+    carries across the 97 runs left, to the horizon.  Each call still gives
+    what stepping every slot gives."""
+    holds = counting_holds(monkeypatch)
+    times = [float(k) for k in range(201)]
+    volts = [0.0 if 100 <= k < 103 else 3.0 + 0.01 * (k % 7) for k in range(201)]
+    config = full_bank_config(policy, EnergyTrace(times, volts, LOAD_RESISTANCE), n_buffers=2)
+    sim = init_sim(config)
+    assert len(sim.run_ends) == 198 and sim.run_ends[99:101] == [10_000, 10_300]
+    run(config)
+    assert holds == [(2, 0, 10_000, 99), (10_302, 101, 20_000, 197)]
     assert_run_matches_steps(config)
 
 
@@ -414,7 +431,7 @@ def test_an_empty_bank_held_through_a_reported_attack_switches_on_time(delay):
         timeline_stride=1,
     )
     _, log = run(config)
-    assert [ev[:3] for ev in log.of_kind("profile")][:2] == [
+    assert [ev[:3] for ev in of_kind(log, "profile")][:2] == [
         (delay, "profile", "LA"), (10.0, "profile", "SA")]
     assert_run_matches_steps(config)
 
@@ -438,5 +455,5 @@ def test_a_running_task_on_a_buffer_refilled_every_slot_is_stepped():
     )
     _, log = run(config)
     assert [ev[0] for ev in log.events if ev[1] == "start"] == [0.0, 10.0]
-    assert len(log.of_kind("finish")) == 2
+    assert len(of_kind(log, "finish")) == 2
     assert_run_matches_steps(config)
