@@ -5,10 +5,12 @@ record produced by an external detector.  This module models that detector as
 an oracle over the ground-truth attack windows with two configurable
 imperfections: a detection delay (the attack is only reported once it has been
 underway for that long) and a multiplicative error on the remaining-time
-estimate, drawn uniformly from [-err, +err] with a generator seeded by
-(seed, t) so runs replay exactly.  A report draws lazily: remaining_exceeds(x)
-needs no draw when x lies outside the band [r * (1 - err), r * (1 + err)]
-around the true remainder r, and drawing less often changes no value.
+estimate, drawn uniformly from [-err, +err] so runs replay exactly: one
+module-level generator is reseeded with the key (seed, t) (noise_key) before
+every draw, which gives the value random.Random(key).uniform(-err, err) would,
+bit for bit.  A draw is lazy: whether the estimate exceeds x needs none when x
+lies outside the band [r * (1 - err), r * (1 + err)] around the true
+remainder r (estimate_against), and drawing less often changes no value.
 """
 
 from __future__ import annotations
@@ -19,10 +21,54 @@ from dataclasses import dataclass
 
 from .traces import AttackScenario
 
-# Derives a per-query seed; remaining-time noise must be reproducible per
-# (seed, t) so that replaying a run, or re-querying the same slot, gives the
-# identical perturbation.
+# Remaining-time noise must be reproducible per (seed, t) so that replaying a
+# run, or re-querying the same slot, gives the identical perturbation.
 _NS = 1_000_000_000
+# One generator, reseeded with the draw's key before each draw, so no draw
+# depends on an earlier one (a run draws from one thread).  _reseed is
+# random.Random.seed less its Python wrapper, which for an int key only
+# passes it on (and clears gauss_next, which random() never reads).
+_RNG = random.Random()
+_reseed, _random = super(random.Random, _RNG).seed, _RNG.random
+
+
+def noise_key(rng_seed: int, t: float) -> int:
+    """The seed of the draw at time t.  An integer (tuple seeding is
+    deprecated); the shift keeps (seed, t) pairs distinct for any t below
+    ~2 years in ns."""
+    return (rng_seed << 56) + round(t * _NS)
+
+
+def estimate(remaining: float, err: float, key: int) -> float:
+    """The estimate of a true remainder: remaining * (1 + u), floored at 0,
+    with u = random.Random(key).uniform(-err, err), which is
+    -err + (err - -err) * random() once the generator is seeded with key."""
+    _reseed(key)
+    return max(remaining * (1.0 + (-err + (err - -err) * _random())), 0.0)
+
+
+def band_bottom(remaining: float, err: float) -> float:
+    """The least estimate a report of true remainder remaining can give."""
+    return remaining * (1.0 - err)
+
+
+def band_top(remaining: float, err: float) -> float:  # the greatest estimate
+    return remaining * (1.0 + err)
+
+
+def estimate_against(remaining: float, err: float, key: int, x: float) -> float:
+    """estimate(remaining, err, key) where x lies inside its noise band,
+    else inf where the band's bottom exceeds x and -inf where its top is at
+    most x: a value that exceeds x exactly when the estimate does, drawn
+    only where the band cannot tell.  uniform() keeps u in [-err, err]
+    exactly and every operation rounds monotonically, so
+    r * (1 - err) <= estimate <= r * (1 + err) holds in floats as it does in
+    reals."""
+    if band_bottom(remaining, err) > x:
+        return math.inf
+    if band_top(remaining, err) <= x:
+        return -math.inf
+    return estimate(remaining, err, key)
 
 
 class DetectorError(ValueError):
@@ -49,37 +95,24 @@ class AttackInfo:
     @property
     def remaining(self) -> float:
         if self._est is None:
-            u = random.Random(self._key).uniform(-self._err, self._err)
-            self._est = max(self._true * (1.0 + u), 0.0)
+            self._est = estimate(self._true, self._err, self._key)
         return self._est
 
-    @staticmethod
-    def band_bottom(remaining: float, err: float) -> float:
-        """The least estimate a report of true remainder remaining can give."""
-        return remaining * (1.0 - err)
-
-    @staticmethod
-    def band_top(remaining: float, err: float) -> float:  # the greatest estimate
-        return remaining * (1.0 + err)
-
     def remaining_exceeds(self, x: float) -> bool:
-        """remaining > x, drawing the noise only if x is inside its band.
-
-        uniform() keeps u in [-err, err] exactly and every operation below
-        rounds monotonically, so r * (1 - err) <= remaining <= r * (1 + err)
-        holds in floats as it does in reals."""
+        """remaining > x, drawing the noise only if x is inside its band
+        (estimate_against), and keeping what it draws."""
         if self._est is None:
-            if self.band_bottom(self._true, self._err) > x:
-                return True
-            if self.band_top(self._true, self._err) <= x:
-                return False
-        return self.remaining > x
+            value = estimate_against(self._true, self._err, self._key, x)
+            if -math.inf < value < math.inf:
+                self._est = value
+            return value > x
+        return self._est > x
 
     def never_exceeds(self, x: float) -> bool:
         """Whether remaining_exceeds(x) is False now and at every later
         report of the same window: the band's top is at most x, and the true
         remainder only shrinks as t grows."""
-        return self.band_top(self._true, self._err) <= x
+        return band_top(self._true, self._err) <= x
 
     def _fields(self) -> tuple:
         return self.ongoing, self.accuracy, self.elapsed, self.remaining
@@ -138,8 +171,6 @@ def detect(t: float, scenarios: list[AttackScenario], cfg: DetectorConfig) -> At
     err = cfg.remaining_time_error
     for sc in scenarios:
         if sc.start + cfg.detection_delay <= t < sc.end:
-            # Integer seed (tuple seeding is deprecated); the shift keeps
-            # (seed, t) pairs distinct for any t below ~2 years in ns.
-            key = (cfg.rng_seed << 56) + round(t * _NS) if err > 0 else 0
+            key = noise_key(cfg.rng_seed, t) if err > 0 else 0
             return AttackInfo(True, cfg.reported_accuracy, t - sc.start, sc.end - t, err, key)
     return idle_report(cfg)

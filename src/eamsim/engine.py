@@ -72,7 +72,18 @@ from .baselines import (
     fixed_split,
     pin_nml,
 )
-from .detector import NO_ATTACK, AttackInfo, DetectorConfig, detect, idle_report, report_windows
+from .detector import (
+    NO_ATTACK,
+    AttackInfo,
+    DetectorConfig,
+    band_bottom,
+    band_top,
+    detect,
+    estimate_against,
+    idle_report,
+    noise_key,
+    report_windows,
+)
 from .energy import (
     CapacitorBank,
     capacity_of,
@@ -91,9 +102,9 @@ from .policy import (
     allocate_harvest,
     any_ready,
     apply_profile,
+    attack_profile,
     attack_profiles,
     energy_profile_slots,
-    fire_releases,
     init_scheduler,
     policy_step,
     released_tasks,
@@ -773,7 +784,7 @@ def _quiet_span(sim: SimState) -> None:
             if sched.executing is None:
                 break  # the task finished or aborted: step the next slot
             continue
-        i, fixed = _charge(sim, i, min(check, ends[r], stop), shares, attack if settle else None)
+        i, fixed = _charge(sim, i, min(check, ends[r], stop), shares, end if settle else None)
         if settle:  # _charge may have switched: check again where it stopped
             check, profile, waiting = i, sched.profile, released_tasks(sched, sim.queues)
             stop = min(stop, _first_slot(sched._next_fire, dt, n))
@@ -808,27 +819,29 @@ def _next_check(sim: SimState, i: int, info: AttackInfo, total, waiting: list, s
     noise band bottom is at most alpha, SA to the window's end once the top
     is.  Where the band straddles alpha on slot i + 1, no task runs and SA
     and LA share their active set, the flag returned is True: _charge settles
-    the profile on each slot up to the band top's slot or the energy bound.
-    A switch there changes nothing but the profile, so it is policy_step's
-    apply_profile alone: the active set stays, so no task is enabled or
-    excluded; nothing fires, as each staying task's next release,
-    min(next, now + period), is after now; no task turns Ready or starts,
-    as the bound reads readiness from the energy deficit alone, whatever
-    the period; and the weights stay, as allocate_harvest reads only the
-    active set and the task states."""
+    the profile on each slot up to the band top's slot or the energy bound,
+    from the slot's estimate against alpha as select_profile would, with no
+    report.  A switch there changes nothing but the profile and the release
+    schedule, so it is policy_step's apply_profile alone: the active set
+    stays, so no task is enabled or excluded; nothing fires, as each staying
+    task's next release, min(next, now + period), is after now, and
+    apply_profile keeps the earliest of them, where _charge stops; no task
+    turns Ready or starts, as the bound reads readiness from the energy
+    deficit alone, whatever the period; and the weights stay, as
+    allocate_harvest reads only the active set and the task states."""
     params, dt, constants = sim.params, sim.dt, sim.buffer_constants
     k, settle = math.inf, False
     attack = attack_profiles(info, params)  # eam under a trusted report: SA or LA
     if attack:
         alpha, err = params.alpha, sim.config.detector.remaining_time_error
         if sim.sched.profile is Profile.LA:
-            k = _band_slot(sim, i, end, AttackInfo.band_bottom, err, alpha) - i - 1
+            k = _band_slot(sim, i, end, band_bottom, err, alpha) - i - 1
         elif not info.never_exceeds(alpha):
             k = 0
         profiles = sim.sched._profiles
         if k == 0 and running is None and profiles[Profile.SA][0] == profiles[Profile.LA][0]:
             settle, info = True, sim.idle_info  # readiness by energy: the period may switch
-            k = _band_slot(sim, i, end, AttackInfo.band_top, err, alpha) - i - 1
+            k = _band_slot(sim, i, end, band_top, err, alpha) - i - 1
     slack = [_SLACK * c[4] for c in constants]
     rises = [s + c[3] * share * dt for s, c, share in zip(slack, constants, shares)]
     if not attack and not sim.detector_blind:
@@ -856,7 +869,7 @@ def _band_slot(sim: SimState, i: int, end: float, edge, err: float, alpha: float
 
 
 def _charge(sim: SimState, i: int, stop: int, shares: tuple,
-            attack: AttackScenario | None = None) -> tuple[int, bool]:
+            end: float | None = None) -> tuple[int, bool]:
     """Run slots i, i + 1, ... before stop with no task running and no check
     due: the decision drain (energy.drain) and energy.slot_update's float
     operations in the same order, adding straight into the ledger sums, then
@@ -864,14 +877,18 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
     It stops after the first slot that leaves every voltage as it found it,
     returning True, and, while recovery watches are open, after a slot that
     lifts a buffer they still wait for to v_on, whose _watch it then runs.
-    Given a reported attack, it settles SA/LA on each slot after the first
-    (a switch changes only the profile, as _next_check shows), stops at the
-    first slot whose t reaches the next release and not at fixed points.
+    Given the end of a trusted reported attack's window, it settles SA/LA on
+    each slot after the first as select_profile would, from that slot's
+    estimate against alpha (detector.estimate_against), without building a
+    report; it applies a switch (which changes only the profile and the
+    release schedule, as _next_check shows) and logs it, stops at the first
+    slot whose t reaches the next release and not at fixed points.
     Returns the first slot not run and whether that slot is a fixed point."""
-    caps, profile_fn, detector = sim.bank.capacitors, sim.profile_fn, sim.config.detector
-    dt, cost, params = sim.dt, sim.params.decision_cost, sim.params
+    caps, detector = sim.bank.capacitors, sim.config.detector
+    dt, cost, alpha = sim.dt, sim.params.decision_cost, sim.params.alpha
+    err, seed = detector.remaining_time_error, detector.rng_seed
     profile, p = sim.sched.profile, _PROFILE_INDEX[sim.sched.profile]
-    settle_from = i + 1 if attack is not None else stop
+    settle_from = i + 1 if end is not None else stop
     bufs = [
         (b, half_c, keep, sigma, eta * share * dt, ceiling, c, v_max, cap.v_on)
         for b, (cap, (half_c, keep, sigma, eta, ceiling, c, v_max), share)
@@ -892,12 +909,13 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
     rows, profs = [], []  # the rows' voltages, flat, and profiles
     fixed = False
     while i < stop:
-        if i >= settle_from:  # select_profile reads no total under a trusted report
-            picked = profile_fn(detect(i * dt, (attack,), detector), 0.0, params)
+        if i >= settle_from:
+            t = i * dt
+            picked = attack_profile(
+                estimate_against(end - t, err, noise_key(seed, t), alpha) > alpha)
             if picked is not profile:
-                apply_profile(sim.sched, picked, i * dt)
-                fire_releases(sim.sched, i * dt)  # fires nothing; finds the next release
-                sim.log.add(i * dt, "profile", picked.value)
+                apply_profile(sim.sched, picked, t)
+                sim.log.add(t, "profile", picked.value)
                 stop = min(stop, _first_slot(sim.sched._next_fire, dt, sim.n_slots))
                 profile, p = picked, _PROFILE_INDEX[picked]
         v = v0 = vs[0]
@@ -929,7 +947,7 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
             rows.extend(vs)
             profs.append(p)
         i += 1
-        if not moved and attack is None:
+        if not moved and end is None:
             fixed = True
             break
         if watched and any(vs[b] >= v_on for b, v_on in watched):

@@ -92,8 +92,8 @@ class SchedulerState:
     exec_drawn: float = 0.0  # J already withdrawn by the executing task
     # (id, buffer, cost, input edges) per task and each profile's (active,
     # periods), built from the app by init_scheduler (apply_profile shares
-    # the latter, so nothing may mutate them); the earliest next release,
-    # kept by fire_releases.
+    # the latter, so nothing may mutate them); the earliest next release of
+    # an active task, kept by apply_profile and fire_releases.
     _task_info: tuple = field(default=(), repr=False, compare=False)
     _profiles: dict = field(default_factory=dict, repr=False, compare=False)
     _next_fire: float = field(default=-math.inf, repr=False, compare=False)
@@ -120,10 +120,16 @@ def attack_profiles(info: AttackInfo, params: PolicyParams) -> bool:
     return not (params.accuracy_gate and not info.accuracy > params.accuracy_threshold)
 
 
+def attack_profile(long_attack: bool) -> Profile:
+    """The profile under a trusted report: LA where the estimated remaining
+    attack time exceeds alpha (long_attack), SA otherwise."""
+    return Profile.LA if long_attack else Profile.SA
+
+
 def select_profile(info: AttackInfo, total: float, params: PolicyParams) -> Profile:
     """Pick the active profile from attack knowledge and stored energy."""
     if attack_profiles(info, params):
-        return Profile.LA if info.remaining_exceeds(params.alpha) else Profile.SA
+        return attack_profile(info.remaining_exceeds(params.alpha))
     if total > params.omega1:
         return Profile.NML
     if total < params.omega0:
@@ -135,13 +141,32 @@ def energy_profile_slots(total: float, params: PolicyParams, rise: float, fall: 
     """Slots after this one over which select_profile's energy rule keeps the
     answer it gives for total, if the total moves by less than rise up and
     fall down per slot (both positive): total + j * rise and total - j * fall
-    must stay on the same side of omega0 and omega1 for every j up to it."""
+    must stay on the same side of omega0 and omega1 for every j up to it.
+    Exact while it is below 2**50 slots (runs are capped far below)."""
     omega0, omega1 = params.omega0, params.omega1
     if total > omega1:
-        return (total - omega1) // fall
+        return _whole_steps(total, omega1, fall)
     if total < omega0:
-        return (omega0 - total) // rise
-    return min((total - omega0) // fall, (omega1 - total) // rise)
+        return _whole_steps(omega0, total, rise)
+    return min(_whole_steps(total, omega0, fall), _whole_steps(omega1, total, rise))
+
+
+def _whole_steps(hi: float, lo: float, step: float) -> float:
+    """floor((hi - lo) / step) in exact arithmetic, for floats hi >= lo >= 0
+    and step > 0, while it is below 2**50.  // floors the rounded gap
+    exactly there; the gap's rounding error e, exact as (hi - gap) - lo
+    (Fast2Sum), moves the floor by one where it carries the gap across a
+    multiple of step, as the exact remainder fmod(gap, step) shows (|e| is
+    below step / 8, so step - rem is exact wherever it can be at most e)."""
+    gap = hi - lo
+    k, e = gap // step, (hi - gap) - lo
+    if e:
+        rem = math.fmod(gap, step)
+        if rem < -e:
+            k -= 1.0
+        elif e >= step - rem:
+            k += 1.0
+    return k
 
 
 def build_active_set(spec: AppSpec, profile: Profile) -> tuple[list[str], dict[str, float]]:
@@ -353,21 +378,24 @@ def apply_profile(state: SchedulerState, profile: Profile, now: float) -> None:
 
     Newly enabled tasks release immediately; tasks staying active keep their
     schedule but never wait longer than one period of the new profile.
-    Excluded tasks lose any pending release.
+    Excluded tasks lose any pending release.  The earliest next release of
+    the new active set is where fire_releases looks next.
     """
-    old_active = set(state.active)
-    active, periods = state._profiles[profile]
+    old, (active, periods) = state.active, state._profiles[profile]
+    next_release, first = state.next_release, math.inf
     for tid in active:
-        if tid not in old_active:
-            state.next_release[tid] = now
-        else:
-            state.next_release[tid] = min(state.next_release[tid], now + periods[tid])
-    for tid in old_active.difference(active):
-        state.pending[tid] = False
+        nxt = min(next_release[tid], now + periods[tid]) if tid in old else now
+        next_release[tid] = nxt
+        if nxt < first:
+            first = nxt
+    if active != old:  # an SA <-> LA switch keeps the set
+        for tid in old:
+            if tid not in active:
+                state.pending[tid] = False
     state.profile = profile
     state.active = active
     state.periods = periods
-    state._next_fire = -math.inf
+    state._next_fire = first
 
 
 def policy_step(

@@ -5,6 +5,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 
+import eamsim.detector as detector
 from eamsim.apps import AppSpec, Profile, TaskSpec
 from eamsim.energy import Capacitor, CapacitorBank, Component
 from eamsim.engine import SimConfig, _finalize, init_sim, run, step
@@ -57,6 +58,20 @@ def full_bank_config(policy, trace, n_buffers=1):
         horizon=200.0,
         timeline_stride=7,
     )
+
+
+def count_draws(monkeypatch) -> list:
+    """Count the draws of the detector's remaining-time noise, each of which
+    reseeds its generator once (detector.estimate), in the one-item list
+    returned."""
+    draws, reseed = [0], detector._reseed
+
+    def counted(key):
+        draws[0] += 1
+        reseed(key)
+
+    monkeypatch.setattr(detector, "_reseed", counted)
+    return draws
 
 
 def of_kind(log, kind):

@@ -4,11 +4,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from eamsim.detector import NO_ATTACK, AttackInfo, DetectorConfig, detect
+from eamsim.detector import NO_ATTACK, AttackInfo, DetectorConfig, detect, estimate, noise_key
 from eamsim.traces import AttackScenario
+from conftest import count_draws
 
 WINDOW = [AttackScenario(start=100.0, duration=50.0, kind="short", id="w")]
 
@@ -91,21 +92,32 @@ def test_remaining_exceeds_agrees_with_the_drawn_estimate(case):
 
 
 def test_threshold_tests_outside_the_band_draw_no_noise(monkeypatch):
-    made = []
-
-    class CountedRandom(random.Random):
-        def __init__(self, *args):
-            made.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(random, "Random", CountedRandom)
+    made = count_draws(monkeypatch)
     cfg = DetectorConfig(remaining_time_error=0.2, rng_seed=3)
     info = detect(120.0, WINDOW, cfg)  # true remainder 30 s: band [24, 36]
     assert info.remaining_exceeds(23.0) and not info.remaining_exceeds(37.0)
-    assert made == []
+    assert made == [0]
     assert info.remaining_exceeds(30.0) == (info.remaining > 30.0)
-    assert len(made) == 1  # drawn once, then kept
+    assert made == [1]  # drawn once, then kept
     assert 24.0 <= info.remaining <= 36.0
+
+
+@given(
+    key=st.integers(0, 2**70) | st.integers(2**64 - 4, 2**64 + 4)
+    | st.builds(noise_key, st.integers(0, 1 << 16), st.floats(0.0, 6.3e7)),
+    err=st.sampled_from([5e-324, 1e-300, 1e-12, 0.35, 1.0, 1.5, 1e6])
+    | st.floats(0.0, 10.0, exclude_min=True),
+    remaining=st.sampled_from([1.0, 30.0]) | st.floats(0.0, 1e6),
+)
+@example(key=0, err=0.35, remaining=1.0)
+@example(key=(42 << 56) + 123_456_000_000, err=0.35, remaining=30.0)
+def test_the_reseeded_draw_equals_a_fresh_generators_bit_for_bit(key, err, remaining):
+    """estimate reseeds one shared generator with the key, where the
+    detector used to build random.Random(key) for every draw: the estimate
+    is the same float, whatever was drawn before it."""
+    u = random.Random(key).uniform(-err, err)
+    assert estimate(remaining, err, key).hex() == max(remaining * (1.0 + u), 0.0).hex()
+    assert estimate(1.0, err, key).hex() == max(1.0 + u, 0.0).hex()
 
 
 def test_multiple_windows_pick_the_right_one():

@@ -4,7 +4,6 @@ import bisect
 import contextlib
 import io
 import math
-import random
 import tracemalloc
 from unittest import mock
 
@@ -14,10 +13,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import eamsim.cli as cli
+import eamsim.detector as detector
 import eamsim.engine as engine
 from eamsim.apps import AppSpec, Profile, TaskSpec, builtin_app
 from eamsim.config import apply_overrides, build_sim_config, load_config
-from eamsim.detector import AttackInfo, DetectorConfig, detect
+from eamsim.detector import DetectorConfig, band_bottom, band_top, detect
 from eamsim.energy import (
     Capacitor,
     CapacitorBank,
@@ -44,6 +44,7 @@ from conftest import (
     NOISY_HVAC,
     WORKLOADS,
     assert_run_matches_steps,
+    count_draws,
     full_bank_config,
     of_kind,
 )
@@ -797,23 +798,19 @@ def test_a_hold_under_a_report_stops_at_its_check_and_its_run():
 def test_run_skips_the_policy_inside_a_noisy_reported_attack(monkeypatch):
     """With a late, noisy detector, eam's quiet spans cover the reported
     attack and the slots whose tasks wait for energy, and the detector draws
-    its noise only where a threshold lies inside the noise band."""
+    its noise only where a threshold lies inside the noise band (2,812
+    draws)."""
     config = build_sim_config(apply_overrides(load_config(CONFIGS / "hvac_attack.yaml"),
                                               list(NOISY_HVAC)))
-    calls, draws = [0], [0]
+    calls = [0]
     policy_step = engine.policy_step
 
     def counted(*args):
         calls[0] += 1
         return policy_step(*args)
 
-    class CountedRandom(random.Random):
-        def __init__(self, *args):
-            draws[0] += 1
-            super().__init__(*args)
-
     monkeypatch.setattr(engine, "policy_step", counted)
-    monkeypatch.setattr(random, "Random", CountedRandom)
+    draws = count_draws(monkeypatch)
     report, log = run(config)
     n_slots = log.totals["n_slots"]
     assert n_slots == 120_000
@@ -830,8 +827,10 @@ def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeyp
     policy runs on 3,718 of the 300,000 slots (33,502 when every profile
     switch and every slot with a running task was stepped); _charge settles
     nearly all of the switches, and a switch found by a span check goes to
-    step.  The span reads 58,431 reports.  The noise is drawn on the 58,057
-    slots whose band straddles alpha, every way.  The span checks 2,097
+    step.  detect builds 795 reports: _charge settles a slot from its
+    estimate alone (58,431 when it built a report per settled slot).  The
+    noise is drawn on the 58,057 slots whose band straddles alpha, every
+    way, each a reseeding of the detector's generator.  The span checks 2,097
     times (2,110 when each hold stopped at its power run's end), and
     _slot_tail runs 11,030 times: on step's slots and on the span's slots
     with a task running (59,882 and 68,736 when the span stepped the
@@ -842,7 +841,7 @@ def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeyp
     through _charge on its own)."""
     config = build_sim_config(WORKLOADS.storm_config(5))
     counted_names = ("policy_step", "detect", "_slot_tail", "_next_check", "_charge")
-    calls = dict.fromkeys((*counted_names, "Random"), 0)
+    calls = dict.fromkeys(counted_names, 0)
 
     def counting(name):
         inner = getattr(engine, name)
@@ -853,24 +852,19 @@ def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeyp
 
         return counted
 
-    class CountedRandom(random.Random):
-        def __init__(self, *args):
-            calls["Random"] += 1
-            super().__init__(*args)
-
     for name in counted_names:
         monkeypatch.setattr(engine, name, counting(name))
-    monkeypatch.setattr(random, "Random", CountedRandom)
+    draws = count_draws(monkeypatch)
     report, log = run(config)
     n_slots = log.totals["n_slots"]
     assert n_slots == 300_000
     assert len(of_kind(log, "profile")) == 22_728
     assert calls["policy_step"] <= 4_000
-    assert calls["detect"] <= 60_000
+    assert calls["detect"] <= 1_000
     assert calls["_slot_tail"] <= 12_000
     assert calls["_next_check"] <= 3_000
     assert calls["_charge"] <= 1_600
-    assert calls["Random"] == 58_057
+    assert draws == [58_057]
     assert report.overhead_invocations == n_slots
     assert abs(residual(log)) < 1e-9
 
@@ -909,13 +903,13 @@ def test_la_hold_ends_on_the_first_slot_whose_noise_band_reaches_alpha(dt, end, 
     j, settle = engine._next_check(sim, i, info, None, [], (0.0,), None, end)
     assert i < j <= sim.n_slots
     hold = i + 1 if settle else j
-    with mock.patch.object(random, "Random", side_effect=AssertionError("noise drawn")):
+    with mock.patch.object(detector, "_reseed", side_effect=AssertionError("noise drawn")):
         for s in range(i + 1, hold):
             assert detect(s * dt, config.attacks, config.detector).remaining_exceeds(alpha)
         for s in range(hold, j):
             assert not detect(s * dt, config.attacks, config.detector).never_exceeds(alpha)
-    assert hold == sim.n_slots or AttackInfo.band_bottom(end - hold * dt, err) <= alpha
-    assert not settle or j == sim.n_slots or AttackInfo.band_top(end - j * dt, err) <= alpha
+    assert hold == sim.n_slots or band_bottom(end - hold * dt, err) <= alpha
+    assert not settle or j == sim.n_slots or band_top(end - j * dt, err) <= alpha
 
 
 def plain_sum(s, addends, k):

@@ -1,7 +1,11 @@
 """Mitigation policy: profile selection, task readiness, harvest allocation."""
 
+import copy
+import math
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from eamsim.apps import AppSpec, DataQueue, Profile, TaskSpec, Token, builtin_app
@@ -16,6 +20,7 @@ from eamsim.policy import (
     allocate_harvest,
     apply_profile,
     build_active_set,
+    energy_profile_slots,
     fire_releases,
     init_scheduler,
     pick_execution_task,
@@ -390,26 +395,120 @@ def test_allocate_conserves_power(hot0, hot1, power, hi, lo_frac):
 # ----------------------------------------------------------- profile change
 
 
+def assert_fires_as_a_full_scan(state, *times):
+    """fire_releases at each of times fires what a scan of every active
+    task fires, as it did when apply_profile left it nothing to skip, and
+    leaves the same schedule."""
+    for now in times:
+        fast, scan = copy.deepcopy(state), copy.deepcopy(state)
+        scan._next_fire = -math.inf
+        assert fire_releases(fast, now) == fire_releases(scan, now)
+        assert (fast.next_release, fast.pending) == (scan.next_release, scan.pending)
+        assert fast._next_fire == scan._next_fire
+
+
 def test_apply_profile_rephases_releases():
-    rates_a = {Profile.NML: 30.0, Profile.SA: 0.0}  # disabled under SA
-    rates_b = {Profile.NML: 30.0, Profile.SA: 8.0}
+    rates_a = {Profile.NML: 30.0, Profile.SA: 0.0}  # disabled under SA and LA
+    rates_b = {Profile.NML: 30.0, Profile.SA: 8.0, Profile.LA: 4.0}
     t1 = TaskSpec(id="A", energy_cost=1e-6, duration=1e-3, buffer=0, rates=rates_a)
     t2 = TaskSpec(id="B", energy_cost=1e-6, duration=1e-3, buffer=0, rates=rates_b)
     app = AppSpec(name="x", tasks=(t1, t2), sink_task="B")
 
+    def next_fire_is_the_earliest_release():
+        return state._next_fire == min(state.next_release[tid] for tid in state.active)
+
     state = init_scheduler(app, Profile.SA, now=0.0)  # only B active
     assert state.active == ["B"]
-    apply_profile(state, Profile.NML, now=10.0)
-    assert state.active == ["A", "B"]
-    assert state.next_release["A"] == 10.0  # newly enabled: release immediately
-    # B keeps its schedule, clipped to one new period out.
-    assert state.next_release["B"] <= 10.0 + 120.0
+    assert fire_releases(state, 0.0) == ["B"]  # next at 450 s
+    # SA -> LA keeps the set: B keeps its release, 450 < 5 + 900.
+    apply_profile(state, Profile.LA, now=5.0)
+    assert state.active == ["B"] and state.next_release["B"] == 450.0
+    assert next_fire_is_the_earliest_release()
+    assert_fires_as_a_full_scan(state, 5.0, 449.0, 450.0, 2000.0)
+    assert fire_releases(state, 450.0) == ["B"]  # next at 1350 s
+    # LA -> SA: B never waits longer than one SA period, 500 + 450.
+    apply_profile(state, Profile.SA, now=500.0)
+    assert state.next_release["B"] == 950.0
+    assert next_fire_is_the_earliest_release()
+    assert_fires_as_a_full_scan(state, 500.0, 949.0, 950.0)
 
-    fire_releases(state, 10.0)
+    apply_profile(state, Profile.NML, now=510.0)
+    assert state.active == ["A", "B"]
+    assert state.next_release["A"] == 510.0  # newly enabled: release immediately
+    # B keeps its schedule, clipped to one new period out.
+    assert state.next_release["B"] <= 510.0 + 120.0
+    assert next_fire_is_the_earliest_release()
+    assert_fires_as_a_full_scan(state, 510.0, 629.0, 630.0)
+
+    fire_releases(state, 510.0)
     assert state.pending["A"]
-    apply_profile(state, Profile.SA, now=20.0)
+    apply_profile(state, Profile.SA, now=520.0)
     assert state.pending["A"] is False  # excluded tasks lose pending releases
     assert state.profile is Profile.SA
+    assert next_fire_is_the_earliest_release()
+    assert_fires_as_a_full_scan(state, 520.0, 629.0, 630.0)
+
+
+# A nonzero gap between two of the sums below is at least 2**-1074, as each
+# is a sum of integer multiples of floats; a point _EPS inside an end of a
+# move's range is on that end's side of every threshold.
+_EPS = Fraction(1, 2**1100)
+
+
+@st.composite
+def energy_rule_cases(draw):
+    """Thresholds omega0 <= omega1, a stored total near either of them or
+    anywhere, and a positive bound on the rise and on the fall per slot.
+    Totals up to 1e3 J and bounds from 1e-12 J keep every horizon below
+    2**50 slots, where energy_profile_slots is exact."""
+    energy = st.floats(0.0, 1e3)
+    omega0, omega1 = sorted((draw(energy), draw(energy)))
+    near = st.sampled_from([omega0, omega1]).flatmap(
+        lambda w: st.builds(lambda scale, frac: w + scale * frac,
+                            st.sampled_from([1e-300, 1e-12, 1e-3, 1.0]), st.floats(-1.0, 1.0)))
+    total = draw(near | energy)
+    step = st.floats(1e-12, 1e3) | st.sampled_from([1e-12, 2.0**-10, 0.5])
+    return max(total, 0.0), PolicyParams(omega0=omega0, omega1=omega1), draw(step), draw(step)
+
+
+def energy_rule(total, params):
+    return select_profile(NO_ATTACK, total, params)
+
+
+# 1.0 - _ROUNDS_UP rounds up to 1.0, so flooring the rounded gap over a
+# step of 2**-10 or 1.0 counts one slot too many; 1.0 - _ROUNDS_DOWN rounds
+# down, and over _FIFTH_DOWN (0.2's float less an ulp) it counts one too few.
+_ROUNDS_UP, _ROUNDS_DOWN = 2.0**-54 - 2.0**-80, 2.0**-54 + 2.0**-80
+_FIFTH_DOWN = float.fromhex("0x1.9999999999999p-3")
+
+
+@given(energy_rule_cases(), st.floats(0.0, 1.0))
+@example((1.0, PolicyParams(omega0=_ROUNDS_UP, omega1=_ROUNDS_UP), 1.0, 2.0**-10), 0.5)
+@example((1.0, PolicyParams(omega0=_ROUNDS_UP, omega1=_ROUNDS_UP), 1.0, 1.0), 0.0)
+@example((1.0, PolicyParams(omega0=_ROUNDS_DOWN, omega1=_ROUNDS_DOWN), 1.0, _FIFTH_DOWN), 0.0)
+@example((_ROUNDS_UP, PolicyParams(omega0=1.0, omega1=1.0), 2.0**-10, 1.0), 0.0)
+@example((_ROUNDS_DOWN, PolicyParams(omega0=1.0, omega1=2.0), _FIFTH_DOWN, 1.0), 0.0)
+@example((1.0, PolicyParams(omega0=_ROUNDS_DOWN, omega1=2.0), 1.0, _FIFTH_DOWN), 0.0)
+def test_energy_profile_slots_is_the_exact_horizon_of_the_energy_rule(case, frac):
+    """energy_profile_slots(total, ...) = k: a total that moves by less than
+    rise up and fall down per slot keeps select_profile's energy-rule answer
+    over k slots, and k + 1 slots can change it.  Each profile holds an
+    interval of totals, so the answer stays over j slots exactly when it
+    holds just inside both ends of (total - j * fall, total + j * rise),
+    computed in exact rationals."""
+    total, params, rise, fall = case
+    k = energy_profile_slots(total, params, rise, fall)
+    assert 0.0 <= k < 2**50 and k == int(k)
+    answer = energy_rule(total, params)
+
+    def answers_within(j):
+        low = Fraction(total) - j * Fraction(fall)
+        high = Fraction(total) + j * Fraction(rise)
+        return {energy_rule(low + _EPS, params), energy_rule(high - _EPS, params)}
+
+    for j in {j for j in (1, int(frac * k), int(k)) if 0 < j <= k}:
+        assert answers_within(j) == {answer}, j
+    assert answers_within(int(k) + 1) != {answer}
 
 
 # ---------------------------------------------------------------- full step
