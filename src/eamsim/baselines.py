@@ -20,7 +20,7 @@ import dataclasses
 
 from .apps import AppSpec, Profile
 from .detector import AttackInfo
-from .energy import Capacitor, CapacitorBank, Component, set_energy, total_energy
+from .energy import Capacitor, CapacitorBank, Component, fold_sum, set_energy, total_energy
 from .policy import PolicyParams, split_power
 
 POLICY_NAMES = ("eam", "fh", "central")
@@ -32,7 +32,7 @@ def pin_nml(info: AttackInfo, total: float, params: PolicyParams) -> Profile:
 
 
 def fh_capacity_fractions(bank: CapacitorBank) -> tuple[float, ...]:
-    total = sum(c.capacitance for c in bank.capacitors)
+    total = fold_sum(c.capacitance for c in bank.capacitors)
     return tuple(c.capacitance / total for c in bank.capacitors)
 
 
@@ -55,7 +55,7 @@ def central_bank(bank: CapacitorBank) -> CapacitorBank:
     the merged capacity).  Every hardware component maps to the single buffer.
     """
     first = bank.capacitors[0]
-    merged_c = sum(c.capacitance for c in bank.capacitors)
+    merged_c = fold_sum(c.capacitance for c in bank.capacitors)
     merged = Capacitor(
         capacitance=merged_c,
         efficiency=first.efficiency,

@@ -198,5 +198,14 @@ def total_energy(bank: CapacitorBank) -> float:
 
 
 def total_capacity(bank: CapacitorBank) -> float:
-    return sum(capacity_of(c) for c in bank.capacitors)
+    return fold_sum(capacity_of(c) for c in bank.capacitors)
+
+
+def fold_sum(values) -> float:
+    """The floats added one at a time, left to right, as builtin sum() did
+    before Python 3.12, whose sum() compensates the rounding."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
 

@@ -43,10 +43,13 @@ timeline rows over them, however many they are.  Outside a reported attack
 this carries on across changes of power: where the weights stay and a trial
 of the new power's first slot leaves the bank as it is, the trial's terms
 are the new power's, and the checks skipped there would pass as the last
-did, as they read the bank, which has not moved.  Within a binade every sum
-is a whole number of ulps and each slot adds the same number, so the sums
-advance a binade at a time in closed form, bit for bit what adding each
-slot's terms in step()'s order gives.
+did, as they read the bank, which has not moved.  Each sum advances only
+where its terms change: the harvest gains once per _charge call and, with the
+clipped excess, once per power run of a hold; a hold's leak, decision drain,
+availability counts and timeline rows once per hold.  Within a binade every
+sum is a whole number of ulps and each slot adds the same number, so a sum
+advances a binade at a time in closed form, bit for bit what step()'s order
+gives.
 overhead_invocations still counts every slot, as the modelled device decides
 on each one.
 
@@ -89,6 +92,7 @@ from .energy import (
     capacity_of,
     drain,
     energy_of,
+    fold_sum,
     set_energy,
     slot_constants,
     slot_update,
@@ -845,11 +849,11 @@ def _next_check(sim: SimState, i: int, info: AttackInfo, total, waiting: list, s
     slack = [_SLACK * c[4] for c in constants]
     rises = [s + c[3] * share * dt for s, c, share in zip(slack, constants, shares)]
     if not attack and not sim.detector_blind:
-        fall = sum(s + c[2] * c[4] for s, c in zip(slack, constants)) + params.decision_cost
+        fall = fold_sum(s + c[2] * c[4] for s, c in zip(slack, constants)) + params.decision_cost
         if running is not None:
             task = sim.app.task(running)
             fall += task.energy_cost * dt / task.duration
-        k = energy_profile_slots(total, params, sum(rises), fall)
+        k = energy_profile_slots(total, params, fold_sum(rises), fall)
     for task in waiting:
         if k <= 0:
             break
@@ -872,8 +876,10 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
             end: float | None = None) -> tuple[int, bool]:
     """Run slots i, i + 1, ... before stop with no task running and no check
     due: the decision drain (energy.drain) and energy.slot_update's float
-    operations in the same order, adding straight into the ledger sums, then
-    availability counting and timeline rows (_tally's, written as one block).
+    operations in the same order, then availability counting and timeline
+    rows (_tally's, written as one block).  Each slot adds the same harvest
+    gains to charged, with no other term between them, so charged advances
+    once for all the slots run; the other sums move with the voltages.
     It stops after the first slot that leaves every voltage as it found it,
     returning True, and, while recovery watches are open, after a slot that
     lifts a buffer they still wait for to v_on, whose _watch it then runs.
@@ -884,16 +890,17 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
     release schedule, as _next_check shows) and logs it, stops at the first
     slot whose t reaches the next release and not at fixed points.
     Returns the first slot not run and whether that slot is a fixed point."""
-    caps, detector = sim.bank.capacitors, sim.config.detector
+    caps, detector, sched = sim.bank.capacitors, sim.config.detector, sim.sched
     dt, cost, alpha = sim.dt, sim.params.decision_cost, sim.params.alpha
     err, seed = detector.remaining_time_error, detector.rng_seed
-    profile, p = sim.sched.profile, _PROFILE_INDEX[sim.sched.profile]
+    profile, p = sched.profile, _PROFILE_INDEX[sched.profile]
     settle_from = i + 1 if end is not None else stop
     bufs = [
         (b, half_c, keep, sigma, eta * share * dt, ceiling, c, v_max, cap.v_on)
         for b, (cap, (half_c, keep, sigma, eta, ceiling, c, v_max), share)
         in enumerate(zip(caps, sim.buffer_constants, shares))
     ]
+    gains = [buf[4] for buf in bufs]
     half0, c0 = bufs[0][1], bufs[0][6]
     vs = [cap.voltage for cap in caps]
     # Buffers whose components an open recovery watch has yet to see.
@@ -906,17 +913,20 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
     avail = sim.avail_counts
     stride = sim.config.timeline_stride
     row0 = -(-i // stride) if stride > 0 else 0  # the first row written
+    row_slot = row0 * stride if stride > 0 else -1  # the next slot with a row
     rows, profs = [], []  # the rows' voltages, flat, and profiles
-    fixed = False
+    i0, fixed = i, False
     while i < stop:
         if i >= settle_from:
             t = i * dt
             picked = attack_profile(
                 estimate_against(end - t, err, noise_key(seed, t), alpha) > alpha)
             if picked is not profile:
-                apply_profile(sim.sched, picked, t)
+                next_fire = sched._next_fire
+                apply_profile(sched, picked, t)
                 sim.log.add(t, "profile", picked.value)
-                stop = min(stop, _first_slot(sim.sched._next_fire, dt, sim.n_slots))
+                if sched._next_fire < next_fire:  # else stop is already at or before it
+                    stop = min(stop, _first_slot(sched._next_fire, dt, sim.n_slots))
                 profile, p = picked, _PROFILE_INDEX[picked]
         v = v0 = vs[0]
         energy = half0 * v * v
@@ -930,7 +940,6 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
             old = v if b else v0  # buffer 0: its voltage before the drain
             energy = half_c * v * v
             new = keep * energy + gain
-            charged += gain
             sigma_drain += sigma * energy
             if new > ceiling:
                 spilled += new - ceiling
@@ -943,9 +952,10 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
             vs[b] = v
             if v >= v_on:
                 avail[b] += 1
-        if stride > 0 and i % stride == 0:
+        if i == row_slot:
             rows.extend(vs)
             profs.append(p)
+            row_slot += stride
         i += 1
         if not moved and end is None:
             fixed = True
@@ -962,7 +972,7 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
         log.timeline_v[row0 * len(vs) : row1 * len(vs)] = array("d", rows)
         log.timeline_profile[row0:row1] = array("b", profs)
         log.timeline_running[row0:row1] = array("h", [-1]) * len(profs)
-    sim.ledger[:] = charged, sigma_drain, spilled
+    sim.ledger[:] = _repeat_add(charged, gains, i - i0), sigma_drain, spilled
     sim.decision_drained = drained
     return i, fixed
 
@@ -973,8 +983,9 @@ def _hold(sim: SimState, i: int, r: int, stop: int, check: int | None,
     buffer as it found it with no task running, under power run r's shares:
     to the end of run r or the span's stop and, under a reported attack, to
     the next check, whose checks read the clock.  No cap bounds the count:
-    _repeat_add advances each ledger sum over all the slots a binade at a
-    time.
+    _repeat_add advances a sum over any number of slots a binade at a time.
+    Only charged and spilled change with the power, once per run; the leak,
+    decision drain, availability and timeline advance once per hold.
 
     Outside a reported attack (check None) the hold then goes on into each
     next run that starts before stop, where allocate_fn at the run's power
@@ -991,7 +1002,8 @@ def _hold(sim: SimState, i: int, r: int, stop: int, check: int | None,
     run and that run's shares."""
     caps, ends, log = sim.bank.capacitors, sim.run_ends, sim.log
     saved, m, stride = [cap.voltage for cap in caps], len(caps), sim.config.timeline_stride
-    trial_r, trial_shares = r, shares
+    charged, sigma_drain, spilled = sim.ledger
+    i0, trial_r, trial_shares = i, r, shares
     end = min(ends[r], stop) if check is None else min(ends[r], stop, check)
     while True:
         if i < end:
@@ -1008,18 +1020,10 @@ def _hold(sim: SimState, i: int, r: int, stop: int, check: int | None,
                 for cap, v in zip(caps, saved):
                     cap.voltage = v
                 break
-            k = end - i
-            sim.ledger[:] = [_repeat_add(s, terms, k) for s, terms in zip(sim.ledger, zip(*parts))]
-            sim.decision_drained = _repeat_add(sim.decision_drained, (taken,), k)
-            for b, cap in enumerate(caps):
-                if cap.voltage >= cap.v_on:
-                    sim.avail_counts[b] += k
-            r0, r1 = (-(-i // stride), -(-end // stride)) if stride > 0 else (0, 0)
-            if r0 < r1:  # the rows of the slots replayed
-                rows = r1 - r0
-                log.timeline_v[r0 * m : r1 * m] = array("d", saved) * rows
-                log.timeline_profile[r0:r1] = array("b", [_PROFILE_INDEX[sim.sched.profile]]) * rows
-                log.timeline_running[r0:r1] = array("h", [-1]) * rows
+            # The gains and clipped excess change with the power: add this run's.
+            charged = _repeat_add(charged, [part[0] for part in parts], end - i)
+            if any(spills := [part[2] for part in parts]):  # +0.0 leaves spilled
+                spilled = _repeat_add(spilled, spills, end - i)
             i, r, shares = end, trial_r, trial_shares
         if check is not None or i != ends[r] or i >= stop:
             break
@@ -1028,6 +1032,22 @@ def _hold(sim: SimState, i: int, r: int, stop: int, check: int | None,
         if weights != sim.prev_weights:
             break
         trial_r, end = r + 1, min(ends[r + 1], stop)
+    k = i - i0
+    if k:
+        # The rest reads only the held voltages, as did the last trial, moved
+        # or not: its leak terms and decision drain are every slot's.
+        leaks = [part[1] for part in parts]
+        sim.ledger[:] = charged, _repeat_add(sigma_drain, leaks, k), spilled
+        sim.decision_drained = _repeat_add(sim.decision_drained, (taken,), k)
+        for b, cap in enumerate(caps):
+            if cap.voltage >= cap.v_on:
+                sim.avail_counts[b] += k
+        r0, r1 = (-(-i0 // stride), -(-i // stride)) if stride > 0 else (0, 0)
+        if r0 < r1:  # the rows of the slots replayed
+            rows = r1 - r0
+            log.timeline_v[r0 * m : r1 * m] = array("d", saved) * rows
+            log.timeline_profile[r0:r1] = array("b", [_PROFILE_INDEX[sim.sched.profile]]) * rows
+            log.timeline_running[r0:r1] = array("h", [-1]) * rows
     return i, r, shares
 
 
@@ -1166,7 +1186,7 @@ def compute_metrics(log: EventLog, config: SimConfig) -> MetricsReport:
     latency: dict[str, float] = {}
     for comp in totals["component_buffers"]:
         vals = [seen[comp] for _, seen in totals["latency_records"] if comp in seen]
-        latency[comp] = sum(vals) / len(vals) if vals else float("nan")
+        latency[comp] = fold_sum(vals) / len(vals) if vals else float("nan")
     first_attack = min((sc.start for sc in config.attacks), default=None)
     if first_attack is not None:
         post = [ts for ts in completions if ts >= first_attack]

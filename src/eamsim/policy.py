@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .apps import AppSpec, Profile
 from .detector import AttackInfo
-from .energy import CapacitorBank, total_energy, usable_energy
+from .energy import CapacitorBank, fold_sum, total_energy, usable_energy
 
 
 class PolicyError(ValueError):
@@ -342,12 +342,12 @@ def allocate_harvest(
     for i in range(m):
         if referenced >> i & 1:
             weights[i] = hi if hot_mask >> i & 1 else lo
-    scale = sum(weights)
+    scale = fold_sum(weights)
     if scale == 0.0:
         # All referenced buffers weigh zero (lambda_lo == 0 and nothing hot):
         # fall back to an even split so the power is not silently dropped.
         weights = [1.0 if referenced >> i & 1 else 0.0 for i in range(m)]
-        scale = sum(weights)
+        scale = fold_sum(weights)
     fractions = tuple(w / scale for w in weights)
     return fractions, split_power(power, fractions)
 

@@ -4,6 +4,7 @@ import bisect
 import contextlib
 import io
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -727,21 +728,35 @@ def test_every_hold_replays_at_least_one_slot(monkeypatch):
     calls on the one-hour hvac run and 20 on attack_storm variant 5.  When a
     hold stopped at its run's end there were 3,210 and 33, and before
     _quiet_span skipped the calls with no slot left in the run, 18 of 3,228
-    and 19 of 52 replayed nothing."""
-    lengths = []
-    hold = engine._hold
+    and 19 of 52 replayed nothing.
+
+    The closed forms run once per _charge call for charged, once per power
+    run a hold crosses for charged and a nonzero spilled, and once per hold
+    for the leak and the decision drain: 6,993 _repeat_add calls on the hvac
+    run, 12,840 when a hold advanced all four sums on every run it crossed.
+    The storm variant makes 1,574, 1,468 of them one per _charge call (132
+    in all when _charge added the gains into charged slot by slot)."""
+    lengths, sums = [], [0]
+    hold, repeat_add = engine._hold, engine._repeat_add
 
     def counted(sim, i, r, stop, check, shares):
         out = hold(sim, i, r, stop, check, shares)
         lengths.append(out[0] - i)
         return out
 
+    def counted_sums(s, addends, k):
+        sums[0] += 1
+        return repeat_add(s, addends, k)
+
     monkeypatch.setattr(engine, "_hold", counted)
-    for doc, calls in ((load_config(CONFIGS / "hvac_attack.yaml"), 73),
-                       (WORKLOADS.storm_config(5), 20)):
+    monkeypatch.setattr(engine, "_repeat_add", counted_sums)
+    for doc, calls, closed_forms in ((load_config(CONFIGS / "hvac_attack.yaml"), 73, 6_993),
+                                     (WORKLOADS.storm_config(5), 20, 1_574)):
         lengths.clear()
+        sums[0] = 0
         run(build_sim_config(doc))
         assert len(lengths) == calls and min(lengths) >= 1
+        assert sums[0] == closed_forms
 
 
 def test_holds_carry_the_hvac_run_across_its_power_runs(monkeypatch):
@@ -838,10 +853,13 @@ def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeyp
     report was checked).  _charge runs 1,468 times (1,481 when each hold
     stopped at its power run's end, 2,023 when a span's end was bounded a
     slot or two short of its limit and each slot up to the limit went
-    through _charge on its own)."""
+    through _charge on its own).  _charge looks for a new stop with
+    _first_slot after 38 of its 22,472 switches, those that bring the next
+    release forward (after each switch when it did not compare)."""
     config = build_sim_config(WORKLOADS.storm_config(5))
     counted_names = ("policy_step", "detect", "_slot_tail", "_next_check", "_charge")
     calls = dict.fromkeys(counted_names, 0)
+    charge_stops = [0]
 
     def counting(name):
         inner = getattr(engine, name)
@@ -852,8 +870,14 @@ def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeyp
 
         return counted
 
+    def first_slot(x, dt, n):  # counts the calls _charge makes
+        charge_stops[0] += sys._getframe(1).f_code.co_name == "_charge"
+        return engine_first_slot(x, dt, n)
+
+    engine_first_slot = engine._first_slot
     for name in counted_names:
         monkeypatch.setattr(engine, name, counting(name))
+    monkeypatch.setattr(engine, "_first_slot", first_slot)
     draws = count_draws(monkeypatch)
     report, log = run(config)
     n_slots = log.totals["n_slots"]
@@ -864,6 +888,7 @@ def test_run_spans_profile_switches_and_running_tasks_in_an_attack_storm(monkeyp
     assert calls["_slot_tail"] <= 12_000
     assert calls["_next_check"] <= 3_000
     assert calls["_charge"] <= 1_600
+    assert charge_stops == [38]
     assert draws == [58_057]
     assert report.overhead_invocations == n_slots
     assert abs(residual(log)) < 1e-9
@@ -951,10 +976,16 @@ def repeated_sums(draw):
 @example((1.0, (0.0, 0.1), 10_000))
 @example((1.0, (0.1,), 1))  # a single round
 def test_repeat_add_equals_adding_float_by_float(drawn):
-    """engine._repeat_add, which _hold advances the ledger sums with, leaves
-    the very float that adding the addends k times in turn leaves."""
+    """engine._repeat_add, which _hold and _charge advance the ledger sums
+    with, leaves the very float that adding the addends k times in turn
+    leaves.  So do two calls over k1 and k - k1 rounds, which is what lets
+    a hold add the terms that stay from run to run once over all its runs."""
     s, addends, k = drawn
-    assert engine._repeat_add(s, addends, k).hex() == plain_sum(s, addends, k).hex()
+    expected = plain_sum(s, addends, k).hex()
+    assert engine._repeat_add(s, addends, k).hex() == expected
+    for k1 in {0, 1, k // 3, k // 2, k - 1}:
+        split = engine._repeat_add(engine._repeat_add(s, addends, k1), addends, k - k1)
+        assert split.hex() == expected
 
 
 @pytest.mark.parametrize("policy", ["eam", "fh"])

@@ -329,6 +329,22 @@ def test_allocate_weights_follow_task_states():
     assert fr == (0.5, 0.5)  # both blocked: lambda_lo each, normalised
 
 
+def test_allocate_normalises_by_a_left_to_right_sum():
+    """Three weights 0.8, 0.2, 0.2 add up to 1.2 left to right, and to
+    1.2000000000000002 under Python 3.12's compensated sum(), which would
+    move every fraction; the run's artifacts must not depend on the Python
+    version."""
+    tasks = tuple(TaskSpec(id=tid, energy_cost=1e-6, duration=1e-3, buffer=b,
+                           rates={Profile.NML: 30.0}) for b, tid in enumerate("ABC"))
+    app = AppSpec(name="x", tasks=tasks, sink_task="C")
+    state = init_scheduler(app, Profile.NML)
+    state.states["A"] = TaskState.READY
+    bank = CapacitorBank(capacitors=[Capacitor(capacitance=100e-6) for _ in range(3)])
+    fr, _ = allocate_harvest(state, app, bank, 1e-3, PolicyParams())
+    expected = (0.6666666666666667, 0.16666666666666669, 0.16666666666666669)
+    assert [f.hex() for f in fr] == [f.hex() for f in expected]
+
+
 def test_allocate_ignores_unreferenced_buffer():
     app, state = two_buffer_state(hot0=True, hot1=True)
     bank = CapacitorBank(
