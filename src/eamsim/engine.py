@@ -34,16 +34,18 @@ SA/LA without a draw where it lies on one side of alpha: LA holds until its
 bottom reaches alpha, SA to the window's end once its top has.  A task whose
 period the band no longer exceeds waits out the window.  Blind policies never
 change profile.  With no task running, the slots up to the next check run in
-one tight loop of the same float operations (_charge), the only copy of the
-slot physics beside step's.  While the band straddles alpha it settles SA/LA
-on each slot, the one place a stretch switches profile.  Where a slot leaves
-every buffer voltage bit-identical, the slots after it under the same power
-repeat it, so run() only advances the ledger sums, availability counts and
-timeline rows over them, however many they are.  Outside a reported attack
-this carries on across changes of power: where the weights stay and a trial
-of the new power's first slot leaves the bank as it is, the trial's terms
-are the new power's, and the checks skipped there would pass as the last
-did, as they read the bank, which has not moved.  Each sum advances only
+one loop of the same float operations (_charge), compiled once per bank width
+from one template (_CHARGE_TEMPLATE) that keeps each buffer in locals: the
+only copy of the slot physics beside energy.py's, which step runs.  While the
+band straddles alpha it settles SA/LA on each slot, the one place a stretch
+switches profile.  Where a slot leaves every buffer voltage bit-identical,
+the slots after it under the same power repeat it, so run() only advances the
+ledger sums, availability counts and timeline rows over them, however many
+they are.  Outside a reported attack this carries on across changes of
+power, split by the weights held, as a hold changes no task state: where a
+trial of the new power's first slot leaves the bank as it is, the trial's
+terms are the new power's, and the checks skipped there would pass as the
+last did, as they read the bank, which has not moved.  Each sum advances only
 where its terms change: the harvest gains once per _charge call and, with the
 clipped excess, once per power run of a hold; a hold's leak, decision drain,
 availability counts and timeline rows once per hold.  Within a binade every
@@ -61,7 +63,9 @@ event plus a per-slot timeline for later analysis.
 from __future__ import annotations
 
 import copy
+import linecache
 import math
+import re
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -113,6 +117,7 @@ from .policy import (
     policy_step,
     released_tasks,
     select_profile,
+    split_power,
     unready_slots,
 )
 from .traces import AttackScenario, EnergyTrace, validate_scenarios
@@ -729,7 +734,7 @@ def _quiet_span(sim: SimState) -> None:
     closed form, a binade at a time), counts and timeline; inside a reported
     attack, whose checks also read the clock, only up to the next check and
     the end of the power run.  Outside one it carries on into each next power
-    run whose weights are unchanged and whose first slot, run as a trial,
+    run, split by the weights held, whose first slot, run as a trial,
     leaves every voltage as it is: the checks skipped there would pass as
     the last one did, as they read the bank, the idle report and the waiting
     tasks, which no release, reset or window edge changes before stop.
@@ -889,28 +894,37 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
     report; it applies a switch (which changes only the profile and the
     release schedule, as _next_check shows) and logs it, stops at the first
     slot whose t reaches the next release and not at fixed points.
-    Returns the first slot not run and whether that slot is a fixed point."""
-    caps, detector, sched = sim.bank.capacitors, sim.config.detector, sim.sched
+    Returns the first slot not run and whether that slot is a fixed point.
+
+    The loop is _CHARGE_TEMPLATE compiled for the bank's width, once per
+    width (_compile_charge), so each buffer's constants and voltage are
+    locals and no slot loops over the buffers."""
+    kernel = _CHARGE_KERNELS.get(len(shares)) or _compile_charge(len(shares))
+    return kernel(sim, i, stop, shares, end)
+
+
+# _charge's body for a bank of m buffers.  Each `for each buffer b:` block is
+# written out once per buffer, in bank order, with {b} its index and {x} the
+# voltage its slot update starts from: u0, buffer 0's after the decision
+# drain, or v{b}.  {voltages}, {gains} and {watched} join a form over the
+# buffers (_charge_source).
+_CHARGE_TEMPLATE = '''\
+def _charge(sim, i, stop, shares, end):
+    caps, detector, sched, sqrt = sim.bank.capacitors, sim.config.detector, sim.sched, math.sqrt
     dt, cost, alpha = sim.dt, sim.params.decision_cost, sim.params.alpha
     err, seed = detector.remaining_time_error, detector.rng_seed
     profile, p = sched.profile, _PROFILE_INDEX[sched.profile]
     settle_from = i + 1 if end is not None else stop
-    bufs = [
-        (b, half_c, keep, sigma, eta * share * dt, ceiling, c, v_max, cap.v_on)
-        for b, (cap, (half_c, keep, sigma, eta, ceiling, c, v_max), share)
-        in enumerate(zip(caps, sim.buffer_constants, shares))
-    ]
-    gains = [buf[4] for buf in bufs]
-    half0, c0 = bufs[0][1], bufs[0][6]
-    vs = [cap.voltage for cap in caps]
+    avail, constants = sim.avail_counts, sim.buffer_constants
     # Buffers whose components an open recovery watch has yet to see.
-    watched = [
-        (b, caps[b].v_on) for b, names in sim.comp_names
-        if any(name not in seen for _, seen in sim.watches for name in names)
-    ]
+    unseen = {b for b, names in sim.comp_names
+              if any(name not in seen for _, seen in sim.watches for name in names)}
+    for each buffer b:
+        h{b}, k{b}, s{b}, eta, top{b}, c{b}, vmax{b} = constants[{b}]
+        g{b}, w{b} = eta * shares[{b}] * dt, {b} in unseen
+        v{b}, on{b}, n{b} = caps[{b}].voltage, caps[{b}].v_on, avail[{b}]
     charged, sigma_drain, spilled = sim.ledger
     drained = sim.decision_drained
-    avail = sim.avail_counts
     stride = sim.config.timeline_stride
     row0 = -(-i // stride) if stride > 0 else 0  # the first row written
     row_slot = row0 * stride if stride > 0 else -1  # the next slot with a row
@@ -928,53 +942,82 @@ def _charge(sim: SimState, i: int, stop: int, shares: tuple,
                 if sched._next_fire < next_fire:  # else stop is already at or before it
                     stop = min(stop, _first_slot(sched._next_fire, dt, sim.n_slots))
                 profile, p = picked, _PROFILE_INDEX[picked]
-        v = v0 = vs[0]
-        energy = half0 * v * v
+        energy = h0 * v0 * v0
         taken = cost if cost < energy else energy
-        if taken > 0.0:
-            vs[0] = math.sqrt(2.0 * (energy - taken) / c0)
+        u0 = sqrt(2.0 * (energy - taken) / c0) if taken > 0.0 else v0
         drained += taken
         moved = False
-        for b, half_c, keep, sigma, gain, ceiling, c, v_max, v_on in bufs:
-            v = vs[b]
-            old = v if b else v0  # buffer 0: its voltage before the drain
-            energy = half_c * v * v
-            new = keep * energy + gain
-            sigma_drain += sigma * energy
-            if new > ceiling:
-                spilled += new - ceiling
-                new = ceiling
-            v = math.sqrt(2.0 * new / c)
-            if not v < v_max:
-                v = v_max
-            if v != old:
+        for each buffer b:
+            energy = h{b} * {x} * {x}
+            new = k{b} * energy + g{b}
+            sigma_drain += s{b} * energy
+            if new > top{b}:
+                spilled += new - top{b}
+                new = top{b}
+            v = sqrt(2.0 * new / c{b})
+            if not v < vmax{b}:
+                v = vmax{b}
+            if v != v{b}:
                 moved = True
-            vs[b] = v
-            if v >= v_on:
-                avail[b] += 1
+            v{b} = v
+            if v >= on{b}:
+                n{b} += 1
         if i == row_slot:
-            rows.extend(vs)
+            rows += ({voltages})
             profs.append(p)
             row_slot += stride
         i += 1
         if not moved and end is None:
             fixed = True
             break
-        if watched and any(vs[b] >= v_on for b, v_on in watched):
-            for cap, v in zip(caps, vs):
-                cap.voltage = v
+        if unseen and ({watched}):
+            for each buffer b:
+                caps[{b}].voltage = v{b}
             _watch(sim, (i - 1) * dt)
             break
-    for cap, v in zip(caps, vs):
-        cap.voltage = v
+    for each buffer b:
+        caps[{b}].voltage, avail[{b}] = v{b}, n{b}
     if profs:
-        log, row1 = sim.log, row0 + len(profs)
-        log.timeline_v[row0 * len(vs) : row1 * len(vs)] = array("d", rows)
+        log, row1, m = sim.log, row0 + len(profs), len(caps)
+        log.timeline_v[row0 * m : row1 * m] = array("d", rows)
         log.timeline_profile[row0:row1] = array("b", profs)
         log.timeline_running[row0:row1] = array("h", [-1]) * len(profs)
-    sim.ledger[:] = _repeat_add(charged, gains, i - i0), sigma_drain, spilled
+    sim.ledger[:] = _repeat_add(charged, ({gains}), i - i0), sigma_drain, spilled
     sim.decision_drained = drained
     return i, fixed
+'''
+
+_EACH_BUFFER = re.compile(r"^( *)for each buffer b:\n((?:\1    .*\n)+)", re.M)
+_CHARGE_KERNELS: dict = {}  # bank width -> _CHARGE_TEMPLATE compiled for it
+
+
+def _charge_source(m: int) -> str:
+    """_CHARGE_TEMPLATE written out for a bank of m buffers."""
+
+    def each_buffer(block) -> str:
+        body = re.sub(r"^    ", "", block[2], flags=re.M)
+        return "".join(body.replace("{b}", str(b)).replace("{x}", f"v{b}" if b else "u0")
+                       for b in range(m))
+
+    source = _EACH_BUFFER.sub(each_buffer, _CHARGE_TEMPLATE)
+    for name, form, sep in (("{voltages}", "v{b}, ", ""), ("{gains}", "g{b}, ", ""),
+                            ("{watched}", "w{b} and v{b} >= on{b}", " or ")):
+        source = source.replace(name, sep.join(form.replace("{b}", str(b)) for b in range(m)))
+    return source
+
+
+def _compile_charge(m: int):
+    """Compile _CHARGE_TEMPLATE for a bank of m buffers into _CHARGE_KERNELS.
+    Its globals are this module's, so the names it calls are looked up as it
+    runs; its file name gives the width in tracebacks, which linecache lets
+    show the generated lines."""
+    source = _charge_source(m)
+    filename = f"<eamsim.engine._charge for {m} buffers>"
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    kernel = _CHARGE_KERNELS[m] = namespace["_charge"]
+    return kernel
 
 
 def _hold(sim: SimState, i: int, r: int, stop: int, check: int | None,
@@ -988,18 +1031,19 @@ def _hold(sim: SimState, i: int, r: int, stop: int, check: int | None,
     decision drain, availability and timeline advance once per hold.
 
     Outside a reported attack (check None) the hold then goes on into each
-    next run that starts before stop, where allocate_fn at the run's power
-    gives sim.prev_weights and a trial of the run's first slot on the bank,
-    energy.drain and slot_update under the run's shares, leaves every
-    voltage bit-identical; the trial's terms are the run's.  Where the
-    trial moves a voltage, every voltage is restored and the hold returns
-    at the run's first slot for _quiet_span to check.  A check there would
-    pass as the last one did: the profile and readiness checks read the
-    bank, which has not moved, and the idle report; the waiting tasks
+    next run that starts before stop, where a trial of the run's first slot
+    on the bank, energy.drain and slot_update under the run's shares,
+    leaves every voltage bit-identical; the trial's terms are the run's.
+    A hold changes no task state, so no weight: the shares are the run's
+    power split by the weights held (policy.split_power by
+    sim.prev_weights), the floats every allocate_fn gives for them.  Where
+    the trial moves a voltage, every voltage is restored and the hold
+    returns at the run's first slot for _quiet_span to check.  A check there
+    would pass as the last one did: the profile and readiness checks read
+    the bank, which has not moved, and the idle report; the waiting tasks
     cannot change, as no release, reset or window edge falls before stop;
-    the weights are compared here on every run; and open recovery watches
-    saw these voltages already.  Returns the first slot not replayed, its
-    run and that run's shares."""
+    and open recovery watches saw these voltages already.  Returns the
+    first slot not replayed, its run and that run's shares."""
     caps, ends, log = sim.bank.capacitors, sim.run_ends, sim.log
     saved, m, stride = [cap.voltage for cap in caps], len(caps), sim.config.timeline_stride
     charged, sigma_drain, spilled = sim.ledger
@@ -1027,11 +1071,8 @@ def _hold(sim: SimState, i: int, r: int, stop: int, check: int | None,
             i, r, shares = end, trial_r, trial_shares
         if check is not None or i != ends[r] or i >= stop:
             break
-        weights, trial_shares = sim.allocate_fn(sim.sched, sim.app, sim.bank,
-                                                sim.run_powers[r + 1], sim.params)
-        if weights != sim.prev_weights:
-            break
         trial_r, end = r + 1, min(ends[r + 1], stop)
+        trial_shares = split_power(sim.run_powers[trial_r], sim.prev_weights)
     k = i - i0
     if k:
         # The rest reads only the held voltages, as did the last trial, moved

@@ -36,9 +36,9 @@ NOISY_HVAC = (
 
 
 def full_bank_config(policy, trace, n_buffers=1):
-    """A bank of full buffers that leak little, fed by trace for 200 s of
-    0.01 s slots, with a chain of one task per buffer that is never
-    released, under policy."""
+    """A bank of n_buffers full buffers (1 to 3, one per Component) that
+    leak little, fed by trace for 200 s of 0.01 s slots, with a chain of one
+    task per buffer that is never released, under policy."""
     tasks = tuple(
         TaskSpec(id=f"T{k}", energy_cost=1e-6, duration=0.01, buffer=k,
                  rates={p: 0.0 for p in Profile}, predecessors=(f"T{k - 1}",) if k else ())
@@ -49,7 +49,7 @@ def full_bank_config(policy, trace, n_buffers=1):
         app=AppSpec(name="idle", tasks=tasks, sink_task=tasks[-1].id),
         bank=CapacitorBank(
             capacitors=[Capacitor(capacitance=c, drain_fraction=1e-7, voltage=3.0)
-                        for c in (100e-6, 47e-6)[:n_buffers]],
+                        for c in (100e-6, 47e-6, 68e-6)[:n_buffers]],
             component_map={b: (c,) for b, c in zip(range(n_buffers), Component)},
         ),
         params=PolicyParams(),

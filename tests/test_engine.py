@@ -3,6 +3,7 @@
 import bisect
 import contextlib
 import io
+import linecache
 import math
 import sys
 import tracemalloc
@@ -762,12 +763,14 @@ def test_every_hold_replays_at_least_one_slot(monkeypatch):
 def test_holds_carry_the_hvac_run_across_its_power_runs(monkeypatch):
     """The one-hour hvac run has 3,541 power runs.  Its bank sits at a fixed
     point through most of them, and a hold carries on from run to run while
-    the allocation's weights stay and a trial of each run's first slot
-    leaves the bank as it is, so the span checks and charges only where the
-    bank moves.  When each hold stopped at its run's end, _charge ran 3,564
+    a trial of each run's first slot leaves the bank as it is, so the span
+    checks and charges only where the bank moves.  When each hold stopped at its run's end, _charge ran 3,564
     times (3,139 of them for one slot), _next_check 3,626 times and _hold
-    3,210 times."""
-    counted_names = ("_charge", "_next_check", "_hold")
+    3,210 times.  A hold changes no task state, so it splits each run's
+    power by the weights held: allocate_harvest runs 756 times, from step
+    and the span's checks (3,952 when _hold called it on each run it
+    carried into)."""
+    counted_names = ("_charge", "_next_check", "_hold", "allocate_harvest")
     calls = dict.fromkeys(counted_names, 0)
 
     def counting(name):
@@ -784,9 +787,35 @@ def test_holds_carry_the_hvac_run_across_its_power_runs(monkeypatch):
     config = build_sim_config(load_config(CONFIGS / "hvac_attack.yaml"))
     assert len(init_sim(config).run_ends) == 3_541
     report, log = run(config)
-    assert calls == {"_charge": 427, "_next_check": 489, "_hold": 73}
+    assert calls == {"_charge": 427, "_next_check": 489, "_hold": 73, "allocate_harvest": 756}
     assert report.overhead_invocations == log.totals["n_slots"]
     assert abs(residual(log)) < 1e-9
+
+
+def test_a_compare_compiles_one_charge_loop_per_bank_width(monkeypatch, tmp_path):
+    """_charge's loop is compiled once per bank width in a process and
+    cached: a compare of the three policies on a two-buffer bank compiles
+    two, for the federated bank and for central's one merged buffer.  Each
+    one's file name gives its width, and linecache holds its source, so a
+    traceback shows which loop failed and on which line."""
+    kernels, compiled = {}, []
+    compile_charge = engine._compile_charge
+
+    def counted(m):
+        compiled.append(m)
+        return compile_charge(m)
+
+    monkeypatch.setattr(engine, "_CHARGE_KERNELS", kernels)
+    monkeypatch.setattr(engine, "_compile_charge", counted)
+    rc = cli.main(["compare", "--config", str(CONFIGS / "compare_constant_30s.yaml"),
+                   "--policies", "eam,fh,central", "--attack-durations", "30,45",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    assert sorted(compiled) == sorted(kernels) == [1, 2]
+    for m, kernel in kernels.items():
+        filename = kernel.__code__.co_filename
+        assert filename == f"<eamsim.engine._charge for {m} buffers>"
+        assert linecache.getline(filename, 1).startswith("def _charge(sim, ")
 
 
 def test_a_hold_under_a_report_stops_at_its_check_and_its_run():

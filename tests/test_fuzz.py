@@ -5,6 +5,7 @@ batches the slots its bounds prove quiet and replays the slots that repeat
 an exact fixed point, gives exactly what stepping every slot gives."""
 
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -280,6 +281,45 @@ def test_a_full_bank_is_held_across_power_runs_until_a_trial_slot_moves(monkeypa
     assert len(sim.run_ends) == 198 and sim.run_ends[99:101] == [10_000, 10_300]
     run(config)
     assert holds == [(2, 0, 10_000, 99), (10_302, 101, 20_000, 197)]
+    assert_run_matches_steps(config)
+
+
+@pytest.mark.parametrize("policy", ["eam", "fh", "central"])
+@pytest.mark.parametrize("n_buffers", [1, 2, 3])
+def test_each_bank_width_recharges_through_v_on_as_stepping_does(monkeypatch, policy,
+                                                                 n_buffers):
+    """engine._charge runs a loop compiled for the bank's width.  Here the
+    buffers start below v_on at different voltages, an attack silences the
+    harvester from 5 s to 15 s, and a weak constant harvest then lifts each
+    buffer through v_on while the attack's recovery watch is open, so the
+    loop stops at each buffer's crossing and runs engine._watch there, on
+    the federated bank of each width and on central's one merged buffer.
+    run still gives what stepping every slot gives."""
+    config = full_bank_config(
+        policy, synthesize_trace("constant", amplitude=0.5, length=200.0, interval=1.0),
+        n_buffers=n_buffers)
+    bank = config.bank
+    config = dataclasses.replace(
+        config,
+        attacks=[AttackScenario(start=5.0, duration=10.0)],
+        bank=CapacitorBank(
+            capacitors=[dataclasses.replace(cap, voltage=1.2 + 0.3 * b)
+                        for b, cap in enumerate(bank.capacitors)],
+            component_map=bank.component_map,
+        ),
+    )
+    watches_in_charge = [0]
+    watch = engine._watch
+
+    def counted(sim, t):
+        watches_in_charge[0] += sys._getframe(1).f_code.co_name == "_charge"
+        return watch(sim, t)
+
+    monkeypatch.setattr(engine, "_watch", counted)
+    _, log = run(config)
+    assert [e[2] for e in of_kind(log, "recovered")] == [15.0]
+    assert watches_in_charge == [1 if policy == "central" else n_buffers]
+    monkeypatch.undo()
     assert_run_matches_steps(config)
 
 
