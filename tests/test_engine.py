@@ -764,12 +764,12 @@ def test_holds_carry_the_hvac_run_across_its_power_runs(monkeypatch):
     """The one-hour hvac run has 3,541 power runs.  Its bank sits at a fixed
     point through most of them, and a hold carries on from run to run while
     a trial of each run's first slot leaves the bank as it is, so the span
-    checks and charges only where the bank moves.  When each hold stopped at its run's end, _charge ran 3,564
-    times (3,139 of them for one slot), _next_check 3,626 times and _hold
-    3,210 times.  A hold changes no task state, so it splits each run's
-    power by the weights held: allocate_harvest runs 756 times, from step
-    and the span's checks (3,952 when _hold called it on each run it
-    carried into)."""
+    checks and charges only where the bank moves.  When each hold stopped
+    at its run's end, _charge ran 3,564 times (3,139 of them for one slot),
+    _next_check 3,626 times and _hold 3,210 times.  A hold changes no task
+    state, so it splits each run's power by the weights held:
+    allocate_harvest runs 756 times, from step and the span's checks (3,952
+    when _hold called it on each run it carried into)."""
     counted_names = ("_charge", "_next_check", "_hold", "allocate_harvest")
     calls = dict.fromkeys(counted_names, 0)
 
