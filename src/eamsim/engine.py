@@ -45,13 +45,15 @@ they are.  Outside a reported attack this carries on across changes of
 power, split by the weights held, as a hold changes no task state: where a
 trial of the new power's first slot leaves the bank as it is, the trial's
 terms are the new power's, and the checks skipped there would pass as the
-last did, as they read the bank, which has not moved.  Each sum advances only
-where its terms change: the harvest gains once per _charge call and, with the
-clipped excess, once per power run of a hold; a hold's leak, decision drain,
-availability counts and timeline rows once per hold.  Within a binade every
-sum is a whole number of ulps and each slot adds the same number, so a sum
-advances a binade at a time in closed form, bit for bit what step()'s order
-gives.
+last did, as they read the bank, which has not moved.  Once a trial has
+clipped every buffer at its ceiling, a power that clips them all again
+needs no trial: the clipped voltage does not depend on the gain.  Each sum
+advances only where its terms change: the harvest gains once per _charge
+call and, with the clipped excess, once per power run of a hold; a hold's
+leak, decision drain, availability counts and timeline rows once per hold.
+Within a binade every sum is a whole number of ulps and each slot adds the
+same number, so a sum advances a binade at a time in closed form (_UlpSum),
+bit for bit what step()'s order gives.
 overhead_invocations still counts every slot, as the modelled device decides
 on each one.
 
@@ -734,12 +736,13 @@ def _quiet_span(sim: SimState) -> None:
     closed form, a binade at a time), counts and timeline; inside a reported
     attack, whose checks also read the clock, only up to the next check and
     the end of the power run.  Outside one it carries on into each next power
-    run, split by the weights held, whose first slot, run as a trial,
-    leaves every voltage as it is: the checks skipped there would pass as
-    the last one did, as they read the bank, the idle report and the waiting
-    tasks, which no release, reset or window edge changes before stop.
-    Where a trial moves the bank, the hold returns at that run's first slot,
-    which the span checks.
+    run, split by the weights held, that leaves every voltage as it is (a
+    trial of its first slot shows it, or, once a trial clipped every buffer,
+    clipping every buffer again does): the checks skipped there would pass
+    as the last one did, as they read the bank, the idle report and the
+    waiting tasks, which no release, reset or window edge changes before
+    stop.  Where a trial moves the bank, the hold returns at that run's
+    first slot, which the span checks.
     """
     sched = sim.sched
     running = sched.executing
@@ -1026,48 +1029,61 @@ def _hold(sim: SimState, i: int, r: int, stop: int, check: int | None,
     buffer as it found it with no task running, under power run r's shares:
     to the end of run r or the span's stop and, under a reported attack, to
     the next check, whose checks read the clock.  No cap bounds the count:
-    _repeat_add advances a sum over any number of slots a binade at a time.
-    Only charged and spilled change with the power, once per run; the leak,
-    decision drain, availability and timeline advance once per hold.
+    a _UlpSum advances over any number of slots a binade at a time.  Only
+    charged and spilled change with the power, once per run, as whole ulps
+    over the whole hold; the leak, decision drain, availability and
+    timeline advance once per hold.
 
     Outside a reported attack (check None) the hold then goes on into each
-    next run that starts before stop, where a trial of the run's first slot
-    on the bank, energy.drain and slot_update under the run's shares,
-    leaves every voltage bit-identical; the trial's terms are the run's.
+    next run that starts before stop and leaves every voltage bit-identical.
     A hold changes no task state, so no weight: the shares are the run's
     power split by the weights held (policy.split_power by
-    sim.prev_weights), the floats every allocate_fn gives for them.  Where
-    the trial moves a voltage, every voltage is restored and the hold
-    returns at the run's first slot for _quiet_span to check.  A check there
-    would pass as the last one did: the profile and readiness checks read
-    the bank, which has not moved, and the idle report; the waiting tasks
-    cannot change, as no release, reset or window edge falls before stop;
-    and open recovery watches saw these voltages already.  Returns the
-    first slot not replayed, its run and that run's shares."""
-    caps, ends, log = sim.bank.capacitors, sim.run_ends, sim.log
+    sim.prev_weights), the floats every allocate_fn gives for them.  A trial
+    of the run's first slot on the bank, energy.drain and slot_update under
+    the run's shares, shows whether it does, and its terms are the run's.
+    Once a trial has clipped every buffer at its ceiling and left the bank
+    as it was, the bank holds each buffer's clipped voltage, which no gain
+    moves: a later run that clips every buffer too (_clipped, from the held
+    energies) leaves it as it is without a trial, and its terms are its
+    gains, the held leak and its clipped excess.  Where a trial moves a
+    voltage, every voltage is restored and the hold returns at the run's
+    first slot for _quiet_span to check.  A check there would pass as the
+    last one did: the profile and readiness checks read the bank, which
+    has not moved, and the idle report; the waiting tasks cannot change, as
+    no release, reset or window edge falls before stop; and open recovery
+    watches saw these voltages already.  Returns the first slot not
+    replayed, its run and that run's shares."""
+    caps, ends, log, dt = sim.bank.capacitors, sim.run_ends, sim.log, sim.dt
+    constants = sim.buffer_constants
     saved, m, stride = [cap.voltage for cap in caps], len(caps), sim.config.timeline_stride
     charged, sigma_drain, spilled = sim.ledger
-    i0, trial_r, trial_shares = i, r, shares
+    charged, spilled = _UlpSum(charged), _UlpSum(spilled)
+    i0, trial_r, trial_shares, kept = i, r, shares, None
     end = min(ends[r], stop) if check is None else min(ends[r], stop, check)
     while True:
         if i < end:
-            # Running slot i on the bank gives the terms each replayed slot
-            # adds to the ledger sums, buffer by buffer in step's order (0.0
-            # + x is exact; a 0.0 term for an unclipped buffer leaves a sum
-            # >= +0.0 as it is).  Only a trial can move a voltage.
-            taken = drain(caps[0], sim.params.decision_cost)
-            parts = [[0.0, 0.0, 0.0] for _ in caps]
-            for cap, constants, share, part in zip(caps, sim.buffer_constants, trial_shares,
-                                                   parts):
-                slot_update((cap,), (constants,), (share,), sim.dt, part)
-            if any(cap.voltage != v for cap, v in zip(caps, saved)):
-                for cap, v in zip(caps, saved):
-                    cap.voltage = v
-                break
-            # The gains and clipped excess change with the power: add this run's.
-            charged = _repeat_add(charged, [part[0] for part in parts], end - i)
-            if any(spills := [part[2] for part in parts]):  # +0.0 leaves spilled
-                spilled = _repeat_add(spilled, spills, end - i)
+            terms = None if kept is None else _clipped(kept, constants, trial_shares, dt)
+            if terms is not None:
+                gains, spills = terms
+            else:
+                # Running slot i on the bank gives the terms each replayed
+                # slot adds to the ledger sums, buffer by buffer in step's
+                # order (0.0 + x is exact).  Only a trial can move a voltage.
+                taken = drain(caps[0], sim.params.decision_cost)
+                drained_v = [cap.voltage for cap in caps]
+                parts = [[0.0, 0.0, 0.0] for _ in caps]
+                for cap, c, share, part in zip(caps, constants, trial_shares, parts):
+                    slot_update((cap,), (c,), (share,), dt, part)
+                if any(cap.voltage != v for cap, v in zip(caps, saved)):
+                    for cap, v in zip(caps, saved):
+                        cap.voltage = v
+                    break
+                gains, leaks, spills = zip(*parts)
+                if all(spills):  # every buffer clipped: keep * E of each, as slot_update
+                    kept = [c[1] * (c[0] * v * v) for c, v in zip(constants, drained_v)]
+            charged.add(gains, end - i)
+            if any(spills):  # a 0.0 term leaves a sum >= +0.0 as it is
+                spilled.add(spills, end - i)
             i, r, shares = end, trial_r, trial_shares
         if check is not None or i != ends[r] or i >= stop:
             break
@@ -1077,8 +1093,7 @@ def _hold(sim: SimState, i: int, r: int, stop: int, check: int | None,
     if k:
         # The rest reads only the held voltages, as did the last trial, moved
         # or not: its leak terms and decision drain are every slot's.
-        leaks = [part[1] for part in parts]
-        sim.ledger[:] = charged, _repeat_add(sigma_drain, leaks, k), spilled
+        sim.ledger[:] = charged.value(), _repeat_add(sigma_drain, leaks, k), spilled.value()
         sim.decision_drained = _repeat_add(sim.decision_drained, (taken,), k)
         for b, cap in enumerate(caps):
             if cap.voltage >= cap.v_on:
@@ -1092,12 +1107,28 @@ def _hold(sim: SimState, i: int, r: int, stop: int, check: int | None,
     return i, r, shares
 
 
+def _clipped(kept: list, constants, shares: tuple, dt: float) -> tuple | None:
+    """The gains and clipped excesses a slot_update adds under shares to
+    buffers that keep kept[b] (keep * E of buffer b, E its energy after the
+    decision drain) after their leak, with its float operations, if it
+    clips every buffer at its ceiling; else None."""
+    gains, spills = [], []
+    for after_leak, c, share in zip(kept, constants, shares):
+        gain = c[3] * share * dt
+        new = after_leak + gain
+        if not new > c[4]:
+            return None
+        gains.append(gain)
+        spills.append(new - c[4])
+    return gains, spills
+
+
 _BINADE_TOP = 2**53 - 1  # the last float of a binade, in ulps of the binade
 
 
-def _repeat_add(s: float, addends, k: int) -> float:
-    """What `for _ in range(k): for a in addends: s += a` leaves, bit for bit,
-    for s and addends >= 0.
+class _UlpSum:
+    """A float sum that add(addends, k) advances as
+    `for _ in range(k): for a in addends: s += a` does, bit for bit.
 
     Every float of the binade of s is a multiple of u = ulp(s), and so is
     the next binade's first (for a subnormal s or +0.0, u is the subnormal
@@ -1107,50 +1138,65 @@ def _repeat_add(s: float, addends, k: int) -> float:
     sum's last bit even.  So a round's ulps depend on the parity of the sum
     it starts from alone, and a round with a halfway addend ends on a parity
     its addends fix: every round after the first adds the same n ulps.  The
-    first round and the m after it that keep the sums inside the binade are
-    added in exact integer arithmetic; the round after them, and any round
-    from -0.0 or with an addend that is negative or above s, adds float by
-    float."""
-    while k > 0:
-        grid = _ulps_of(s, addends)
-        if grid is not None:
-            u = math.ulp(s)
-            first = _add_ulps(int(s / u), grid)
-            if first <= _BINADE_TOP:
-                n = _add_ulps(first, grid) - first
-                m = k - 1 if n == 0 else min(k - 1, (_BINADE_TOP - first) // n)
-                s, k = (first + m * n) * u, k - 1 - m
-        if k > 0:
+    sum is kept as its count of ulps, across calls, and the rounds that keep
+    it inside the binade add in exact integer arithmetic.  It is a float
+    again only at the binade's edge, whose round adds float by float, as
+    does a round from -0.0 or with an addend that is negative or above the
+    sum, and where value() reads it."""
+
+    __slots__ = ("_s", "_units", "_u")
+
+    def __init__(self, s: float):
+        self._s, self._units, self._u = s, None, 0.0
+
+    def value(self) -> float:
+        return self._s if self._units is None else self._units * self._u
+
+    def add(self, addends, k: int) -> None:
+        units, u = self._units, self._u
+        while k > 0:
+            if units is None and 0.0 <= self._s < math.inf and math.copysign(1.0, self._s) > 0.0:
+                u = math.ulp(self._s)
+                units = int(self._s / u)
+            if units is not None:
+                first, tied = _round(units, u, addends)
+                if first <= _BINADE_TOP:
+                    n = _round(first, u, addends)[0] - first if tied else first - units
+                    m = k - 1 if n == 0 else min(k - 1, (_BINADE_TOP - first) // n)
+                    units, k = first + m * n, k - 1 - m
+                    continue
+                self._s, units = units * u, None
+            s = self._s
             for a in addends:
                 s += a
-            k -= 1
-    return s
+            self._s, k = s, k - 1
+        self._units, self._u = units, u
 
 
-def _ulps_of(s: float, addends) -> list | None:
-    """Each addend in ulps of s, as (ulps rounded to nearest, or down where
-    it lies halfway, and whether it does), or None where _repeat_add must
-    add float by float."""
-    if not 0.0 <= s < math.inf or math.copysign(1.0, s) < 0.0:
-        return None
-    u, grid = math.ulp(s), []
+def _repeat_add(s: float, addends, k: int) -> float:
+    """What `for _ in range(k): for a in addends: s += a` leaves, bit for bit
+    (_UlpSum)."""
+    total = _UlpSum(s)
+    total.add(addends, k)
+    return total.value()
+
+
+def _round(units: int, u: float, addends) -> tuple[int, bool]:
+    """A sum of units ulps u after one round of the addends, each rounded to
+    the grid of u, a halfway one to an even sum, while it stays inside its
+    binade, and whether one lay halfway; past _BINADE_TOP where an addend is
+    negative or above the sum it is added to."""
+    tied = False
     for a in addends:
-        if not 0.0 <= a <= s:
-            return None
         q = a / u  # exact, or far below a half: u is a power of two and q < 2**53
+        if not 0.0 <= q <= units:
+            return _BINADE_TOP + 1, tied
         whole = int(q)
-        grid.append((whole + (q - whole > 0.5), q - whole == 0.5))
-    return grid
-
-
-def _add_ulps(units: int, grid: list) -> int:
-    """A sum of units ulps after one round of the addends in grid, while it
-    stays inside its binade: a halfway addend rounds it to even."""
-    for whole, halfway in grid:
-        units += whole
-        if halfway:
+        units += whole + (q - whole > 0.5)
+        if q - whole == 0.5:
             units += units & 1
-    return units
+            tied = True
+    return units, tied
 
 
 def _finalize(sim: SimState) -> tuple[MetricsReport, EventLog]:

@@ -24,7 +24,9 @@ from eamsim.energy import (
     Capacitor,
     CapacitorBank,
     Component,
+    drain,
     energy_at,
+    energy_of,
     slot_constants,
     slot_update,
     total_capacity,
@@ -731,40 +733,58 @@ def test_every_hold_replays_at_least_one_slot(monkeypatch):
     _quiet_span skipped the calls with no slot left in the run, 18 of 3,228
     and 19 of 52 replayed nothing.
 
-    The closed forms run once per _charge call for charged, once per power
-    run a hold crosses for charged and a nonzero spilled, and once per hold
-    for the leak and the decision drain: 6,993 _repeat_add calls on the hvac
-    run, 12,840 when a hold advanced all four sums on every run it crossed.
-    The storm variant makes 1,574, 1,468 of them one per _charge call (132
-    in all when _charge added the gains into charged slot by slot)."""
-    lengths, sums = [], [0]
-    hold, repeat_add = engine._hold, engine._repeat_add
+    The closed form (_UlpSum.add) runs once per _charge call for charged,
+    once per power run a hold crosses for charged and a nonzero spilled,
+    and once per hold for the leak and the decision drain: 6,993 adds on
+    the hvac run and 1,574 on the storm variant.  A hold keeps charged and
+    spilled in ulps across its runs, so only 573 and 1,508 of them start
+    from a float, through _repeat_add (6,993 and 1,574 when each add was a
+    _repeat_add call).  A hold runs a trial slot (engine.drain from _hold)
+    on its first run and on each run that does not clip every buffer at its
+    ceiling: 132 on the hvac run and 21 on the storm variant, 3,269 and 34
+    when every run a hold crossed had one."""
+    lengths, counts = [], dict.fromkeys(("add", "_repeat_add", "trial"), 0)
+    hold, repeat_add, add, drain = engine._hold, engine._repeat_add, engine._UlpSum.add, engine.drain
 
     def counted(sim, i, r, stop, check, shares):
         out = hold(sim, i, r, stop, check, shares)
         lengths.append(out[0] - i)
         return out
 
+    def counted_adds(total, addends, k):
+        counts["add"] += 1
+        return add(total, addends, k)
+
     def counted_sums(s, addends, k):
-        sums[0] += 1
+        counts["_repeat_add"] += 1
         return repeat_add(s, addends, k)
 
+    def counted_drains(cap, amount):
+        counts["trial"] += sys._getframe(1).f_code.co_name == "_hold"
+        return drain(cap, amount)
+
     monkeypatch.setattr(engine, "_hold", counted)
+    monkeypatch.setattr(engine._UlpSum, "add", counted_adds)
     monkeypatch.setattr(engine, "_repeat_add", counted_sums)
-    for doc, calls, closed_forms in ((load_config(CONFIGS / "hvac_attack.yaml"), 73, 6_993),
-                                     (WORKLOADS.storm_config(5), 20, 1_574)):
+    monkeypatch.setattr(engine, "drain", counted_drains)
+    for doc, calls, expected in (
+            (load_config(CONFIGS / "hvac_attack.yaml"), 73,
+             {"add": 6_993, "_repeat_add": 573, "trial": 132}),
+            (WORKLOADS.storm_config(5), 20, {"add": 1_574, "_repeat_add": 1_508, "trial": 21})):
         lengths.clear()
-        sums[0] = 0
+        counts.update(dict.fromkeys(counts, 0))
         run(build_sim_config(doc))
         assert len(lengths) == calls and min(lengths) >= 1
-        assert sums[0] == closed_forms
+        assert counts == expected
 
 
 def test_holds_carry_the_hvac_run_across_its_power_runs(monkeypatch):
-    """The one-hour hvac run has 3,541 power runs.  Its bank sits at a fixed
-    point through most of them, and a hold carries on from run to run while
-    a trial of each run's first slot leaves the bank as it is, so the span
-    checks and charges only where the bank moves.  When each hold stopped
+    """The one-hour hvac run has 3,541 power runs.  Its bank sits full at a
+    fixed point through most of them, and a hold carries on from run to run
+    while each run leaves the bank as it is (every buffer clipped at its
+    ceiling, or a trial of the run's first slot that moves nothing), so the
+    span checks and charges only where the bank moves: its 73 holds cross
+    3,210 of the runs and run a trial slot on 132.  When each hold stopped
     at its run's end, _charge ran 3,564 times (3,139 of them for one slot),
     _next_check 3,626 times and _hold 3,210 times.  A hold changes no task
     state, so it splits each run's power by the weights held:
@@ -989,32 +1009,148 @@ def repeated_sums(draw):
     return s, tuple(draw(st.lists(addend, min_size=1, max_size=3))), draw(st.integers(1, 12_000))
 
 
-@given(repeated_sums())
-@example((1.0, (3 * 2.0**-53,), 10_000))  # 1.5 ulps: halfway, the sum's last bit decides
-@example((1.0 + 2.0**-52, (2.0**-53, 2.0**-50), 10_000))  # halfway from an odd sum
-@example((2.0 - 2.0**-52, (2.0**-52,), 10_000))  # one ulp below a power of two
-@example((2.0 - 2.0**-52, (2.0**-52, 3 * 2.0**-52), 5))
-@example((0.0, (0.0,), 10_000))
-@example((0.0, (1e-3, 2e-3), 10_000))
-@example((-0.0, (0.0,), 3))
-@example((-0.0, (-0.0,), 3))
-@example((5e-324, (5e-324,), 10_000))  # subnormal, into the first normal binade
-@example((1e-310, (3e-311, 0.0), 10_000))
-@example((1.0, (3.0,), 10_000))  # an addend larger than s
-@example((1.0, (0.0, 0.0), 10_000))  # all-zero addends
-@example((1.0, (0.0, 0.1), 10_000))
-@example((1.0, (0.1,), 1))  # a single round
-def test_repeat_add_equals_adding_float_by_float(drawn):
-    """engine._repeat_add, which _hold and _charge advance the ledger sums
+@st.composite
+def later_runs(draw, s):
+    """Zero to four further (addends, k) runs after a first from s, each one
+    to three addends of its own, drawn as repeated_sums draws them."""
+    half_ulp = math.ulp(s) / 2
+    addend = (
+        st.floats(0.0, 1e300)
+        | st.builds(lambda r, j: r * s * 2.0**-j, st.floats(0.0, 2.0), st.integers(0, 60))
+        | st.builds(lambda w: w * half_ulp, st.integers(0, 2**20))
+    )
+    return draw(st.lists(st.tuples(st.lists(addend, min_size=1, max_size=3).map(tuple),
+                                   st.integers(0, 3_000)), max_size=4))
+
+
+@given(repeated_sums(), st.data())
+@example((1.0, (3 * 2.0**-53,), 10_000), None)  # 1.5 ulps: halfway, the sum's last bit decides
+@example((1.0 + 2.0**-52, (2.0**-53, 2.0**-50), 10_000), None)  # halfway from an odd sum
+@example((2.0 - 2.0**-52, (2.0**-52,), 10_000), None)  # one ulp below a power of two
+@example((2.0 - 2.0**-52, (2.0**-52, 3 * 2.0**-52), 5), None)
+@example((0.0, (0.0,), 10_000), None)
+@example((0.0, (1e-3, 2e-3), 10_000), None)
+@example((-0.0, (0.0,), 3), None)
+@example((-0.0, (-0.0,), 3), None)
+@example((5e-324, (5e-324,), 10_000), None)  # subnormal, into the first normal binade
+@example((1e-310, (3e-311, 0.0), 10_000), None)
+@example((1.0, (3.0,), 10_000), None)  # an addend larger than s
+@example((1.0, (0.0, 0.0), 10_000), None)  # all-zero addends
+@example((1.0, (0.0, 0.1), 10_000), None)
+@example((1.0, (0.1,), 1), None)  # a single round
+def test_repeat_add_equals_adding_float_by_float(drawn, data):
+    """engine._repeat_add, which _charge and _hold advance the ledger sums
     with, leaves the very float that adding the addends k times in turn
-    leaves.  So do two calls over k1 and k - k1 rounds, which is what lets
-    a hold add the terms that stay from run to run once over all its runs."""
+    leaves.  So do two calls over k1 and k - k1 rounds.  A hold keeps
+    charged and spilled in one engine._UlpSum across the power runs it
+    crosses, each run adding its own addends k times; after each run the
+    sum is the float that adding every run's addends in turn leaves."""
     s, addends, k = drawn
     expected = plain_sum(s, addends, k).hex()
     assert engine._repeat_add(s, addends, k).hex() == expected
     for k1 in {0, 1, k // 3, k // 2, k - 1}:
         split = engine._repeat_add(engine._repeat_add(s, addends, k1), addends, k - k1)
         assert split.hex() == expected
+    later = data.draw(later_runs(s)) if data is not None else [((2.0**-53,), 3), ((1e-3,), 7)]
+    total, plain = engine._UlpSum(s), s
+    for addends, k in [(addends, k)] + later:
+        total.add(addends, k)
+        plain = plain_sum(plain, addends, k)
+        assert total.value().hex() == plain.hex()
+
+
+@st.composite
+def held_full_banks(draw):
+    """(bank, constants, decision cost, dt, shares): one to three buffers,
+    each at the voltage a slot that clips it leaves, as slot_update writes
+    it from the ceiling, leaking nothing (keep == 1.0) or a little, and one
+    share per buffer, 0.0 or a multiple of the gain that brings the buffer
+    to its ceiling after its leak (at least half an ulp of the ceiling)
+    around 1, so that a slot clips it or falls just short; in about half the
+    banks every factor is above 1."""
+    caps = []
+    for _ in range(draw(st.integers(1, 3))):
+        v_max = draw(st.floats(2.5, 5.0))
+        cap = Capacitor(capacitance=draw(st.floats(1e-6, 1e-3)),
+                        efficiency=draw(st.floats(0.1, 1.0)),
+                        drain_fraction=draw(st.sampled_from([0.0, 1e-7]) | st.floats(0.0, 0.01)),
+                        v_max=v_max)
+        c = slot_constants(cap)
+        v = math.sqrt(2.0 * c[4] / c[5])
+        cap.voltage = v if v < v_max else v_max
+        caps.append(cap)
+    constants = [slot_constants(cap) for cap in caps]
+    cost = draw(st.sampled_from([0.0, 1.781e-9]) | st.floats(0.0, 1e-6))
+    dt = draw(st.sampled_from([0.005, 0.01, 1.0]))
+    held = caps[0].voltage
+    drain(caps[0], cost)
+    factor = (st.sampled_from([1.0 + 2.0**-40, 2.0]) | st.floats(1.0, 4.0)
+              if draw(st.booleans()) else
+              st.sampled_from([0.0, 0.25, 0.5, 1.0 - 2.0**-40, 1.0, 1.0 + 2.0**-40, 2.0])
+              | st.floats(0.0, 4.0))
+    shares = tuple(
+        max(c[4] - c[1] * energy_of(cap), math.ulp(c[4]) / 2) / (c[3] * dt) * draw(factor)
+        for cap, c in zip(caps, constants))
+    caps[0].voltage = held
+    return CapacitorBank(capacitors=caps), constants, cost, dt, shares
+
+
+def trial_slot(bank, constants, cost, dt, shares):
+    """The terms [charged, leak, spilled] of each buffer and the voltages
+    that one slot of a hold's trial leaves (energy.drain, then slot_update
+    buffer by buffer); the bank is restored."""
+    caps, held = bank.capacitors, [cap.voltage for cap in bank.capacitors]
+    drain(caps[0], cost)
+    parts = [[0.0, 0.0, 0.0] for _ in caps]
+    for cap, c, share, part in zip(caps, constants, shares, parts):
+        slot_update((cap,), (c,), (share,), dt, part)
+    after = [cap.voltage for cap in caps]
+    for cap, v in zip(caps, held):
+        cap.voltage = v
+    return parts, after
+
+
+def test_a_hold_judges_a_run_that_clips_every_buffer_without_a_trial():
+    """Once a trial has clipped every buffer of a bank and left it as it
+    was, _hold judges each later run from the energies each buffer keeps
+    after its leak (keep * E, E buffer 0's after the decision drain) with
+    engine._clipped, and runs no trial where it clips every buffer.  Its
+    verdict is the trial's: a share of 0.0, or a gain that leaves a buffer
+    at or below its ceiling, clips nothing.  Where it clips every buffer,
+    the trial leaves every voltage as it was, and the gains, the held leak
+    and the clipped excesses are the trial's bit for bit.  Both verdicts
+    are drawn, each in at least one run of four."""
+    verdicts = []
+
+    @given(held_full_banks())
+    @example((CapacitorBank(capacitors=[Capacitor(capacitance=1e-4, drain_fraction=0.0,
+                                                  v_max=4.0, voltage=4.0)]),
+              [slot_constants(Capacitor(capacitance=1e-4, drain_fraction=0.0, v_max=4.0))],
+              0.0, 0.01, (2.0**-66 / (0.9 * 0.01),)))  # rounds back to the ceiling exactly
+    def check(drawn):
+        bank, constants, cost, dt, shares = drawn
+        caps = bank.capacitors
+        held = [cap.voltage for cap in caps]
+        first, after = trial_slot(bank, constants, cost, dt, [1e3] * len(caps))
+        assert after == held and all(part[2] > 0.0 for part in first)
+        drain(caps[0], cost)
+        kept = [c[1] * energy_of(cap) for cap, c in zip(caps, constants)]
+        caps[0].voltage = held[0]
+
+        parts, after = trial_slot(bank, constants, cost, dt, shares)
+        terms = engine._clipped(kept, constants, shares, dt)
+        clipped = all(part[2] > 0.0 for part in parts)
+        verdicts.append(clipped)
+        assert (terms is not None) == clipped
+        if clipped:
+            gains, spills = terms
+            assert after == held
+            assert [x.hex() for x in gains] == [part[0].hex() for part in parts]
+            assert [part[1].hex() for part in first] == [part[1].hex() for part in parts]
+            assert [x.hex() for x in spills] == [part[2].hex() for part in parts]
+
+    check()
+    assert 4 * sum(verdicts) >= len(verdicts) and 4 * verdicts.count(False) >= len(verdicts)
 
 
 @pytest.mark.parametrize("policy", ["eam", "fh"])

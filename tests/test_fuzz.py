@@ -497,3 +497,44 @@ def test_a_running_task_on_a_buffer_refilled_every_slot_is_stepped():
     assert [ev[0] for ev in log.events if ev[1] == "start"] == [0.0, 10.0]
     assert len(of_kind(log, "finish")) == 2
     assert_run_matches_steps(config)
+
+
+@pytest.mark.parametrize("policy", ["eam", "fh"])
+def test_a_hold_runs_a_trial_slot_on_each_run_that_clips_only_some_buffers(monkeypatch, policy):
+    """Two full buffers at v_max = 4 V, where their stored energy is exactly
+    their ceiling, neither leak nor pay a decision cost.  Their trace is
+    3 V for two seconds of every three and 0.87 µV in the third.  At 3 V
+    each buffer clips at its ceiling.  At 0.87 µV buffer 0 still gains more
+    than half an ulp of its ceiling and clips, but buffer 1, with a tenth of
+    its efficiency, gains less: its energy rounds back to its ceiling,
+    unclipped, and its voltage stays.  So one engine._hold call carries from
+    slot 2 to the horizon.  It runs a trial slot (engine.drain) on its first
+    run, which clips both buffers, and on each of the 66 dim runs, which
+    clip only buffer 0; the bright runs after the first need none.  run
+    still gives what stepping every slot gives."""
+    holds = counting_holds(monkeypatch)
+    trials, drain = [0], engine.drain
+
+    def counted(cap, amount):
+        trials[0] += sys._getframe(1).f_code.co_name == "_hold"
+        return drain(cap, amount)
+
+    monkeypatch.setattr(engine, "drain", counted)
+    times = [float(k) for k in range(201)]
+    volts = [8.66e-7 if k % 3 == 2 else 3.0 for k in range(201)]
+    config = full_bank_config(policy, EnergyTrace(times, volts, LOAD_RESISTANCE), n_buffers=2)
+    config = dataclasses.replace(
+        config,
+        bank=CapacitorBank(
+            capacitors=[dataclasses.replace(cap, v_max=4.0, voltage=4.0, drain_fraction=0.0,
+                                            efficiency=eta)
+                        for cap, eta in zip(config.bank.capacitors, (1.0, 0.1))],
+            component_map=config.bank.component_map,
+        ),
+        params=dataclasses.replace(config.params, decision_cost=0.0),
+    )
+    assert len(init_sim(config).run_ends) == 133
+    run(config)
+    assert holds == [(2, 0, 20_000, 132)] and trials == [67]
+    monkeypatch.undo()
+    assert_run_matches_steps(config)
