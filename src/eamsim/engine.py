@@ -1028,31 +1028,26 @@ def _hold(sim: SimState, i: int, r: int, stop: int, check: int | None,
     """Replay slots i, i + 1, ... as repeats of slot i - 1, which left every
     buffer as it found it with no task running, under power run r's shares:
     to the end of run r or the span's stop and, under a reported attack, to
-    the next check, whose checks read the clock.  No cap bounds the count:
-    a _UlpSum advances over any number of slots a binade at a time.  Only
-    charged and spilled change with the power, once per run, as whole ulps
-    over the whole hold; the leak, decision drain, availability and
-    timeline advance once per hold.
+    the next check, whose checks read the clock.  No cap bounds the count.
+    Only charged and spilled change with the power: they advance once per
+    run, kept in ulps (_UlpSum) over the whole hold; the leak, decision
+    drain, availability and timeline advance once per hold.
 
     Outside a reported attack (check None) the hold then goes on into each
-    next run that starts before stop and leaves every voltage bit-identical.
-    A hold changes no task state, so no weight: the shares are the run's
-    power split by the weights held (policy.split_power by
-    sim.prev_weights), the floats every allocate_fn gives for them.  A trial
-    of the run's first slot on the bank, energy.drain and slot_update under
-    the run's shares, shows whether it does, and its terms are the run's.
-    Once a trial has clipped every buffer at its ceiling and left the bank
-    as it was, the bank holds each buffer's clipped voltage, which no gain
-    moves: a later run that clips every buffer too (_clipped, from the held
-    energies) leaves it as it is without a trial, and its terms are its
-    gains, the held leak and its clipped excess.  Where a trial moves a
-    voltage, every voltage is restored and the hold returns at the run's
-    first slot for _quiet_span to check.  A check there would pass as the
-    last one did: the profile and readiness checks read the bank, which
-    has not moved, and the idle report; the waiting tasks cannot change, as
-    no release, reset or window edge falls before stop; and open recovery
-    watches saw these voltages already.  Returns the first slot not
-    replayed, its run and that run's shares."""
+    next run that starts before stop and leaves every voltage bit-identical,
+    split by the weights held (policy.split_power by sim.prev_weights): a
+    hold changes no task state, so no weight.  A trial of the run's first
+    slot on the bank (energy.drain, then slot_update) shows whether it does
+    and gives the run's terms.  Once a trial has clipped every buffer and
+    moved none, the bank holds the clipped voltages, which no gain moves, so
+    a later run that clips every buffer too (_clipped) needs no trial.
+    Where a trial moves a voltage, every voltage is restored and the hold
+    returns at the run's first slot for _quiet_span to check.  A check there
+    would pass as the last one did: the profile and readiness checks read
+    the bank, which has not moved, and the idle report; the waiting tasks
+    cannot change, as no release, reset or window edge falls before stop;
+    and open recovery watches saw these voltages already.  Returns the
+    first slot not replayed, its run and that run's shares."""
     caps, ends, log, dt = sim.bank.capacitors, sim.run_ends, sim.log, sim.dt
     constants = sim.buffer_constants
     saved, m, stride = [cap.voltage for cap in caps], len(caps), sim.config.timeline_stride
@@ -1138,11 +1133,10 @@ class _UlpSum:
     sum's last bit even.  So a round's ulps depend on the parity of the sum
     it starts from alone, and a round with a halfway addend ends on a parity
     its addends fix: every round after the first adds the same n ulps.  The
-    sum is kept as its count of ulps, across calls, and the rounds that keep
-    it inside the binade add in exact integer arithmetic.  It is a float
-    again only at the binade's edge, whose round adds float by float, as
-    does a round from -0.0 or with an addend that is negative or above the
-    sum, and where value() reads it."""
+    sum is kept as its count of ulps across calls, and the rounds that keep
+    it inside the binade add in integer arithmetic.  A round that would
+    leave the binade, or that starts from -0.0 or has an addend that is
+    negative or above the sum, adds float by float."""
 
     __slots__ = ("_s", "_units", "_u")
 

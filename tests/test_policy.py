@@ -1,18 +1,20 @@
 """Mitigation policy: profile selection, task readiness, harvest allocation."""
 
 import copy
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from eamsim.apps import AppSpec, DataQueue, Profile, TaskSpec, Token, builtin_app
 from eamsim.config import _build_params
-from eamsim.detector import NO_ATTACK, AttackInfo
-from eamsim.energy import Capacitor, CapacitorBank, Component, drain, energy_of
-from eamsim.engine import SimConfig, run
+from eamsim.detector import NO_ATTACK, AttackInfo, DetectorConfig, detect
+from eamsim.energy import Capacitor, CapacitorBank, Component, drain, energy_of, usable_energy
+import eamsim.engine as engine
+from eamsim.engine import SimConfig, init_sim, run, step
 from eamsim.policy import (
     PolicyError,
     PolicyParams,
@@ -23,12 +25,15 @@ from eamsim.policy import (
     energy_profile_slots,
     fire_releases,
     init_scheduler,
+    is_ready,
     pick_execution_task,
     policy_step,
+    released_tasks,
     select_profile,
     set_task_states,
+    unready_slots,
 )
-from eamsim.traces import synthesize_trace
+from eamsim.traces import AttackScenario, synthesize_trace
 
 
 def attack(remaining, accuracy=1.0):
@@ -525,6 +530,131 @@ def test_energy_profile_slots_is_the_exact_horizon_of_the_energy_rule(case, frac
     for j in {j for j in (1, int(frac * k), int(k)) if 0 < j <= k}:
         assert answers_within(j) == {answer}, j
     assert answers_within(int(k) + 1) != {answer}
+
+
+@st.composite
+def readiness_cases(draw):
+    """An eam run of 0.01 s slots whose one task, on buffer b of one to
+    three buffers, is released on slot 0 at the same period in every
+    profile.  Its buffer leaks nothing or a little and may pay the decision
+    cost; the harvest is constant.  Half the runs have no attack, so the
+    task waits for energy; the other half have an attack from t = 0 to at
+    most 3 s, reported from its start with or without noise, under which
+    the harvest is dead and a funded task waits for the remaining time to
+    exceed its period of 0.1 to 10 s."""
+    n = draw(st.integers(1, 3))
+    b = draw(st.integers(0, n - 1))
+    leak = draw(st.sampled_from([0.0, 0.0, 1e-6]))
+    caps = [Capacitor(capacitance=draw(st.floats(47e-6, 470e-6)),
+                      efficiency=draw(st.floats(0.5, 1.0)), drain_fraction=leak,
+                      v_on=2.0, v_off=1.0, v_max=4.0, voltage=draw(st.floats(1.0, 4.0)))
+            for _ in range(n)]
+    rate = draw(st.sampled_from([360.0, 1800.0, 7200.0, 36000.0]))
+    task = TaskSpec(id="T0", energy_cost=draw(st.floats(1e-6, 400e-6)), duration=0.01,
+                    buffer=b, rates={p: rate for p in Profile})
+    attacks = ([AttackScenario(0.0, draw(st.floats(0.05, 3.0)), "long", "a0")]
+               if draw(st.booleans()) else [])
+    return SimConfig(
+        trace=synthesize_trace("constant", amplitude=draw(st.floats(1.0, 4.0)), length=30.0,
+                               interval=1.0),
+        app=AppSpec(name="wait", tasks=(task,), sink_task="T0"),
+        bank=CapacitorBank(capacitors=caps,
+                           component_map={k: (c,) for k, c in zip(range(n), Component)}),
+        params=PolicyParams(decision_cost=draw(st.sampled_from([0.0, 0.0, 1.781e-9]))),
+        detector=DetectorConfig(remaining_time_error=draw(st.sampled_from([0.0, 0.0, 0.3])),
+                                rng_seed=draw(st.integers(0, 100))),
+        attacks=attacks,
+        policy="eam",
+        dt=0.01,
+        horizon=30.0,
+        timeline_stride=0,
+    )
+
+
+_STEPS = 2_000  # slots stepped at most past a horizon
+
+
+def waiting_under_a_report(duration, noise=0.0, seed=0):
+    """A task at a period of 0.5 s, released on slot 0, whose buffer slot
+    0's harvest of 3 µJ funds from slot 1 on, under a report from slot 1
+    (t = 0.01 s) of an attack lasting duration."""
+    cost, v_off = 100e-6, 1.0
+    cap = Capacitor(capacitance=100e-6, efficiency=1.0, drain_fraction=0.0, v_on=2.0,
+                    v_off=v_off, v_max=4.0)
+    cap.voltage = math.sqrt(v_off * v_off + 2.0 * (cost - 1.5e-6) / cap.capacitance)
+    task = TaskSpec(id="T0", energy_cost=cost, duration=0.01, buffer=0,
+                    rates={p: 7200.0 for p in Profile})
+    return SimConfig(
+        trace=synthesize_trace("constant", amplitude=3.0, length=30.0, interval=1.0),
+        app=AppSpec(name="wait", tasks=(task,), sink_task="T0"),
+        bank=CapacitorBank(capacitors=[cap], component_map={0: (Component.MCU,)}),
+        params=PolicyParams(decision_cost=0.0),
+        detector=DetectorConfig(remaining_time_error=noise, rng_seed=seed),
+        attacks=[AttackScenario(0.01, duration, "long", "a0")],
+        policy="eam", dt=0.01, horizon=30.0, timeline_stride=0,
+    )
+
+
+def test_unready_slots_is_the_horizon_of_the_readiness_rule():
+    """unready_slots(task, bank, info, rise) = h after slot 0 released the
+    task, which is_ready turns down on slot i = 1: over the next h slots,
+    stepped with engine.step, is_ready keeps turning it down, as the buffer
+    gains less than rise per slot, its eta * share * dt plus _next_check's
+    slack for rounding.  It is exact in two cases, where the answer must
+    change on the slot after the horizon.  With no report, no leak and no
+    decision drain on the task's buffer, the buffer gains eta * share * dt
+    each slot, rounding aside: where the energy deficit is not within 1% of
+    a whole number of gains and the buffer does not clip, slot i + h + 1
+    funds the task.  Under a noise-free report with the task funded and
+    neither leak nor drain, its period alone holds it: the remaining time
+    only shrinks, so h is infinite, and the first slot after the window
+    admits it.  Each exact case is drawn at least three times."""
+    exact_cases = {"energy": 0, "period": 0}
+
+    @given(readiness_cases())
+    @example(waiting_under_a_report(0.5))  # 0.5 s left on slot 1: the period, not above it
+    @example(waiting_under_a_report(0.55, 0.3, 3))  # the noise turns it down on slot 1 only
+    def check(config):
+        sim = init_sim(config)
+        step(sim)
+        i, dt = sim.i, config.dt
+
+        def report(j):
+            return detect(j * dt, config.attacks, config.detector)
+
+        waiting = released_tasks(sim.sched, sim.queues)
+        info = report(i)
+        assume(waiting and not is_ready(waiting[0], sim.bank, info))
+        task = waiting[0]
+        b, cost = task[1], task[2]
+        cap, (_, keep, _, eta, capacity, _, _) = sim.bank.capacitors[b], sim.buffer_constants[b]
+        power = sim.run_powers[-1]  # the harvest outside the attack
+        gain = eta * sim.allocate_fn(sim.sched, sim.app, sim.bank, power, sim.params)[1][b] * dt
+        assume(gain > 0.0)
+        h = unready_slots(task, sim.bank, info, gain + engine._SLACK * capacity)
+        still = keep == 1.0 and (b != 0 or config.params.decision_cost == 0.0)
+        deficit = cost - usable_energy(cap)
+        if info.ongoing:
+            window_end = next(j for j in range(i, sim.n_slots) if not report(j).ongoing)
+            exact = still and deficit < 0.0 and config.detector.remaining_time_error == 0.0
+            last, change = min(h, window_end - 1 - i), min(i + h + 1, window_end)
+        else:
+            room = usable_energy(dataclasses.replace(cap, voltage=cap.v_max)) - cost
+            gains = deficit / gain
+            exact = (still and 0.01 < gains - math.floor(gains) < 0.99 and h < _STEPS
+                     and room > 2 * gain)
+            last, change = min(h, _STEPS), i + h + 1
+        for j in range(1, int(last) + 1):
+            step(sim)
+            assert not is_ready(task, sim.bank, report(i + j)), j
+        if exact:
+            exact_cases["period" if info.ongoing else "energy"] += 1
+            while sim.i < change:
+                step(sim)
+            assert is_ready(task, sim.bank, report(change))
+
+    check()
+    assert min(exact_cases.values()) >= 3, exact_cases
 
 
 # ---------------------------------------------------------------- full step
