@@ -209,3 +209,77 @@ def fold_sum(values) -> float:
         total += x
     return total
 
+
+_BINADE_TOP = 2**53 - 1  # the last float of a binade, in ulps of the binade
+
+
+class UlpSum:
+    """A float sum that add(addends, k) advances as
+    `for _ in range(k): for a in addends: s += a` does, bit for bit.
+
+    Every float of the binade of s is a multiple of u = ulp(s), and so is
+    the next binade's first (for a subnormal s or +0.0, u is the subnormal
+    spacing, which the first normal binade shares).  While the sums stay
+    below that, adding a rounds the sum to that grid: a adds its whole count
+    of ulps rounded to nearest or, halfway between two, as many as make the
+    sum's last bit even.  So a round's ulps depend on the parity of the sum
+    it starts from alone, and a round with a halfway addend ends on a parity
+    its addends fix: every round after the first adds the same n ulps.  The
+    sum is kept as its count of ulps across calls, and the rounds that keep
+    it inside the binade add in integer arithmetic.  A round that would
+    leave the binade, or that starts from -0.0 or has an addend that is
+    negative or above the sum, adds float by float."""
+
+    __slots__ = ("_s", "_units", "_u")
+
+    def __init__(self, s: float):
+        self._s, self._units, self._u = s, None, 0.0
+
+    def value(self) -> float:
+        return self._s if self._units is None else self._units * self._u
+
+    def add(self, addends, k: int) -> None:
+        units, u = self._units, self._u
+        while k > 0:
+            if units is None and math.copysign(1.0, self._s) > 0.0 and self._s < math.inf:
+                u = math.ulp(self._s)
+                units = int(self._s / u)
+            if units is not None:
+                first, tied = _round(units, u, addends)
+                if first <= _BINADE_TOP:
+                    n = _round(first, u, addends)[0] - first if tied else first - units
+                    m = k - 1 if n == 0 else min(k - 1, (_BINADE_TOP - first) // n)
+                    units, k = first + m * n, k - 1 - m
+                    continue
+                self._s, units = units * u, None
+            s = self._s
+            for a in addends:
+                s += a
+            self._s, k = s, k - 1
+        self._units, self._u = units, u
+
+
+def repeat_add(s: float, addends, k: int) -> float:
+    """What `for _ in range(k): for a in addends: s += a` leaves, bit for bit
+    (UlpSum)."""
+    total = UlpSum(s)
+    total.add(addends, k)
+    return total.value()
+
+
+def _round(units: int, u: float, addends) -> tuple[int, bool]:
+    """A sum of units ulps u after one round of the addends, each rounded to
+    the grid of u, a halfway one to an even sum, while it stays inside its
+    binade, and whether one lay halfway; past _BINADE_TOP where an addend is
+    negative or above the sum it is added to."""
+    tied = False
+    for a in addends:
+        q = a / u  # exact, or far below a half: u is a power of two and q < 2**53
+        if not 0.0 <= q <= units:
+            return _BINADE_TOP + 1, tied
+        whole = int(q)
+        units += whole + (q - whole > 0.5)
+        if q - whole == 0.5:
+            units += units & 1
+            tied = True
+    return units, tied

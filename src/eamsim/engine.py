@@ -26,34 +26,14 @@ step() on every slot.  A quiet stretch may hold a running task, which draws
 its energy each slot; a profile switch ends it and step() applies it.
 
 Inside a stretch the readiness and profile checks run only where they could
-fail.  A buffer gains at most eta * share * dt per slot, so a waiting task's
-energy deficit gives a count of slots before it can be funded; the stored
-total, moving by at most the gains up and the leak, decision cost and draw
-down, gives one for eam's energy profiles.  A report's noise band settles
-SA/LA without a draw where it lies on one side of alpha: LA holds until its
-bottom reaches alpha, SA to the window's end once its top has.  A task whose
-period the band no longer exceeds waits out the window.  Blind policies never
-change profile.  With no task running, the slots up to the next check run in
-one loop of the same float operations (_charge), compiled once per bank width
-from one template (_CHARGE_TEMPLATE) that keeps each buffer in locals: the
-only copy of the slot physics beside energy.py's, which step runs.  While the
-band straddles alpha it settles SA/LA on each slot, the one place a stretch
-switches profile.  Where a slot leaves every buffer voltage bit-identical,
-the slots after it under the same power repeat it, so run() only advances the
-ledger sums, availability counts and timeline rows over them, however many
-they are.  Outside a reported attack this carries on across changes of
-power, split by the weights held, as a hold changes no task state: where a
-trial of the new power's first slot leaves the bank as it is, the trial's
-terms are the new power's, and the checks skipped there would pass as the
-last did, as they read the bank, which has not moved.  Once a trial has
-clipped every buffer at its ceiling, a power that clips them all again
-needs no trial: the clipped voltage does not depend on the gain.  Each sum
-advances only where its terms change: the harvest gains once per _charge
-call and, with the clipped excess, once per power run of a hold; a hold's
-leak, decision drain, availability counts and timeline rows once per hold.
-Within a binade every sum is a whole number of ulps and each slot adds the
-same number, so a sum advances a binade at a time in closed form (_UlpSum),
-bit for bit what step()'s order gives.
+fail (_next_check).  With no task running, the slots up to the next check run
+in one loop of the same float operations (_charge), compiled once per bank
+width from one template: the only copy of the slot physics beside
+energy.py's, which step runs.  Where a slot leaves every buffer voltage
+bit-identical, the slots after it repeat it, and outside a reported attack so
+do later power runs that leave it as it is (_hold): run() then only advances
+the ledger sums, availability counts and timeline rows, in closed form a
+binade at a time (UlpSum), bit for bit what step()'s order gives.
 overhead_invocations still counts every slot, as the modelled device decides
 on each one.
 
@@ -95,10 +75,12 @@ from .detector import (
 )
 from .energy import (
     CapacitorBank,
+    UlpSum,
     capacity_of,
     drain,
     energy_of,
     fold_sum,
+    repeat_add,
     set_energy,
     slot_constants,
     slot_update,
@@ -732,17 +714,10 @@ def _quiet_span(sim: SimState) -> None:
     the same inputs, so it repeats that slot's float operations and, outside
     a reported attack, passes the same checks, as the slot before it was
     proven to; open recovery watches, which saw these voltages, stay inert.
-    _hold replays such stretches in one call, advancing only the sums (in
-    closed form, a binade at a time), counts and timeline; inside a reported
-    attack, whose checks also read the clock, only up to the next check and
-    the end of the power run.  Outside one it carries on into each next power
-    run, split by the weights held, that leaves every voltage as it is (a
-    trial of its first slot shows it, or, once a trial clipped every buffer,
-    clipping every buffer again does): the checks skipped there would pass
-    as the last one did, as they read the bank, the idle report and the
-    waiting tasks, which no release, reset or window edge changes before
-    stop.  Where a trial moves the bank, the hold returns at that run's
-    first slot, which the span checks.
+    _hold replays such stretches in one call, advancing only the sums,
+    counts and timeline: inside a reported attack, whose checks also read
+    the clock, up to the next check and the end of the power run; outside
+    one, on across the later power runs that leave every voltage as it is.
     """
     sched = sim.sched
     running = sched.executing
@@ -985,7 +960,7 @@ def _charge(sim, i, stop, shares, end):
         log.timeline_v[row0 * m : row1 * m] = array("d", rows)
         log.timeline_profile[row0:row1] = array("b", profs)
         log.timeline_running[row0:row1] = array("h", [-1]) * len(profs)
-    sim.ledger[:] = _repeat_add(charged, ({gains}), i - i0), sigma_drain, spilled
+    sim.ledger[:] = repeat_add(charged, ({gains}), i - i0), sigma_drain, spilled
     sim.decision_drained = drained
     return i, fixed
 '''
@@ -1030,35 +1005,33 @@ def _hold(sim: SimState, i: int, r: int, stop: int, check: int | None,
     to the end of run r or the span's stop and, under a reported attack, to
     the next check, whose checks read the clock.  No cap bounds the count.
     Only charged and spilled change with the power: they advance once per
-    run, kept in ulps (_UlpSum) over the whole hold; the leak, decision
+    run, kept in ulps (UlpSum) over the whole hold; the leak, decision
     drain, availability and timeline advance once per hold.
 
-    Outside a reported attack (check None) the hold then goes on into each
-    next run that starts before stop and leaves every voltage bit-identical,
-    split by the weights held (policy.split_power by sim.prev_weights): a
-    hold changes no task state, so no weight.  A trial of the run's first
-    slot on the bank (energy.drain, then slot_update) shows whether it does
-    and gives the run's terms.  Once a trial has clipped every buffer and
-    moved none, the bank holds the clipped voltages, which no gain moves, so
-    a later run that clips every buffer too (_clipped) needs no trial.
-    Where a trial moves a voltage, every voltage is restored and the hold
+    Outside a reported attack (check None) the hold goes on into each next
+    run before stop that leaves every voltage bit-identical, split by the
+    weights held (a hold changes no task state, so no weight).  A trial of
+    the run's first slot (energy.drain, then slot_update) shows whether it
+    does and gives the run's terms.  Once a trial has clipped every buffer
+    and moved none, the bank holds the clipped voltages, which no gain moves,
+    so a later run that clips every buffer too (_clipped) needs no trial.
+    Where a trial moves a voltage, the voltages are restored and the hold
     returns at the run's first slot for _quiet_span to check.  A check there
-    would pass as the last one did: the profile and readiness checks read
-    the bank, which has not moved, and the idle report; the waiting tasks
-    cannot change, as no release, reset or window edge falls before stop;
-    and open recovery watches saw these voltages already.  Returns the
-    first slot not replayed, its run and that run's shares."""
+    would pass as the last one did: it reads the bank, which has not moved,
+    the idle report and the waiting tasks, which no release, reset or
+    window edge changes before stop; open recovery watches saw these
+    voltages already.  Returns the first slot not replayed, its run and that
+    run's shares."""
     caps, ends, log, dt = sim.bank.capacitors, sim.run_ends, sim.log, sim.dt
     constants = sim.buffer_constants
     saved, m, stride = [cap.voltage for cap in caps], len(caps), sim.config.timeline_stride
     charged, sigma_drain, spilled = sim.ledger
-    charged, spilled = _UlpSum(charged), _UlpSum(spilled)
+    charged, spilled = UlpSum(charged), UlpSum(spilled)
     i0, trial_r, trial_shares, kept = i, r, shares, None
     end = min(ends[r], stop) if check is None else min(ends[r], stop, check)
     while True:
         if i < end:
-            terms = None if kept is None else _clipped(kept, constants, trial_shares, dt)
-            if terms is not None:
+            if kept is not None and (terms := _clipped(kept, constants, trial_shares, dt)):
                 gains, spills = terms
             else:
                 # Running slot i on the bank gives the terms each replayed
@@ -1088,8 +1061,8 @@ def _hold(sim: SimState, i: int, r: int, stop: int, check: int | None,
     if k:
         # The rest reads only the held voltages, as did the last trial, moved
         # or not: its leak terms and decision drain are every slot's.
-        sim.ledger[:] = charged.value(), _repeat_add(sigma_drain, leaks, k), spilled.value()
-        sim.decision_drained = _repeat_add(sim.decision_drained, (taken,), k)
+        sim.ledger[:] = charged.value(), repeat_add(sigma_drain, leaks, k), spilled.value()
+        sim.decision_drained = repeat_add(sim.decision_drained, (taken,), k)
         for b, cap in enumerate(caps):
             if cap.voltage >= cap.v_on:
                 sim.avail_counts[b] += k
@@ -1103,10 +1076,10 @@ def _hold(sim: SimState, i: int, r: int, stop: int, check: int | None,
 
 
 def _clipped(kept: list, constants, shares: tuple, dt: float) -> tuple | None:
-    """The gains and clipped excesses a slot_update adds under shares to
-    buffers that keep kept[b] (keep * E of buffer b, E its energy after the
-    decision drain) after their leak, with its float operations, if it
-    clips every buffer at its ceiling; else None."""
+    """The gains and clipped excesses slot_update adds under shares, with its
+    float operations, to buffers that keep kept[b] (keep * E, E buffer b's
+    energy after the decision drain) after their leak, if it clips every
+    buffer; else None."""
     gains, spills = [], []
     for after_leak, c, share in zip(kept, constants, shares):
         gain = c[3] * share * dt
@@ -1116,81 +1089,6 @@ def _clipped(kept: list, constants, shares: tuple, dt: float) -> tuple | None:
         gains.append(gain)
         spills.append(new - c[4])
     return gains, spills
-
-
-_BINADE_TOP = 2**53 - 1  # the last float of a binade, in ulps of the binade
-
-
-class _UlpSum:
-    """A float sum that add(addends, k) advances as
-    `for _ in range(k): for a in addends: s += a` does, bit for bit.
-
-    Every float of the binade of s is a multiple of u = ulp(s), and so is
-    the next binade's first (for a subnormal s or +0.0, u is the subnormal
-    spacing, which the first normal binade shares).  While the sums stay
-    below that, adding a rounds the sum to that grid: a adds its whole count
-    of ulps rounded to nearest or, halfway between two, as many as make the
-    sum's last bit even.  So a round's ulps depend on the parity of the sum
-    it starts from alone, and a round with a halfway addend ends on a parity
-    its addends fix: every round after the first adds the same n ulps.  The
-    sum is kept as its count of ulps across calls, and the rounds that keep
-    it inside the binade add in integer arithmetic.  A round that would
-    leave the binade, or that starts from -0.0 or has an addend that is
-    negative or above the sum, adds float by float."""
-
-    __slots__ = ("_s", "_units", "_u")
-
-    def __init__(self, s: float):
-        self._s, self._units, self._u = s, None, 0.0
-
-    def value(self) -> float:
-        return self._s if self._units is None else self._units * self._u
-
-    def add(self, addends, k: int) -> None:
-        units, u = self._units, self._u
-        while k > 0:
-            if units is None and 0.0 <= self._s < math.inf and math.copysign(1.0, self._s) > 0.0:
-                u = math.ulp(self._s)
-                units = int(self._s / u)
-            if units is not None:
-                first, tied = _round(units, u, addends)
-                if first <= _BINADE_TOP:
-                    n = _round(first, u, addends)[0] - first if tied else first - units
-                    m = k - 1 if n == 0 else min(k - 1, (_BINADE_TOP - first) // n)
-                    units, k = first + m * n, k - 1 - m
-                    continue
-                self._s, units = units * u, None
-            s = self._s
-            for a in addends:
-                s += a
-            self._s, k = s, k - 1
-        self._units, self._u = units, u
-
-
-def _repeat_add(s: float, addends, k: int) -> float:
-    """What `for _ in range(k): for a in addends: s += a` leaves, bit for bit
-    (_UlpSum)."""
-    total = _UlpSum(s)
-    total.add(addends, k)
-    return total.value()
-
-
-def _round(units: int, u: float, addends) -> tuple[int, bool]:
-    """A sum of units ulps u after one round of the addends, each rounded to
-    the grid of u, a halfway one to an even sum, while it stays inside its
-    binade, and whether one lay halfway; past _BINADE_TOP where an addend is
-    negative or above the sum it is added to."""
-    tied = False
-    for a in addends:
-        q = a / u  # exact, or far below a half: u is a power of two and q < 2**53
-        if not 0.0 <= q <= units:
-            return _BINADE_TOP + 1, tied
-        whole = int(q)
-        units += whole + (q - whole > 0.5)
-        if q - whole == 0.5:
-            units += units & 1
-            tied = True
-    return units, tied
 
 
 def _finalize(sim: SimState) -> tuple[MetricsReport, EventLog]:

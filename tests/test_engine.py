@@ -24,9 +24,11 @@ from eamsim.energy import (
     Capacitor,
     CapacitorBank,
     Component,
+    UlpSum,
     drain,
     energy_at,
     energy_of,
+    repeat_add,
     slot_constants,
     slot_update,
     total_capacity,
@@ -733,18 +735,18 @@ def test_every_hold_replays_at_least_one_slot(monkeypatch):
     _quiet_span skipped the calls with no slot left in the run, 18 of 3,228
     and 19 of 52 replayed nothing.
 
-    The closed form (_UlpSum.add) runs once per _charge call for charged,
-    once per power run a hold crosses for charged and a nonzero spilled,
-    and once per hold for the leak and the decision drain: 6,993 adds on
-    the hvac run and 1,574 on the storm variant.  A hold keeps charged and
-    spilled in ulps across its runs, so only 573 and 1,508 of them start
-    from a float, through _repeat_add (6,993 and 1,574 when each add was a
-    _repeat_add call).  A hold runs a trial slot (engine.drain from _hold)
-    on its first run and on each run that does not clip every buffer at its
-    ceiling: 132 on the hvac run and 21 on the storm variant, 3,269 and 34
-    when every run a hold crossed had one."""
-    lengths, counts = [], dict.fromkeys(("add", "_repeat_add", "trial"), 0)
-    hold, repeat_add, add, drain = engine._hold, engine._repeat_add, engine._UlpSum.add, engine.drain
+    The closed form (energy.UlpSum.add) runs once per _charge call for
+    charged, once per power run a hold crosses for charged and a nonzero
+    spilled, and once per hold for the leak and the decision drain: 6,993
+    adds on the hvac run and 1,574 on the storm variant.  A hold keeps
+    charged and spilled in ulps across its runs, so only 573 and 1,508 of
+    them start from a float, through energy.repeat_add (6,993 and 1,574 when
+    each add was an engine._repeat_add call).  A hold runs a trial slot
+    (engine.drain from _hold) on its first run and on each run that does not
+    clip every buffer at its ceiling: 132 on the hvac run and 21 on the
+    storm variant, 3,269 and 34 when every run a hold crossed had one."""
+    lengths, counts = [], dict.fromkeys(("add", "repeat_add", "trial"), 0)
+    hold, repeat, add, drain = engine._hold, engine.repeat_add, UlpSum.add, engine.drain
 
     def counted(sim, i, r, stop, check, shares):
         out = hold(sim, i, r, stop, check, shares)
@@ -756,21 +758,21 @@ def test_every_hold_replays_at_least_one_slot(monkeypatch):
         return add(total, addends, k)
 
     def counted_sums(s, addends, k):
-        counts["_repeat_add"] += 1
-        return repeat_add(s, addends, k)
+        counts["repeat_add"] += 1
+        return repeat(s, addends, k)
 
     def counted_drains(cap, amount):
         counts["trial"] += sys._getframe(1).f_code.co_name == "_hold"
         return drain(cap, amount)
 
     monkeypatch.setattr(engine, "_hold", counted)
-    monkeypatch.setattr(engine._UlpSum, "add", counted_adds)
-    monkeypatch.setattr(engine, "_repeat_add", counted_sums)
+    monkeypatch.setattr(UlpSum, "add", counted_adds)
+    monkeypatch.setattr(engine, "repeat_add", counted_sums)
     monkeypatch.setattr(engine, "drain", counted_drains)
     for doc, calls, expected in (
             (load_config(CONFIGS / "hvac_attack.yaml"), 73,
-             {"add": 6_993, "_repeat_add": 573, "trial": 132}),
-            (WORKLOADS.storm_config(5), 20, {"add": 1_574, "_repeat_add": 1_508, "trial": 21})):
+             {"add": 6_993, "repeat_add": 573, "trial": 132}),
+            (WORKLOADS.storm_config(5), 20, {"add": 1_574, "repeat_add": 1_508, "trial": 21})):
         lengths.clear()
         counts.update(dict.fromkeys(counts, 0))
         run(build_sim_config(doc))
@@ -995,7 +997,7 @@ def plain_sum(s, addends, k):
 
 @st.composite
 def repeated_sums(draw):
-    """(s, addends, k) for engine._repeat_add: a normal or subnormal sum, one
+    """(s, addends, k) for energy.repeat_add: a normal or subnormal sum, one
     to three addends of any size, a fraction of s (so that the sums cross
     binades within k rounds) or a count of half ulps of s (so that many lie
     halfway between two floats), and up to 12,000 rounds."""
@@ -1010,49 +1012,52 @@ def repeated_sums(draw):
 
 
 @st.composite
-def later_runs(draw, s):
-    """Zero to four further (addends, k) runs after a first from s, each one
-    to three addends of its own, drawn as repeated_sums draws them."""
+def runs_of_sums(draw):
+    """((s, addends, k), later): repeated_sums, then zero to four further
+    (addends, k) runs, each of one to three addends drawn as repeated_sums
+    draws them from s."""
+    s, addends, k = drawn = draw(repeated_sums())
     half_ulp = math.ulp(s) / 2
     addend = (
         st.floats(0.0, 1e300)
         | st.builds(lambda r, j: r * s * 2.0**-j, st.floats(0.0, 2.0), st.integers(0, 60))
         | st.builds(lambda w: w * half_ulp, st.integers(0, 2**20))
     )
-    return draw(st.lists(st.tuples(st.lists(addend, min_size=1, max_size=3).map(tuple),
-                                   st.integers(0, 3_000)), max_size=4))
+    runs = st.tuples(st.lists(addend, min_size=1, max_size=3).map(tuple), st.integers(0, 3_000))
+    return drawn, draw(st.lists(runs, max_size=4))
 
 
-@given(repeated_sums(), st.data())
-@example((1.0, (3 * 2.0**-53,), 10_000), None)  # 1.5 ulps: halfway, the sum's last bit decides
-@example((1.0 + 2.0**-52, (2.0**-53, 2.0**-50), 10_000), None)  # halfway from an odd sum
-@example((2.0 - 2.0**-52, (2.0**-52,), 10_000), None)  # one ulp below a power of two
-@example((2.0 - 2.0**-52, (2.0**-52, 3 * 2.0**-52), 5), None)
-@example((0.0, (0.0,), 10_000), None)
-@example((0.0, (1e-3, 2e-3), 10_000), None)
-@example((-0.0, (0.0,), 3), None)
-@example((-0.0, (-0.0,), 3), None)
-@example((5e-324, (5e-324,), 10_000), None)  # subnormal, into the first normal binade
-@example((1e-310, (3e-311, 0.0), 10_000), None)
-@example((1.0, (3.0,), 10_000), None)  # an addend larger than s
-@example((1.0, (0.0, 0.0), 10_000), None)  # all-zero addends
-@example((1.0, (0.0, 0.1), 10_000), None)
-@example((1.0, (0.1,), 1), None)  # a single round
-def test_repeat_add_equals_adding_float_by_float(drawn, data):
-    """engine._repeat_add, which _charge and _hold advance the ledger sums
+@given(runs_of_sums())
+@example(((1.0, (3 * 2.0**-53,), 10_000), []))  # 1.5 ulps: halfway, the sum's last bit decides
+@example(((1.0 + 2.0**-52, (2.0**-53, 2.0**-50), 10_000), []))  # halfway from an odd sum
+@example(((2.0 - 2.0**-52, (2.0**-52,), 10_000), []))  # one ulp below a power of two
+@example(((2.0 - 2.0**-52, (2.0**-52, 3 * 2.0**-52), 5), []))
+@example(((0.0, (0.0,), 10_000), []))
+@example(((0.0, (1e-3, 2e-3), 10_000), []))
+@example(((-0.0, (0.0,), 3), []))
+@example(((-0.0, (-0.0,), 3), []))
+@example(((5e-324, (5e-324,), 10_000), []))  # subnormal, into the first normal binade
+@example(((1e-310, (3e-311, 0.0), 10_000), []))
+@example(((1.0, (3.0,), 10_000), []))  # an addend larger than s
+@example(((1.0, (0.0, 0.0), 10_000), []))  # all-zero addends
+@example(((1.0, (0.0, 0.1), 10_000), []))
+@example(((1.0, (0.1,), 1), []))  # a single round
+# A halfway run, one that crosses a binade's edge, then one from the next binade.
+@example(((2.0 - 2.0**-50, (2.0**-53,), 3), [((3 * 2.0**-52,), 5), ((2.0**-52, 1e-3), 7)]))
+def test_repeat_add_equals_adding_float_by_float(case):
+    """energy.repeat_add, which _charge and _hold advance the ledger sums
     with, leaves the very float that adding the addends k times in turn
     leaves.  So do two calls over k1 and k - k1 rounds.  A hold keeps
-    charged and spilled in one engine._UlpSum across the power runs it
+    charged and spilled in one energy.UlpSum across the power runs it
     crosses, each run adding its own addends k times; after each run the
     sum is the float that adding every run's addends in turn leaves."""
-    s, addends, k = drawn
+    (s, addends, k), later = case
     expected = plain_sum(s, addends, k).hex()
-    assert engine._repeat_add(s, addends, k).hex() == expected
+    assert repeat_add(s, addends, k).hex() == expected
     for k1 in {0, 1, k // 3, k // 2, k - 1}:
-        split = engine._repeat_add(engine._repeat_add(s, addends, k1), addends, k - k1)
+        split = repeat_add(repeat_add(s, addends, k1), addends, k - k1)
         assert split.hex() == expected
-    later = data.draw(later_runs(s)) if data is not None else [((2.0**-53,), 3), ((1e-3,), 7)]
-    total, plain = engine._UlpSum(s), s
+    total, plain = UlpSum(s), s
     for addends, k in [(addends, k)] + later:
         total.add(addends, k)
         plain = plain_sum(plain, addends, k)
