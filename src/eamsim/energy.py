@@ -84,7 +84,7 @@ def capacity_of(cap: Capacitor) -> float:
 
 
 def slot_constants(cap: Capacitor) -> tuple[float, ...]:
-    """Per-buffer constants of the slot update, in the order slot_update reads
+    """Per-buffer constants of the slot update, in the order bank_slot reads
     them: (0.5 * C, 1 - sigma, sigma, eta, capacity, C, v_max)."""
     half_c = 0.5 * cap.capacitance
     return (
@@ -98,42 +98,58 @@ def slot_constants(cap: Capacitor) -> tuple[float, ...]:
     )
 
 
-def slot_update(caps, constants, shares, dt: float, ledger: list) -> float:
-    """Advance every buffer of a bank by one slot.
+def bank_slot(energies, constants, shares, dt: float) -> list:
+    """One slot of the slot law on buffers that hold energies[b] joules,
+    allotted shares[b] watts; constants[b] is slot_constants() of buffer b.
 
-    Buffer b, holding E = 0.5 * C * V^2 and allotted shares[b] watts, goes to
-    E' = (1 - sigma) * E + eta * P * dt, clipped at its capacity, and its
-    voltage is written back from E'.  constants[b] is slot_constants() of the
-    buffer.  ledger holds the running [charged, drained, spilled] sums, to
-    which each buffer's harvested input, drain and clipped excess are added in
-    buffer order.  Returns the bank's new energy, the sum of the E' values.
-    """
-    charged, drained, spilled = ledger
-    total = 0.0
-    for cap, (half_c, keep, sigma, eta, ceiling, c, v_max), share in zip(caps, constants, shares):
-        v = cap.voltage
-        energy = half_c * v * v
+    Buffer b, holding E, goes to E' = (1 - sigma) * E + eta * P * dt,
+    clipped at its capacity.  Returns, buffer by buffer, (V', gain
+    eta * P * dt, leak sigma * E, clipped excess or 0.0, E'), with V' the
+    voltage of E', at most v_max.  Pure: slot_update applies it to a bank,
+    and engine._hold judges held power runs with it."""
+    out = []
+    for energy, (_, keep, sigma, eta, ceiling, c, v_max), share in zip(energies, constants, shares):
         gain = eta * share * dt
         new = keep * energy + gain
-        charged += gain
-        drained += sigma * energy
+        spill = 0.0
         if new > ceiling:
-            spilled += new - ceiling
-            new = ceiling
+            spill, new = new - ceiling, ceiling
         v = math.sqrt(2.0 * new / c)
-        cap.voltage = v if v < v_max else v_max
+        out.append((v if v < v_max else v_max, gain, sigma * energy, spill, new))
+    return out
+
+
+def slot_update(caps, constants, shares, dt: float, ledger: list) -> float:
+    """Advance every buffer of a bank by one slot (bank_slot) and write each
+    voltage back.  ledger holds the running [charged, drained, spilled] sums,
+    to which each buffer's gain, leak and clipped excess are added in buffer
+    order.  Returns the bank's new energy, the sum of the E' values."""
+    charged, drained, spilled = ledger
+    total = 0.0
+    slot = bank_slot(map(energy_of, caps), constants, shares, dt)
+    for cap, (v, gain, leak, spill, new) in zip(caps, slot):
+        cap.voltage = v
+        charged += gain
+        drained += leak
+        spilled += spill  # 0.0 leaves the sum, never -0.0, as it is
         total += new
     ledger[0], ledger[1], ledger[2] = charged, drained, spilled
     return total
 
 
-def drain(cap: Capacitor, amount: float) -> float:
-    """Take amount joules out of the buffer, or all it holds if that is less;
-    returns the energy actually taken (the floor is zero, not v_off)."""
-    energy = 0.5 * cap.capacitance * cap.voltage * cap.voltage
+def take_from(v: float, capacitance: float, amount: float) -> tuple[float, float]:
+    """The voltage left and the energy taken when amount joules, or all it
+    holds if that is less, are taken out of a buffer of capacitance F at v
+    volts (the floor is zero, not v_off)."""
+    energy = 0.5 * capacitance * v * v
     taken = amount if amount < energy else energy
-    if taken > 0.0:
-        cap.voltage = math.sqrt(2.0 * (energy - taken) / cap.capacitance)
+    return (math.sqrt(2.0 * (energy - taken) / capacitance) if taken > 0.0 else v), taken
+
+
+def drain(cap: Capacitor, amount: float) -> float:
+    """Take amount joules out of the buffer (take_from); returns the energy
+    actually taken."""
+    cap.voltage, taken = take_from(cap.voltage, cap.capacitance, amount)
     return taken
 
 

@@ -76,6 +76,7 @@ from .detector import (
 from .energy import (
     CapacitorBank,
     UlpSum,
+    bank_slot,
     capacity_of,
     drain,
     energy_of,
@@ -84,6 +85,7 @@ from .energy import (
     set_energy,
     slot_constants,
     slot_update,
+    take_from,
     total_energy,
     withdraw,
 )
@@ -739,10 +741,10 @@ def _quiet_span(sim: SimState) -> None:
     stop = _first_slot(limit, dt, n)
     ends, powers = sim.run_ends, sim.run_powers
     app, bank, params, info = sim.app, sim.bank, sim.params, sim.idle_info
-    caps, blind = bank.capacitors, sim.detector_blind
+    caps = bank.capacitors
     profile_fn, allocate_fn, profile = sim.profile_fn, sim.allocate_fn, sched.profile
     cost = params.decision_cost
-    shares = total = None
+    shares = None
     while i < stop:
         t = i * dt
         if i == ends[r]:
@@ -750,11 +752,8 @@ def _quiet_span(sim: SimState) -> None:
         if i >= check:
             if reported:
                 info = detect(t, (attack,), sim.config.detector)
-            if blind:  # pin_nml: the profile never changes
-                new = profile
-            else:
-                total = total_energy(bank)
-                new = profile_fn(info, total, params)
+            total = total_energy(bank)
+            new = profile_fn(info, total, params)
             if new is not profile or waiting and any_ready(waiting, bank, info):
                 if reported:
                     sim.report = info
@@ -858,7 +857,7 @@ def _band_slot(sim: SimState, i: int, end: float, edge, err: float, alpha: float
 def _charge(sim: SimState, i: int, stop: int, shares: tuple,
             end: float | None = None) -> tuple[int, bool]:
     """Run slots i, i + 1, ... before stop with no task running and no check
-    due: the decision drain (energy.drain) and energy.slot_update's float
+    due: the decision drain (energy.take_from) and energy.bank_slot's float
     operations in the same order, then availability counting and timeline
     rows (_tally's, written as one block).  Each slot adds the same harvest
     gains to charged, with no other term between them, so charged advances
@@ -1004,63 +1003,44 @@ def _hold(sim: SimState, i: int, r: int, stop: int, check: int | None,
     buffer as it found it with no task running, under power run r's shares:
     to the end of run r or the span's stop and, under a reported attack, to
     the next check, whose checks read the clock.  No cap bounds the count.
-    Only charged and spilled change with the power: they advance once per
-    run, kept in ulps (UlpSum) over the whole hold; the leak, decision
-    drain, availability and timeline advance once per hold.
-
     Outside a reported attack (check None) the hold goes on into each next
-    run before stop that leaves every voltage bit-identical, split by the
-    weights held (a hold changes no task state, so no weight).  A trial of
-    the run's first slot (energy.drain, then slot_update) shows whether it
-    does and gives the run's terms.  Once a trial has clipped every buffer
-    and moved none, the bank holds the clipped voltages, which no gain moves,
-    so a later run that clips every buffer too (_clipped) needs no trial.
-    Where a trial moves a voltage, the voltages are restored and the hold
-    returns at the run's first slot for _quiet_span to check.  A check there
-    would pass as the last one did: it reads the bank, which has not moved,
-    the idle report and the waiting tasks, which no release, reset or
-    window edge changes before stop; open recovery watches saw these
-    voltages already.  Returns the first slot not replayed, its run and that
-    run's shares."""
+    run before stop, split by the weights held (a hold changes no task
+    state, so no weight).  Each run is judged by one slot of
+    energy.bank_slot on the held energies, buffer 0's after the decision
+    drain: the run carries on if it leaves every voltage bit-identical,
+    and its gains and clipped excesses are then every slot's.  Charged and
+    spilled advance once per run, kept in ulps (UlpSum) over the whole
+    hold; the leak, decision drain, availability and timeline read only the
+    held voltages and advance once per hold.  Where a run would move a
+    voltage, the hold returns at its first slot for _quiet_span to check.
+    The checks a hold skips read the bank, which has not moved, the idle
+    report and the waiting tasks, which nothing changes before stop, so they
+    would pass as the last one did.  Returns the first slot not replayed,
+    its run and that run's shares."""
     caps, ends, log, dt = sim.bank.capacitors, sim.run_ends, sim.log, sim.dt
-    constants = sim.buffer_constants
-    saved, m, stride = [cap.voltage for cap in caps], len(caps), sim.config.timeline_stride
+    constants, m, stride = sim.buffer_constants, len(caps), sim.config.timeline_stride
+    held = tuple(cap.voltage for cap in caps)
+    u0, taken = take_from(held[0], caps[0].capacitance, sim.params.decision_cost)
+    energies = [c[0] * v * v for c, v in zip(constants, (u0,) + held[1:])]
     charged, sigma_drain, spilled = sim.ledger
     charged, spilled = UlpSum(charged), UlpSum(spilled)
-    i0, trial_r, trial_shares, kept = i, r, shares, None
+    i0, run_r, run_shares = i, r, shares
     end = min(ends[r], stop) if check is None else min(ends[r], stop, check)
     while True:
         if i < end:
-            if kept is not None and (terms := _clipped(kept, constants, trial_shares, dt)):
-                gains, spills = terms
-            else:
-                # Running slot i on the bank gives the terms each replayed
-                # slot adds to the ledger sums, buffer by buffer in step's
-                # order (0.0 + x is exact).  Only a trial can move a voltage.
-                taken = drain(caps[0], sim.params.decision_cost)
-                drained_v = [cap.voltage for cap in caps]
-                parts = [[0.0, 0.0, 0.0] for _ in caps]
-                for cap, c, share, part in zip(caps, constants, trial_shares, parts):
-                    slot_update((cap,), (c,), (share,), dt, part)
-                if any(cap.voltage != v for cap, v in zip(caps, saved)):
-                    for cap, v in zip(caps, saved):
-                        cap.voltage = v
-                    break
-                gains, leaks, spills = zip(*parts)
-                if all(spills):  # every buffer clipped: keep * E of each, as slot_update
-                    kept = [c[1] * (c[0] * v * v) for c, v in zip(constants, drained_v)]
+            voltages, gains, leaks, spills, _ = zip(*bank_slot(energies, constants, run_shares, dt))
+            if voltages != held:
+                break
             charged.add(gains, end - i)
             if any(spills):  # a 0.0 term leaves a sum >= +0.0 as it is
                 spilled.add(spills, end - i)
-            i, r, shares = end, trial_r, trial_shares
+            i, r, shares = end, run_r, run_shares
         if check is not None or i != ends[r] or i >= stop:
             break
-        trial_r, end = r + 1, min(ends[r + 1], stop)
-        trial_shares = split_power(sim.run_powers[trial_r], sim.prev_weights)
+        run_r, end = r + 1, min(ends[r + 1], stop)
+        run_shares = split_power(sim.run_powers[run_r], sim.prev_weights)
     k = i - i0
-    if k:
-        # The rest reads only the held voltages, as did the last trial, moved
-        # or not: its leak terms and decision drain are every slot's.
+    if k:  # every verdict's leaks are the held energies' own
         sim.ledger[:] = charged.value(), repeat_add(sigma_drain, leaks, k), spilled.value()
         sim.decision_drained = repeat_add(sim.decision_drained, (taken,), k)
         for b, cap in enumerate(caps):
@@ -1069,26 +1049,10 @@ def _hold(sim: SimState, i: int, r: int, stop: int, check: int | None,
         r0, r1 = (-(-i0 // stride), -(-i // stride)) if stride > 0 else (0, 0)
         if r0 < r1:  # the rows of the slots replayed
             rows = r1 - r0
-            log.timeline_v[r0 * m : r1 * m] = array("d", saved) * rows
+            log.timeline_v[r0 * m : r1 * m] = array("d", held) * rows
             log.timeline_profile[r0:r1] = array("b", [_PROFILE_INDEX[sim.sched.profile]]) * rows
             log.timeline_running[r0:r1] = array("h", [-1]) * rows
     return i, r, shares
-
-
-def _clipped(kept: list, constants, shares: tuple, dt: float) -> tuple | None:
-    """The gains and clipped excesses slot_update adds under shares, with its
-    float operations, to buffers that keep kept[b] (keep * E, E buffer b's
-    energy after the decision drain) after their leak, if it clips every
-    buffer; else None."""
-    gains, spills = [], []
-    for after_leak, c, share in zip(kept, constants, shares):
-        gain = c[3] * share * dt
-        new = after_leak + gain
-        if not new > c[4]:
-            return None
-        gains.append(gain)
-        spills.append(new - c[4])
-    return gains, spills
 
 
 def _finalize(sim: SimState) -> tuple[MetricsReport, EventLog]:

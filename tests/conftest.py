@@ -106,4 +106,9 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
     derandomize=True,  # keep the suite deterministic run-to-run
 )
+# The same with fresh draws: derandomize seeds each test from its own source,
+# so a pass says nothing of the draws an edit to the test would make.
+#   python -m pytest --hypothesis-profile=sim-random --hypothesis-seed=1
+settings.register_profile("sim-random", settings.get_profile("sim"), derandomize=False,
+                          database=None)
 settings.load_profile("sim")

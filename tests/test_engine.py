@@ -2,14 +2,15 @@
 
 import bisect
 import contextlib
+import dataclasses
 import io
 import linecache
 import math
 import sys
 import tracemalloc
+from array import array
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -539,7 +540,7 @@ def assert_runs_match_sampling(config):
     sim = init_sim(config)
     expected = per_slot_powers(config, sim.n_slots)
     assert sim.run_ends[-1] == sim.n_slots
-    assert np.array(expand_runs(sim)).tobytes() == np.array(expected).tobytes()
+    assert array("d", expand_runs(sim)).tobytes() == array("d", expected).tobytes()
     # Each run is as long as it can be: neighbours differ in power.
     assert all(a != b for a, b in zip(sim.run_powers, sim.run_powers[1:]))
     return sim
@@ -610,7 +611,7 @@ def sampled_power_configs(draw):
             duration = room * draw(st.just(1.0) | st.floats(0.01, 1.0))
         if duration > 0 and (k + 1 == len(starts) or start + duration <= starts[k + 1]):
             attacks.append(AttackScenario(start, duration, "short", f"a{k}"))
-    trace = EnergyTrace(np.array(times), np.array(volts), 30e3)
+    trace = EnergyTrace(times, volts, 30e3)
     return one_task_config(trace=trace, attacks=draw(st.permutations(attacks)),
                            dt=dt, horizon=horizon)
 
@@ -741,12 +742,14 @@ def test_every_hold_replays_at_least_one_slot(monkeypatch):
     adds on the hvac run and 1,574 on the storm variant.  A hold keeps
     charged and spilled in ulps across its runs, so only 573 and 1,508 of
     them start from a float, through energy.repeat_add (6,993 and 1,574 when
-    each add was an engine._repeat_add call).  A hold runs a trial slot
-    (engine.drain from _hold) on its first run and on each run that does not
-    clip every buffer at its ceiling: 132 on the hvac run and 21 on the
-    storm variant, 3,269 and 34 when every run a hold crossed had one."""
-    lengths, counts = [], dict.fromkeys(("add", "repeat_add", "trial"), 0)
-    hold, repeat, add, drain = engine._hold, engine.repeat_add, UlpSum.add, engine.drain
+    each add was an engine._repeat_add call).  A hold judges each power run
+    it crosses by one slot of energy.bank_slot on the held energies, the
+    last one where the slot would move a voltage: 3,269 on the hvac run
+    (3,210 runs carried and 59 that stop a hold) and 34 on the storm variant
+    (33 and 1).  When trial slots on the live bank judged the runs, and a run
+    that clipped every buffer needed none, there were 132 and 21 trials."""
+    lengths, counts = [], dict.fromkeys(("add", "repeat_add", "verdict"), 0)
+    hold, repeat, add, judge = engine._hold, engine.repeat_add, UlpSum.add, engine.bank_slot
 
     def counted(sim, i, r, stop, check, shares):
         out = hold(sim, i, r, stop, check, shares)
@@ -761,18 +764,18 @@ def test_every_hold_replays_at_least_one_slot(monkeypatch):
         counts["repeat_add"] += 1
         return repeat(s, addends, k)
 
-    def counted_drains(cap, amount):
-        counts["trial"] += sys._getframe(1).f_code.co_name == "_hold"
-        return drain(cap, amount)
+    def counted_verdicts(energies, constants, shares, dt):
+        counts["verdict"] += sys._getframe(1).f_code.co_name == "_hold"
+        return judge(energies, constants, shares, dt)
 
     monkeypatch.setattr(engine, "_hold", counted)
     monkeypatch.setattr(UlpSum, "add", counted_adds)
     monkeypatch.setattr(engine, "repeat_add", counted_sums)
-    monkeypatch.setattr(engine, "drain", counted_drains)
+    monkeypatch.setattr(engine, "bank_slot", counted_verdicts)
     for doc, calls, expected in (
             (load_config(CONFIGS / "hvac_attack.yaml"), 73,
-             {"add": 6_993, "repeat_add": 573, "trial": 132}),
-            (WORKLOADS.storm_config(5), 20, {"add": 1_574, "repeat_add": 1_508, "trial": 21})):
+             {"add": 6_993, "repeat_add": 573, "verdict": 3_269}),
+            (WORKLOADS.storm_config(5), 20, {"add": 1_574, "repeat_add": 1_508, "verdict": 34})):
         lengths.clear()
         counts.update(dict.fromkeys(counts, 0))
         run(build_sim_config(doc))
@@ -783,10 +786,9 @@ def test_every_hold_replays_at_least_one_slot(monkeypatch):
 def test_holds_carry_the_hvac_run_across_its_power_runs(monkeypatch):
     """The one-hour hvac run has 3,541 power runs.  Its bank sits full at a
     fixed point through most of them, and a hold carries on from run to run
-    while each run leaves the bank as it is (every buffer clipped at its
-    ceiling, or a trial of the run's first slot that moves nothing), so the
-    span checks and charges only where the bank moves: its 73 holds cross
-    3,210 of the runs and run a trial slot on 132.  When each hold stopped
+    while one slot of the run on the held energies (energy.bank_slot) moves
+    nothing, so the span checks and charges only where the bank moves: its
+    73 holds cross 3,210 of the runs.  When each hold stopped
     at its run's end, _charge ran 3,564 times (3,139 of them for one slot),
     _next_check 3,626 times and _hold 3,210 times.  A hold changes no task
     state, so it splits each run's power by the weights held:
@@ -1071,14 +1073,24 @@ def held_full_banks(draw):
     it from the ceiling, leaking nothing (keep == 1.0) or a little, and one
     share per buffer, 0.0 or a multiple of the gain that brings the buffer
     to its ceiling after its leak (at least half an ulp of the ceiling)
-    around 1, so that a slot clips it or falls just short; in about half the
-    banks every factor is above 1."""
+    around 1, so that a slot clips it or falls just short.  A third of the
+    banks take factors of at least 1, which clip every buffer; a third take
+    factors around 1; and a third leak from every buffer and take factors
+    below 1, which move each voltage."""
+    kind = draw(st.sampled_from(["clip", "around", "short"]))
+    leak = st.sampled_from([0.0, 1e-7]) | st.floats(0.0, 0.01)
+    factor = {"clip": st.sampled_from([1.0 + 2.0**-40, 2.0]) | st.floats(1.0, 4.0),
+              "around": st.sampled_from([0.0, 0.25, 0.5, 1.0 - 2.0**-40, 1.0, 1.0 + 2.0**-40, 2.0])
+              | st.floats(0.0, 4.0),
+              "short": st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999)}[kind]
+    if kind == "short":
+        leak = st.sampled_from([1e-7]) | st.floats(1e-9, 0.01)
     caps = []
     for _ in range(draw(st.integers(1, 3))):
         v_max = draw(st.floats(2.5, 5.0))
         cap = Capacitor(capacitance=draw(st.floats(1e-6, 1e-3)),
                         efficiency=draw(st.floats(0.1, 1.0)),
-                        drain_fraction=draw(st.sampled_from([0.0, 1e-7]) | st.floats(0.0, 0.01)),
+                        drain_fraction=draw(leak),
                         v_max=v_max)
         c = slot_constants(cap)
         v = math.sqrt(2.0 * c[4] / c[5])
@@ -1089,10 +1101,6 @@ def held_full_banks(draw):
     dt = draw(st.sampled_from([0.005, 0.01, 1.0]))
     held = caps[0].voltage
     drain(caps[0], cost)
-    factor = (st.sampled_from([1.0 + 2.0**-40, 2.0]) | st.floats(1.0, 4.0)
-              if draw(st.booleans()) else
-              st.sampled_from([0.0, 0.25, 0.5, 1.0 - 2.0**-40, 1.0, 1.0 + 2.0**-40, 2.0])
-              | st.floats(0.0, 4.0))
     shares = tuple(
         max(c[4] - c[1] * energy_of(cap), math.ulp(c[4]) / 2) / (c[3] * dt) * draw(factor)
         for cap, c in zip(caps, constants))
@@ -1100,32 +1108,40 @@ def held_full_banks(draw):
     return CapacitorBank(capacitors=caps), constants, cost, dt, shares
 
 
-def trial_slot(bank, constants, cost, dt, shares):
-    """The terms [charged, leak, spilled] of each buffer and the voltages
-    that one slot of a hold's trial leaves (energy.drain, then slot_update
-    buffer by buffer); the bank is restored."""
-    caps, held = bank.capacitors, [cap.voltage for cap in bank.capacitors]
-    drain(caps[0], cost)
-    parts = [[0.0, 0.0, 0.0] for _ in caps]
-    for cap, c, share, part in zip(caps, constants, shares, parts):
-        slot_update((cap,), (c,), (share,), dt, part)
-    after = [cap.voltage for cap in caps]
-    for cap, v in zip(caps, held):
-        cap.voltage = v
-    return parts, after
+def two_run_sim(bank, cost, dt):
+    """A sim of two slots, each a power run of its own, on a copy of bank,
+    paying a decision cost of cost J per slot, with ledger sums away from
+    zero."""
+    config = full_bank_config("fh", synthesize_trace("constant", 3.0, 200.0, 1.0),
+                              n_buffers=len(bank))
+    config = dataclasses.replace(
+        config,
+        bank=CapacitorBank(capacitors=bank.capacitors, component_map=config.bank.component_map),
+        params=PolicyParams(decision_cost=cost), dt=dt, horizon=2 * dt)
+    sim = init_sim(config)
+    sim.run_ends, sim.run_powers = [1, 2], [3.0, 3.0]
+    sim.ledger[:] = [1e-3, 1e-4, 1e-5]
+    sim.decision_drained = 1e-6
+    return sim
 
 
-def test_a_hold_judges_a_run_that_clips_every_buffer_without_a_trial():
-    """Once a trial has clipped every buffer of a bank and left it as it
-    was, _hold judges each later run from the energies each buffer keeps
-    after its leak (keep * E, E buffer 0's after the decision drain) with
-    engine._clipped, and runs no trial where it clips every buffer.  Its
-    verdict is the trial's: a share of 0.0, or a gain that leaves a buffer
-    at or below its ceiling, clips nothing.  Where it clips every buffer,
-    the trial leaves every voltage as it was, and the gains, the held leak
-    and the clipped excesses are the trial's bit for bit.  Both verdicts
+def sums_of(sim):
+    return [x.hex() for x in (*sim.ledger, sim.decision_drained)]
+
+
+def test_a_hold_judges_each_run_as_one_slot_of_the_charge_loop():
+    """_hold judges each power run it crosses by one slot of
+    energy.bank_slot on the held energies, buffer 0's after the decision
+    drain, and carries on where that slot leaves every voltage as it is.
+    Here a hold starts on a full bank under shares that clip every buffer
+    and crosses into a second run under drawn shares.  Both verdicts, their
+    voltages and terms, and the ledger sums the hold leaves are those of
+    running the two slots with the compiled _charge loop, the other home of
+    the slot physics, bit for bit, on banks of one to three buffers: a share
+    of 0.0, or a gain that leaves a buffer at or below its ceiling, may move
+    a voltage and stop the hold.  _hold writes no voltage.  Both verdicts
     are drawn, each in at least one run of four."""
-    verdicts = []
+    verdicts, judge = [], engine.bank_slot
 
     @given(held_full_banks())
     @example((CapacitorBank(capacitors=[Capacitor(capacitance=1e-4, drain_fraction=0.0,
@@ -1133,26 +1149,38 @@ def test_a_hold_judges_a_run_that_clips_every_buffer_without_a_trial():
               [slot_constants(Capacitor(capacitance=1e-4, drain_fraction=0.0, v_max=4.0))],
               0.0, 0.01, (2.0**-66 / (0.9 * 0.01),)))  # rounds back to the ceiling exactly
     def check(drawn):
-        bank, constants, cost, dt, shares = drawn
-        caps = bank.capacitors
-        held = [cap.voltage for cap in caps]
-        first, after = trial_slot(bank, constants, cost, dt, [1e3] * len(caps))
-        assert after == held and all(part[2] > 0.0 for part in first)
-        drain(caps[0], cost)
-        kept = [c[1] * energy_of(cap) for cap, c in zip(caps, constants)]
-        caps[0].voltage = held[0]
+        bank, _, cost, dt, shares = drawn
+        full = (1e3,) * len(shares)
+        held = [cap.voltage for cap in bank.capacitors]
+        slots = []
 
-        parts, after = trial_slot(bank, constants, cost, dt, shares)
-        terms = engine._clipped(kept, constants, shares, dt)
-        clipped = all(part[2] > 0.0 for part in parts)
-        verdicts.append(clipped)
-        assert (terms is not None) == clipped
-        if clipped:
-            gains, spills = terms
-            assert after == held
-            assert [x.hex() for x in gains] == [part[0].hex() for part in parts]
-            assert [part[1].hex() for part in first] == [part[1].hex() for part in parts]
-            assert [x.hex() for x in spills] == [part[2].hex() for part in parts]
+        def judged(*args):
+            slots.append(judge(*args))
+            return slots[-1]
+
+        sim = two_run_sim(bank, cost, dt)
+        with mock.patch.object(engine, "bank_slot", judged), \
+                mock.patch.object(engine, "split_power", lambda power, weights: shares):
+            i, r, _ = engine._hold(sim, 0, 0, 2, None, full)
+        assert len(slots) == 2
+        twin, after = two_run_sim(bank, cost, dt), []
+        for j, run_shares in enumerate((full, shares)):
+            before = sums_of(twin)
+            engine._charge(twin, j, j + 1, run_shares)
+            after.append(([cap.voltage for cap in twin.bank.capacitors], sums_of(twin)))
+            voltages, gains, leaks, spills, _ = zip(*slots[j])
+            assert list(voltages) == after[j][0]
+            terms = [float.fromhex(x) for x in before]
+            for k, addends in enumerate((gains, leaks, spills)):
+                for x in addends:
+                    terms[k] += x
+            assert [x.hex() for x in terms[:3]] == after[j][1][:3]
+        assert after[0][0] == held and all(spill > 0.0 for *_, spill, _ in slots[0])
+        carried = after[1][0] == held
+        verdicts.append(carried)
+        assert (i, r) == ((2, 1) if carried else (1, 0))
+        assert [cap.voltage for cap in sim.bank.capacitors] == held
+        assert sums_of(sim) == after[i - 1][1]
 
     check()
     assert 4 * sum(verdicts) >= len(verdicts) and 4 * verdicts.count(False) >= len(verdicts)

@@ -268,11 +268,12 @@ def test_a_full_bank_is_held_across_power_runs_until_a_trial_slot_moves(monkeypa
     so each second is a power run, and goes dark for 3 s at t = 100 s.
     Every run while the power lasts keeps the bank at its ceiling, so one
     engine._hold call carries across runs 0 to 99, from slot 2; on slot
-    10,000, the first dark slot, its trial slot moves the voltages, so it
-    restores them and stops there, and the span checks and charges the dark
-    run.  The bank is full again after slot 10,300, and a second call
-    carries across the 97 runs left, to the horizon.  Each call still gives
-    what stepping every slot gives."""
+    10,000, the first dark slot, a trial slot of the dark run on the held
+    energies (energy.bank_slot) would move the voltages, so the hold stops
+    there, and the span checks and charges the dark run.  The bank is full
+    again after slot 10,300, and a second call carries across the 97 runs
+    left, to the horizon.  Each call still gives what stepping every slot
+    gives."""
     holds = counting_holds(monkeypatch)
     times = [float(k) for k in range(201)]
     volts = [0.0 if 100 <= k < 103 else 3.0 + 0.01 * (k % 7) for k in range(201)]
@@ -500,7 +501,7 @@ def test_a_running_task_on_a_buffer_refilled_every_slot_is_stepped():
 
 
 @pytest.mark.parametrize("policy", ["eam", "fh"])
-def test_a_hold_runs_a_trial_slot_on_each_run_that_clips_only_some_buffers(monkeypatch, policy):
+def test_a_hold_carries_across_runs_that_clip_only_some_buffers(monkeypatch, policy):
     """Two full buffers at v_max = 4 V, where their stored energy is exactly
     their ceiling, neither leak nor pay a decision cost.  Their trace is
     3 V for two seconds of every three and 0.87 µV in the third.  At 3 V
@@ -508,18 +509,17 @@ def test_a_hold_runs_a_trial_slot_on_each_run_that_clips_only_some_buffers(monke
     than half an ulp of its ceiling and clips, but buffer 1, with a tenth of
     its efficiency, gains less: its energy rounds back to its ceiling,
     unclipped, and its voltage stays.  So one engine._hold call carries from
-    slot 2 to the horizon.  It runs a trial slot (engine.drain) on its first
-    run, which clips both buffers, and on each of the 66 dim runs, which
-    clip only buffer 0; the bright runs after the first need none.  run
-    still gives what stepping every slot gives."""
+    slot 2 to the horizon, judging each of the 133 runs by one slot of
+    energy.bank_slot, the 66 dim ones too.  run still gives what stepping
+    every slot gives."""
     holds = counting_holds(monkeypatch)
-    trials, drain = [0], engine.drain
+    verdicts, judge = [0], engine.bank_slot
 
-    def counted(cap, amount):
-        trials[0] += sys._getframe(1).f_code.co_name == "_hold"
-        return drain(cap, amount)
+    def counted(energies, constants, shares, dt):
+        verdicts[0] += sys._getframe(1).f_code.co_name == "_hold"
+        return judge(energies, constants, shares, dt)
 
-    monkeypatch.setattr(engine, "drain", counted)
+    monkeypatch.setattr(engine, "bank_slot", counted)
     times = [float(k) for k in range(201)]
     volts = [8.66e-7 if k % 3 == 2 else 3.0 for k in range(201)]
     config = full_bank_config(policy, EnergyTrace(times, volts, LOAD_RESISTANCE), n_buffers=2)
@@ -535,6 +535,6 @@ def test_a_hold_runs_a_trial_slot_on_each_run_that_clips_only_some_buffers(monke
     )
     assert len(init_sim(config).run_ends) == 133
     run(config)
-    assert holds == [(2, 0, 20_000, 132)] and trials == [67]
+    assert holds == [(2, 0, 20_000, 132)] and verdicts == [133]
     monkeypatch.undo()
     assert_run_matches_steps(config)

@@ -1,8 +1,9 @@
 """Voltage traces: synthesis, file I/O, attack windows."""
 
+import math
 import warnings
+from array import array
 
-import numpy as np
 import pytest
 
 from eamsim.traces import (
@@ -53,8 +54,8 @@ def test_synthesize_step():
         (dict(kind="constant", amplitude=1.0, length=0.0, interval=0.1), "positive"),
         (dict(kind="constant", amplitude=1.0, length=1.0, interval=0.0), "positive"),
         (dict(kind="sinusoid", amplitude=1.0, length=1.0, interval=0.1, period=None), "period"),
-        (dict(kind="constant", amplitude=1.0, length=np.inf, interval=0.1), "finite"),
-        (dict(kind="constant", amplitude=1.0, length=1.0, interval=np.inf), "finite"),
+        (dict(kind="constant", amplitude=1.0, length=math.inf, interval=0.1), "finite"),
+        (dict(kind="constant", amplitude=1.0, length=1.0, interval=math.inf), "finite"),
     ],
 )
 def test_synthesize_rejects(kw, msg):
@@ -67,36 +68,36 @@ def test_synthesize_rejects(kw, msg):
 
 def test_trace_validation():
     with pytest.raises(TraceError):
-        EnergyTrace(np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0]), 30e3)
+        EnergyTrace((0.0, 1.0, 1.0), (1.0, 1.0, 1.0), 30e3)
     with pytest.raises(TraceError):
-        EnergyTrace(np.array([0.0, 1.0]), np.array([1.0, -0.1]), 30e3)
+        EnergyTrace((0.0, 1.0), (1.0, -0.1), 30e3)
     with pytest.raises(TraceError):
-        EnergyTrace(np.array([]), np.array([]), 30e3)
+        EnergyTrace((), (), 30e3)
     with pytest.raises(TraceError):
-        EnergyTrace(np.array([0.0, 1.0]), np.array([1.0]), 30e3)
+        EnergyTrace((0.0, 1.0), (1.0,), 30e3)
     with pytest.raises(TraceError):
-        EnergyTrace(np.array([0.0]), np.array([1.0]), 0.0)
+        EnergyTrace((0.0,), (1.0,), 0.0)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_trace_rejects_non_finite_voltages(bad):
     with pytest.raises(TraceError, match="voltages must be finite"):
-        EnergyTrace(np.array([0.0, 1.0, 2.0]), np.array([1.0, bad, 1.0]), 30e3)
+        EnergyTrace((0.0, 1.0, 2.0), (1.0, bad, 1.0), 30e3)
 
 
 @pytest.mark.parametrize(
-    "times", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]]
+    "times", [[0.0, math.nan, 2.0], [0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0]]
 )
 def test_trace_rejects_non_finite_sample_times(times):
     # NaN compares False with everything, so the increasing check alone misses it.
     with pytest.raises(TraceError, match="sample times must be finite"):
-        EnergyTrace(np.array(times), np.array([1.0, 1.0, 1.0]), 30e3)
+        EnergyTrace(times, (1.0, 1.0, 1.0), 30e3)
 
 
-@pytest.mark.parametrize("resistance", [np.nan, np.inf])
+@pytest.mark.parametrize("resistance", [math.nan, math.inf])
 def test_trace_rejects_non_finite_load_resistance(resistance):
     with pytest.raises(TraceError, match="load resistance"):
-        EnergyTrace(np.array([0.0, 1.0]), np.array([1.0, 1.0]), resistance)
+        EnergyTrace((0.0, 1.0), (1.0, 1.0), resistance)
 
 
 def test_trace_is_immutable():
@@ -109,9 +110,10 @@ def test_trace_is_immutable():
 
 
 def test_voltage_at_zero_order_hold():
-    # Array samples are held as tuples of floats; a run holds each sample up
-    # to the next (engine._slot_powers, tested against sampling every slot).
-    tr = EnergyTrace(np.array([0.0, 10.0, 20.0]), np.array([1.0, 2.0, 3.0]), 30e3)
+    # Any sequence of numbers, here an array("d"), is held as tuples of
+    # floats; a run holds each sample up to the next (engine._slot_powers,
+    # tested against sampling every slot).
+    tr = EnergyTrace(array("d", [0.0, 10.0, 20.0]), array("d", [1.0, 2.0, 3.0]), 30e3)
     assert tr.times == (0.0, 10.0, 20.0)
     assert tr.voltages == (1.0, 2.0, 3.0)
 
@@ -139,13 +141,13 @@ def test_attack_scenario_basics():
         AttackScenario(start=0.0, duration=5.0, kind="medium")
 
 
-@pytest.mark.parametrize("start", [np.nan, np.inf])
+@pytest.mark.parametrize("start", [math.nan, math.inf])
 def test_attack_rejects_non_finite_start(start):
     with pytest.raises(TraceError, match="attack start must be finite"):
         AttackScenario(start=start, duration=5.0)
 
 
-@pytest.mark.parametrize("duration", [np.nan, np.inf])
+@pytest.mark.parametrize("duration", [math.nan, math.inf])
 def test_attack_rejects_non_finite_duration(duration):
     with pytest.raises(TraceError, match="attack duration must be positive and finite"):
         AttackScenario(start=0.0, duration=duration)
